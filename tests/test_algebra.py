@@ -1,7 +1,9 @@
 """Exponent-vector arithmetic: construction, parsing, products, enumeration."""
 
+from collections import Counter
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from steengraph.algebra import (
@@ -303,3 +305,151 @@ class TestTruncation:
         assert truncate_polynomial(p, L0).is_zero
         q = truncate_polynomial(p, L1)
         assert q == parse_monomial("xi2", L1) + parse_monomial("xi1^3", L1)
+
+
+# Bound rule, pinned against an exponent-vector reference written here:
+# exponents are >= 0, r_i <= exponent_bound(i) at level n, and generators
+# past xi_(n+1) have exponent 0.  The untruncated level bounds nothing.
+BOUND_LEVELS = [Level(n) for n in range(6)] + [UNTRUNCATED]
+
+
+def within_level(level, exps):
+    for i, r in enumerate(exps, start=1):
+        if r < 0:
+            return False
+        if level.truncated:
+            if i > level.n + 1:
+                if r != 0:
+                    return False
+            elif r > level.exponent_bound(i):
+                return False
+    return True
+
+
+def reference_sum(a, b):
+    width = max(len(a), len(b))
+    a, b = list(a) + [0] * (width - len(a)), list(b) + [0] * (width - len(b))
+    return [x + y for x, y in zip(a, b)]
+
+
+@st.composite
+def exponent_vectors(draw, level, valid=False):
+    """Vectors mixing in-range, boundary and out-of-range exponents (in-range only if valid)."""
+    width = level.n + 1 if level.truncated else 5
+    exps = []
+    for i in range(1, draw(st.integers(0, width + (0 if valid else 2))) + 1):
+        if level.truncated:
+            bound = level.exponent_bound(i) if i <= level.n + 1 else 0
+        else:
+            bound = 40
+        choices = st.integers(0, bound) | st.sampled_from([0, bound])
+        if not valid:
+            beyond = st.sampled_from([bound + 1, -1]) | st.integers(bound + 1, 4 * bound + 4)
+            choices = choices | beyond
+        exps.append(draw(choices))
+    return exps
+
+
+def tensor_terms(level):
+    pair = st.tuples(exponent_vectors(level, valid=True), exponent_vectors(level, valid=True))
+    return st.lists(pair, max_size=4)
+
+
+def normal_form(level, exps):
+    """The stored exponent tuple: n+1 entries when truncated, trailing zeros cut otherwise."""
+    exps = list(exps)
+    while exps and exps[-1] == 0:
+        exps.pop()
+    if level.truncated:
+        exps += [0] * (level.n + 1 - len(exps))
+    return tuple(exps)
+
+
+def odd_terms(level, pairs):
+    """The F2 sum of a list of exponent-vector pairs: the pairs listed an odd number of times."""
+    counts = Counter((normal_form(level, a), normal_form(level, b)) for a, b in pairs)
+    return [t for t, k in counts.items() if k % 2]
+
+
+bound_cases = st.sampled_from(BOUND_LEVELS).flatmap(
+    lambda level: st.tuples(st.just(level), exponent_vectors(level))
+)
+valid_pairs = st.sampled_from(BOUND_LEVELS).flatmap(
+    lambda level: st.tuples(
+        st.just(level), exponent_vectors(level, valid=True), exponent_vectors(level, valid=True)
+    )
+)
+
+
+class TestBoundRule:
+    @given(bound_cases)
+    @settings(max_examples=300)
+    def test_construction_raises_exactly_out_of_range(self, case):
+        level, exps = case
+        if within_level(level, exps):
+            x = Monomial(level, exps)
+            assert [x.exponent(i) for i in range(1, len(exps) + 1)] == exps
+        else:
+            with pytest.raises(ValueError):
+                Monomial(level, exps)
+
+    @given(valid_pairs)
+    @settings(max_examples=300)
+    def test_product_dies_exactly_when_the_sum_breaks_the_bound(self, case):
+        level, a, b = case
+        x, y = Monomial(level, a), Monomial(level, b)
+        expected = reference_sum(a, b)
+        if within_level(level, expected):
+            assert monomial_product(x, y) == Monomial(level, expected)
+            assert x * y == Monomial(level, expected).as_polynomial()
+        else:
+            assert monomial_product(x, y) is None
+            assert (x * y).is_zero
+
+    @given(valid_pairs, st.integers(0, 4))
+    @settings(max_examples=200)
+    def test_frobenius_dies_exactly_when_the_shift_breaks_the_bound(self, case, j):
+        level, a, _ = case
+        expected = [r << j for r in a]
+        image = Monomial(level, a).frobenius(j)
+        if within_level(level, expected):
+            assert image == Monomial(level, expected).as_polynomial()
+        else:
+            assert image.is_zero
+
+    @given(valid_pairs, st.integers(0, 5))
+    @settings(max_examples=200)
+    def test_truncation_dies_exactly_when_the_target_breaks_the_bound(self, case, n):
+        level, a, _ = case
+        target = Level(n)
+        assume(not level.truncated or level.n >= n)
+        image = truncate_monomial(Monomial(level, a), target)
+        if within_level(target, a):
+            assert image == Monomial(target, a)
+        else:
+            assert image is None
+
+    @given(
+        st.sampled_from(BOUND_LEVELS[:4] + [UNTRUNCATED]).flatmap(
+            lambda level: st.tuples(st.just(level), tensor_terms(level), tensor_terms(level))
+        )
+    )
+    @settings(max_examples=150)
+    def test_tensor_product_is_componentwise(self, case):
+        from steengraph.hopf import TensorPolynomial
+
+        level, left, right = case
+
+        def tensor(pairs):
+            return TensorPolynomial.from_terms(
+                level, [(Monomial(level, a), Monomial(level, b)) for a, b in pairs]
+            )
+
+        expected = set()
+        for a, b in odd_terms(level, left):
+            for c, d in odd_terms(level, right):
+                ac, bd = reference_sum(a, c), reference_sum(b, d)
+                if within_level(level, ac) and within_level(level, bd):
+                    expected ^= {(normal_form(level, ac), normal_form(level, bd))}
+        product = tensor(left) * tensor(right)
+        assert {(x.exponents, y.exponents) for x, y in product.terms} == expected
