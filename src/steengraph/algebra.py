@@ -15,7 +15,8 @@ bits directly.
 
 Polynomials are finite sets of monomials: coefficients live in F2, so a
 monomial is either present or absent and duplicates cancel pairwise.
-The zero polynomial is the empty set.
+The zero polynomial is the empty set.  F2Sum holds that set arithmetic
+once; Polynomial and the tensor sums of hopf.py supply only their terms.
 
 A Level with n=None denotes the untruncated algebra F2[xi_1, xi_2, ...],
 which imposes no exponent bound.  It exists to support antipode
@@ -28,6 +29,7 @@ pure function, so everything here is safe to share across threads.
 """
 
 import itertools
+import operator
 import os
 import random
 import re
@@ -94,6 +96,22 @@ class Level:
             raise ValueError(f"generator index {i} out of range 1..{self.n + 1}")
         return (1 << (self.n + 2 - i)) - 1
 
+    def first_breach(self, exponents) -> Optional[int]:
+        """Index i of the first exponent r_i outside this level, or None when all fit.
+
+        Exponents are >= 0, at level n each r_i satisfies r_i >> (n+2-i) == 0,
+        and generators past xi_(n+1) have exponent 0.  This is the one
+        statement of the truncation bound.  (A negative r shifts to -1, so
+        the shift test rejects it too.)
+        """
+        if self.n is None:
+            return next((i for i, r in enumerate(exponents, start=1) if r < 0), None)
+        top = self.n + 2
+        for i, r in enumerate(exponents, start=1):
+            if r >> (top - i) if i < top else r:
+                return i
+        return None
+
     def generator_valid(self, i: int) -> bool:
         if i < 1:
             return False
@@ -142,31 +160,28 @@ class Monomial:
 
     def __init__(self, level: Level, exponents: Iterable[int]):
         exps = tuple(int(r) for r in exponents)
-        if level.truncated:
-            width = level.n + 1
-            if len(exps) > width:
-                if any(exps[width:]):
-                    raise ValueError(
-                        f"monomial has {len(exps)} exponents but level n={level.n} "
-                        f"admits generators xi_1..xi_{width}"
-                    )
-                exps = exps[:width]
-            elif len(exps) < width:
-                exps = exps + (0,) * (width - len(exps))
-            for i, r in enumerate(exps, start=1):
-                if r < 0 or r > (1 << (level.n + 2 - i)) - 1:
-                    raise ValueError(
-                        f"exponent {r} of xi{i} outside 0..{(1 << (level.n + 2 - i)) - 1}"
-                        f" at n={level.n}"
-                    )
-        else:
-            if any(r < 0 for r in exps):
+        i = level.first_breach(exps)
+        if i is not None:
+            if not level.truncated:
                 raise ValueError("negative exponent")
-            while exps and exps[-1] == 0:
-                exps = exps[:-1]
-        self.level = level
-        self.exponents = exps
-        self._hash = hash((level.n, exps))
+            if i > level.n + 1:
+                raise ValueError(
+                    f"monomial has {len(exps)} exponents but level n={level.n} "
+                    f"admits generators xi_1..xi_{level.n + 1}"
+                )
+            raise ValueError(
+                f"exponent {exps[i - 1]} of xi{i} outside 0..{level.exponent_bound(i)}"
+                f" at n={level.n}"
+            )
+        exps = _stored_form(level, exps)
+        self.level, self.exponents, self._hash = level, exps, hash((level.n, exps))
+
+    @classmethod
+    def _unchecked(cls, level: Level, exps: tuple) -> "Monomial":
+        """A monomial from exponents already within level and in stored form."""
+        x = object.__new__(cls)
+        x.level, x.exponents, x._hash = level, exps, hash((level.n, exps))
+        return x
 
     @classmethod
     def one(cls, level: Level) -> "Monomial":
@@ -294,6 +309,16 @@ class Monomial:
         return f"Monomial({self.level!r}, {list(self.exponents)!r})"
 
 
+def _stored_form(level: Level, exps: tuple) -> tuple:
+    """Exactly n+1 exponents at a truncated level, trailing zeros cut when untruncated."""
+    if level.truncated:
+        width = level.n + 1
+        return exps[:width] + (0,) * (width - len(exps))
+    while exps and exps[-1] == 0:
+        exps = exps[:-1]
+    return exps
+
+
 def _zip_pad(a: tuple, b: tuple):
     if len(a) == len(b):
         return zip(a, b)
@@ -302,13 +327,16 @@ def _zip_pad(a: tuple, b: tuple):
 
 def monomial_product(x: Monomial, y: Monomial) -> Optional[Monomial]:
     """Exponentwise sum, or None when the product lands in the ideal (a carry escapes)."""
-    exps = [rx + ry for rx, ry in _zip_pad(x.exponents, y.exponents)]
-    level = x.level
-    if level.truncated:
-        for i, r in enumerate(exps, start=1):
-            if r >= 1 << (level.n + 2 - i):
-                return None
-    return Monomial(level, exps)
+    a, b = x.exponents, y.exponents
+    if len(a) == len(b):
+        exps = tuple(map(operator.add, a, b))
+    else:
+        exps = tuple(map(sum, itertools.zip_longest(a, b, fillvalue=0)))
+    if x.level.first_breach(exps) is not None:
+        return None
+    if len(exps) != len(a):  # y was longer than x: only a mixed-level call needs the trim
+        exps = _stored_form(x.level, exps)
+    return Monomial._unchecked(x.level, exps)
 
 
 def _frobenius_monomial(x: Monomial, j: int) -> Optional[Monomial]:
@@ -316,39 +344,38 @@ def _frobenius_monomial(x: Monomial, j: int) -> Optional[Monomial]:
         raise ValueError(f"frobenius power must be >= 0, got {j}")
     if j == 0:
         return x
-    exps = [r << j for r in x.exponents]
-    level = x.level
-    if level.truncated:
-        for i, r in enumerate(exps, start=1):
-            if r >= 1 << (level.n + 2 - i):
-                return None
-    return Monomial(level, exps)
+    exps = tuple(r << j for r in x.exponents)
+    if x.level.first_breach(exps) is not None:
+        return None
+    return Monomial._unchecked(x.level, exps)
 
 
-class Polynomial:
-    """A finite F2-linear combination of monomials (a set; duplicates cancel)."""
+class F2Sum:
+    """A finite F2-linear combination of terms: a set, so duplicates cancel pairwise.
+
+    The zero sum is the empty set.  A subclass supplies the term
+    arithmetic: `_term_product` (None when the product lies in the
+    ideal), `_term_levels` (the levels a term lives at), `_term_key`
+    (canonical order) and `_term_text`.
+    """
 
     __slots__ = ("level", "terms")
 
-    def __init__(self, level: Level, terms: Iterable[Monomial] = ()):
+    def __init__(self, level: Level, terms: Iterable = ()):
         terms = frozenset(terms)
         for t in terms:
-            if t.level != level:
-                raise ValueError(f"term {t} has level {t.level!r}, expected {level!r}")
+            if any(at != level for at in self._term_levels(t)):
+                raise ValueError(f"term {self._term_text(t)} off level {level!r}")
         self.level = level
         self.terms = terms
 
     @classmethod
-    def zero(cls, level: Level) -> "Polynomial":
+    def zero(cls, level: Level):
         return cls(level, ())
 
     @classmethod
-    def one(cls, level: Level) -> "Polynomial":
-        return cls(level, (Monomial.one(level),))
-
-    @classmethod
-    def from_terms(cls, level: Level, terms: Iterable[Monomial]) -> "Polynomial":
-        """Sum over F2: monomials appearing an even number of times cancel."""
+    def from_terms(cls, level: Level, terms: Iterable):
+        """Sum over F2: terms appearing an even number of times cancel."""
         acc = set()
         for t in terms:
             if t in acc:
@@ -367,44 +394,37 @@ class Polynomial:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def __iter__(self) -> Iterator[Monomial]:
+    def __iter__(self) -> Iterator:
         return iter(self.sorted_terms())
 
     def sorted_terms(self) -> list:
-        return sorted(self.terms, key=Monomial.sort_key)
+        return sorted(self.terms, key=self._term_key)
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
             return NotImplemented
         self._check_level(other.level)
-        return Polynomial(self.level, self.terms ^ other.terms)
+        return type(self)(self.level, self.terms ^ other.terms)
 
-    def __mul__(self, other: Union["Polynomial", Monomial]) -> "Polynomial":
-        if isinstance(other, Monomial):
-            other = other.as_polynomial()
-        if not isinstance(other, Polynomial):
+    def __mul__(self, other):
+        """Every product of a term of self with a term of other, summed over F2."""
+        if not isinstance(other, type(self)):
             return NotImplemented
         self._check_level(other.level)
-        acc = set()
-        for x in self.terms:
-            for y in other.terms:
-                p = monomial_product(x, y)
-                if p is None:
-                    continue
-                if p in acc:
-                    acc.discard(p)
-                else:
-                    acc.add(p)
-        return Polynomial(self.level, acc)
+        product = self._term_product
+        return self.from_terms(
+            self.level,
+            (p for x in self.terms for y in other.terms if (p := product(x, y)) is not None),
+        )
 
-    def frobenius(self, j: int = 1) -> "Polynomial":
-        """Raise to the 2^j power termwise; truncation may kill terms."""
-        acc = set()
-        for t in self.terms:
-            m = _frobenius_monomial(t, j)
-            if m is not None:
-                acc.add(m)  # squaring is injective where defined: no collisions
-        return Polynomial(self.level, acc)
+    def map_terms(self, f, level: Optional[Level] = None):
+        """Image under a termwise map f that is injective where defined; f(t) None kills t.
+
+        Injective means surviving images never collide, so nothing cancels.
+        """
+        images = (f(t) for t in self.terms)
+        level = self.level if level is None else level
+        return type(self)(level, (m for m in images if m is not None))
 
     def _check_level(self, level: Level):
         if self.level != level:
@@ -412,7 +432,7 @@ class Polynomial:
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, Polynomial)
+            isinstance(other, type(self))
             and self.level == other.level
             and self.terms == other.terms
         )
@@ -423,10 +443,42 @@ class Polynomial:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        return " + ".join(str(t) for t in self.sorted_terms())
+        return " + ".join(self._term_text(t) for t in self.sorted_terms())
 
     def __repr__(self) -> str:
-        return f"Polynomial({self.level!r}, {self.sorted_terms()!r})"
+        return f"{type(self).__name__}({self.level!r}, {self.sorted_terms()!r})"
+
+
+class Polynomial(F2Sum):
+    """A finite F2-linear combination of monomials (a set; duplicates cancel)."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _term_product(x: Monomial, y: Monomial) -> Optional[Monomial]:
+        # monomial_product is looked up per call, so a wrapper installed on
+        # the module (perfbench's tracer) sees every product
+        return monomial_product(x, y)
+
+    @staticmethod
+    def _term_levels(t: Monomial) -> tuple:
+        return (t.level,)
+
+    _term_key = staticmethod(Monomial.sort_key)
+    _term_text = staticmethod(str)
+
+    @classmethod
+    def one(cls, level: Level) -> "Polynomial":
+        return cls(level, (Monomial.one(level),))
+
+    def __mul__(self, other: Union["Polynomial", Monomial]) -> "Polynomial":
+        if isinstance(other, Monomial):
+            other = other.as_polynomial()
+        return super().__mul__(other)
+
+    def frobenius(self, j: int = 1) -> "Polynomial":
+        """Raise to the 2^j power termwise; truncation may kill terms."""
+        return self.map_terms(lambda t: _frobenius_monomial(t, j))
 
 
 class ParseError(ValueError):
@@ -482,13 +534,12 @@ def parse_monomial(text: str, level: Level) -> Monomial:
 
 
 def _monomial_with_bounds_check(level: Level, exps: list) -> Monomial:
-    if level.truncated:
-        for i, r in enumerate(exps, start=1):
-            if r > level.exponent_bound(i):
-                raise ParseError(
-                    f"exponent {r} of xi{i} exceeds bound {level.exponent_bound(i)}"
-                    f" at n={level.n}"
-                )
+    i = level.first_breach(exps)
+    if i is not None:
+        raise ParseError(
+            f"exponent {exps[i - 1]} of xi{i} exceeds bound {level.exponent_bound(i)}"
+            f" at n={level.n}"
+        )
     return Monomial(level, exps)
 
 
@@ -535,20 +586,11 @@ def truncate_monomial(x: Monomial, level: Level) -> Optional[Monomial]:
     or a generator beyond xi_(n+1) appears.
     """
     level._require_truncated()
-    width = level.n + 1
-    if any(x.exponents[width:]):
+    if level.first_breach(x.exponents) is not None:
         return None
-    for i, r in enumerate(x.exponents[:width], start=1):
-        if r > (1 << (level.n + 2 - i)) - 1:
-            return None
-    return Monomial(level, x.exponents[:width])
+    return Monomial._unchecked(level, _stored_form(level, x.exponents))
 
 
 def truncate_polynomial(p: Polynomial, level: Level) -> Polynomial:
     """Termwise quotient map; killed terms drop out of the F2 sum."""
-    acc = set()
-    for t in p.terms:
-        m = truncate_monomial(t, level)
-        if m is not None:
-            acc.add(m)  # the quotient map is injective on surviving monomials
-    return Polynomial(level, acc)
+    return p.map_terms(lambda t: truncate_monomial(t, level), level)

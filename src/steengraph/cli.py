@@ -22,7 +22,6 @@ from .algebra import (
     UNTRUNCATED,
     Level,
     Monomial,
-    ParseError,
     enumerate_monomials,
     monomial_count,
     parse_monomial,
@@ -367,10 +366,7 @@ def main(argv: Optional[list] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ParseError, CapExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ParseError and CapExceeded included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -108,7 +108,7 @@ class WoodGraph:
 def to_graph(x: Monomial) -> WoodGraph:
     """The graph of a monomial: dyadic factor xi_i^(2^j) becomes edge {j, i+j}."""
     x.level._require_truncated()
-    return WoodGraph(x.level, ((b.power, b.generator + b.power) for b in x.dyadic_bits()))
+    return WoodGraph(x.level, ((j, i + j) for i, j in x.dyadic_bits()))
 
 
 def from_graph(g: WoodGraph) -> Monomial:

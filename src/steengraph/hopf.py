@@ -37,6 +37,7 @@ from typing import Iterator, NamedTuple, Optional, Tuple, Union
 
 from .algebra import (
     UNTRUNCATED,
+    F2Sum,
     Level,
     Monomial,
     Polynomial,
@@ -48,102 +49,38 @@ from .algebra import (
 TensorTerm = Tuple[Monomial, Monomial]
 
 
-class TensorPolynomial:
+class TensorPolynomial(F2Sum):
     """An element of the tensor square: a finite F2 sum of pairs a (x) b."""
 
-    __slots__ = ("level", "terms")
+    __slots__ = ()
 
-    def __init__(self, level: Level, terms=()):
-        terms = frozenset(terms)
-        for a, b in terms:
-            if a.level != level or b.level != level:
-                raise ValueError(f"tensor term {a} (x) {b} off level {level!r}")
-        self.level = level
-        self.terms = terms
+    @staticmethod
+    def _term_product(s: TensorTerm, t: TensorTerm) -> Optional[TensorTerm]:
+        """Componentwise product (a(x)b)(a'(x)b') = aa' (x) bb'; dead components kill terms."""
+        left = monomial_product(s[0], t[0])
+        if left is None:
+            return None
+        right = monomial_product(s[1], t[1])
+        return None if right is None else (left, right)
 
-    @classmethod
-    def zero(cls, level: Level) -> "TensorPolynomial":
-        return cls(level, ())
+    @staticmethod
+    def _term_levels(t: TensorTerm) -> tuple:
+        return (t[0].level, t[1].level)
+
+    @staticmethod
+    def _term_key(t: TensorTerm) -> tuple:
+        # right factor is the primary sort key, matching how the generator
+        # coproduct is usually displayed (x (x) 1 first, 1 (x) x last)
+        return (t[1].sort_key(), t[0].sort_key())
+
+    @staticmethod
+    def _term_text(t: TensorTerm) -> str:
+        return f"{t[0]} (x) {t[1]}"
 
     @classmethod
     def one(cls, level: Level) -> "TensorPolynomial":
         u = Monomial.one(level)
         return cls(level, ((u, u),))
-
-    @classmethod
-    def from_terms(cls, level: Level, terms) -> "TensorPolynomial":
-        acc = set()
-        for t in terms:
-            if t in acc:
-                acc.discard(t)
-            else:
-                acc.add(t)
-        return cls(level, acc)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __add__(self, other: "TensorPolynomial") -> "TensorPolynomial":
-        if not isinstance(other, TensorPolynomial):
-            return NotImplemented
-        if self.level != other.level:
-            raise ValueError(f"level mismatch: {self.level!r} vs {other.level!r}")
-        return TensorPolynomial(self.level, self.terms ^ other.terms)
-
-    def __mul__(self, other: "TensorPolynomial") -> "TensorPolynomial":
-        """Componentwise product (a(x)b)(a'(x)b') = aa' (x) bb'; dead components kill terms."""
-        if not isinstance(other, TensorPolynomial):
-            return NotImplemented
-        if self.level != other.level:
-            raise ValueError(f"level mismatch: {self.level!r} vs {other.level!r}")
-        acc = set()
-        for a, b in self.terms:
-            for c, d in other.terms:
-                left = monomial_product(a, c)
-                if left is None:
-                    continue
-                right = monomial_product(b, d)
-                if right is None:
-                    continue
-                t = (left, right)
-                if t in acc:
-                    acc.discard(t)
-                else:
-                    acc.add(t)
-        return TensorPolynomial(self.level, acc)
-
-    def sorted_terms(self) -> list:
-        # right factor is the primary sort key, matching how the generator
-        # coproduct is usually displayed (x (x) 1 first, 1 (x) x last)
-        return sorted(self.terms, key=lambda t: (t[1].sort_key(), t[0].sort_key()))
-
-    def __iter__(self) -> Iterator[TensorTerm]:
-        return iter(self.sorted_terms())
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TensorPolynomial)
-            and self.level == other.level
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.level, self.terms))
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{a} (x) {b}" for a, b in self.sorted_terms())
-
-    def __repr__(self) -> str:
-        return f"TensorPolynomial({self.level!r}, {self.sorted_terms()!r})"
 
 
 class Composition(NamedTuple):
@@ -204,8 +141,8 @@ def coproduct_generator(i: int, j: int, level: Level) -> TensorPolynomial:
 @lru_cache(maxsize=None)
 def _coproduct_monomial(x: Monomial) -> TensorPolynomial:
     acc = TensorPolynomial.one(x.level)
-    for bit in x.dyadic_bits():
-        acc = acc * coproduct_generator(bit.generator, bit.power, x.level)
+    for i, j in x.dyadic_bits():
+        acc = acc * coproduct_generator(i, j, x.level)
     return acc
 
 
@@ -258,8 +195,8 @@ def _antipode_bit(i: int, j: int, level: Level) -> Polynomial:
 @lru_cache(maxsize=None)
 def _antipode_monomial(x: Monomial) -> Polynomial:
     acc = Polynomial.one(x.level)
-    for bit in x.dyadic_bits():
-        acc = acc * _antipode_bit(bit.generator, bit.power, x.level)
+    for i, j in x.dyadic_bits():
+        acc = acc * _antipode_bit(i, j, x.level)
     return acc
 
 
@@ -350,16 +287,12 @@ def unilateral_via_antipode(x: Monomial, edgewise: bool = True) -> bool:
 def truncate_tensor(tp: TensorPolynomial, level: Level) -> TensorPolynomial:
     """Quotient map on both tensor factors; a term dies if either factor does."""
     level._require_truncated()
-    acc = set()
-    for a, b in tp.terms:
-        ta = truncate_monomial(a, level)
-        if ta is None:
-            continue
-        tb = truncate_monomial(b, level)
-        if tb is None:
-            continue
-        acc.add((ta, tb))  # injective on surviving pairs
-    return TensorPolynomial(level, acc)
+
+    def pair(t: TensorTerm) -> Optional[TensorTerm]:
+        a, b = (truncate_monomial(m, level) for m in t)
+        return None if a is None or b is None else (a, b)
+
+    return tp.map_terms(pair, level)
 
 
 def hopf_ideal_generators(level: Level) -> list:

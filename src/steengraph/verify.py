@@ -10,9 +10,9 @@ the sweep answers.
 
 Checks are capped by default at the largest n where the sweep is
 desk-scale (seconds); setting STEENGRAPH_MAX_N overrides the caps.
-Sweeps over the monomial stream can be split across a process pool;
-results are aggregated in index order, so output is identical for any
-worker count.
+Sweeps over the monomial stream can be split across a process pool of
+at most os.cpu_count() workers; results are aggregated in index order,
+so output is identical for any worker count.
 """
 
 import os
@@ -24,6 +24,7 @@ from .algebra import (
     ENV_MAX_N,
     Level,
     Monomial,
+    max_truncation,
     monomial_count,
     monomial_from_index,
     random_monomials,
@@ -82,10 +83,6 @@ class CapExceeded(ValueError):
     """Requested n is above the configured cap for the selected check."""
 
 
-def _range_outcome(cases: int, failures: list, findings: list) -> tuple:
-    return (cases, failures, findings)
-
-
 def _iter_range(level: Level, start: int, stop: int):
     for k in range(start, stop):
         yield monomial_from_index(level, k)
@@ -99,7 +96,7 @@ def _sweep_main(level: Level, start: int, stop: int) -> tuple:
             failures.append(f"connectedness criterion disagrees with search on {x}")
         if is_unilateral(x) != oracle_is_unilateral(g):
             failures.append(f"unilaterality criterion disagrees with closure on {x}")
-    return _range_outcome(stop - start, failures, [])
+    return stop - start, failures, []
 
 
 def _sweep_tree(level: Level, start: int, stop: int) -> tuple:
@@ -107,7 +104,7 @@ def _sweep_tree(level: Level, start: int, stop: int) -> tuple:
     for x in _iter_range(level, start, stop):
         if is_tree(x) != oracle_is_tree(to_graph(x)):
             failures.append(f"tree criterion disagrees with search on {x}")
-    return _range_outcome(stop - start, failures, [])
+    return stop - start, failures, []
 
 
 def _sweep_dipath(level: Level, start: int, stop: int) -> tuple:
@@ -119,7 +116,7 @@ def _sweep_dipath(level: Level, start: int, stop: int) -> tuple:
             failures.append(f"spanning-dipath criterion disagrees with search on {x}")
         elif witness is not None and witness != spine:
             failures.append(f"dipath witness for {x} is {witness}, not the full spine")
-    return _range_outcome(stop - start, failures, [])
+    return stop - start, failures, []
 
 
 def _sweep_dirac(level: Level, start: int, stop: int) -> tuple:
@@ -127,7 +124,7 @@ def _sweep_dirac(level: Level, start: int, stop: int) -> tuple:
     for x in _iter_range(level, start, stop):
         if dirac_condition(x) and oracle_hamilton_cycle(to_graph(x)) is None:
             failures.append(f"degree bound (n+2)/2 holds but no Hamilton cycle: {x}")
-    return _range_outcome(stop - start, failures, [])
+    return stop - start, failures, []
 
 
 def _sweep_paper_hamilton(level: Level, start: int, stop: int) -> tuple:
@@ -135,7 +132,7 @@ def _sweep_paper_hamilton(level: Level, start: int, stop: int) -> tuple:
     for x in _iter_range(level, start, stop):
         if paper_hamilton_condition(x) and oracle_hamilton_cycle(to_graph(x)) is None:
             findings.append(f"degree bound n/2 holds but no Hamilton cycle: {x}")
-    return _range_outcome(stop - start, [], findings)
+    return stop - start, [], findings
 
 
 def _sweep_corollary(level: Level, start: int, stop: int) -> tuple:
@@ -148,7 +145,7 @@ def _sweep_corollary(level: Level, start: int, stop: int) -> tuple:
             failures.append(f"antipode divisibility test disagrees with walks on {x}")
         if report_integer_reading and unilateral_via_antipode(x, edgewise=False) != walks:
             findings.append(f"integer-exponent reading disagrees with walks on {x}")
-    return _range_outcome(stop - start, failures, findings)
+    return stop - start, failures, findings
 
 
 def _generator_powers(level: Level):
@@ -180,7 +177,7 @@ def _check_antipode_paths(level: Level) -> tuple:
             failures.append(
                 f"coproduct middle terms of {g} are not the 2-step path splittings"
             )
-    return _range_outcome(cases, failures, [])
+    return cases, failures, []
 
 
 def _check_hopf_axioms(level: Level) -> tuple:
@@ -201,7 +198,7 @@ def _check_hopf_axioms(level: Level) -> tuple:
         failures.append("antipode recursion residual is nonzero below i=9")
     if not verify_hopf_ideal(level.n):
         failures.append(f"truncation ideal at n={level.n} fails a Hopf-ideal check")
-    return _range_outcome(cases, failures, [])
+    return cases, failures, []
 
 
 @dataclass(frozen=True)
@@ -282,10 +279,16 @@ CHECK_ORDER = list(CHECKS)
 def effective_cap(name: str) -> int:
     """Per-check cap, replaced wholesale by STEENGRAPH_MAX_N when that is set."""
     spec = CHECKS[name]
-    raw = os.environ.get(ENV_MAX_N)
-    if raw is None:
+    if os.environ.get(ENV_MAX_N) is None:
         return spec.cap
-    return int(raw)
+    return max_truncation()
+
+
+def _worker_count(jobs: int) -> int:
+    """Processes for a request of `jobs` workers: below 1 is refused, the cpu count caps it."""
+    if jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1)
 
 
 def _run_range_worker(name: str, n: int, start: int, stop: int) -> tuple:
@@ -297,6 +300,7 @@ def run_check(name: str, n: int, jobs: int = 1) -> SweepResult:
     if name not in CHECKS:
         raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECK_ORDER)}")
     spec = CHECKS[name]
+    jobs = _worker_count(jobs)
     cap = effective_cap(name)
     if n > cap:
         raise CapExceeded(
@@ -351,6 +355,7 @@ def run_check(name: str, n: int, jobs: int = 1) -> SweepResult:
 
 def run_all(n: int, jobs: int = 1) -> list:
     """Run every check whose cap admits n; capped-out checks are skipped with a note."""
+    _worker_count(jobs)  # refuse a bad --jobs even when every check is capped out
     results = []
     for name in CHECK_ORDER:
         if n > effective_cap(name):

@@ -267,3 +267,64 @@ class TestInstalledEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "xi2^1 + xi1^3\n"
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps serially, starts nothing."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        RecordingPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+class TestVerifyInputs:
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        from steengraph import verify
+
+        RecordingPool.sizes = []
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 3)
+        return RecordingPool
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_two(self, capsys, pool, jobs):
+        for argv in (["--theorem", "tree", "-n", "2"], ["-n", "9"]):
+            code, out, err = run_cli(capsys, ["verify", *argv, "--jobs", jobs])
+            assert code == 2 and out == ""
+            assert "--jobs must be >= 1" in err
+        assert pool.sizes == []
+
+    def test_pool_capped_at_cpu_count(self, capsys, pool):
+        argv = ["verify", "--theorem", "tree", "-n", "2", "--json"]
+        _, serial, _ = run_cli(capsys, argv)
+        assert pool.sizes == []
+        code, pooled, _ = run_cli(capsys, argv + ["--jobs", "64"])
+        assert code == 0 and pooled == serial
+        assert pool.sizes == [3]
+        run_cli(capsys, argv + ["--jobs", "2"])
+        assert pool.sizes == [3, 2]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "-n", "1"],
+            ["verify", "--theorem", "dirac", "-n", "1"],
+            ["analyze", "xi1", "-n", "1"],
+        ],
+    )
+    def test_non_integer_max_n_names_the_variable(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("STEENGRAPH_MAX_N", "abc")
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == "error: STEENGRAPH_MAX_N must be an integer, got 'abc'\n"
