@@ -557,8 +557,27 @@ def enumerate_monomials(level: Level) -> Iterator[Monomial]:
         yield Monomial(level, exps)
 
 
+def index_bit(level: Level, p: int, q: int) -> int:
+    """The bit of an enumeration index that holds edge (p, q), for 0 <= p < q <= n+1.
+
+    The index is the exponent fields laid end to end: r_(n+1) in the
+    lowest bit, then r_n, ..., r_1 in the highest n+1 bits, r_i being
+    n+2-i bits wide.  So the field of r_i starts at bit w(w+1)/2 with
+    w = n+1-i, and edge (p, q) is bit p of the field of r_(q-p).
+    """
+    level._require_truncated()
+    if not 0 <= p < q <= level.n + 1:
+        raise ValueError(f"need 0 <= p < q <= {level.n + 1}, got p={p}, q={q}")
+    w = level.n + 1 - (q - p)
+    return w * (w + 1) // 2 + p
+
+
 def monomial_from_index(level: Level, index: int) -> Monomial:
-    """The index-th monomial in enumeration order (mixed-radix decode of the rank)."""
+    """The index-th monomial in enumeration order (mixed-radix decode of the rank).
+
+    Every radix is a power of 2, so the index is a plain bit field with
+    one bit per edge; index_bit names the bit of each edge.
+    """
     level._require_truncated()
     if not 0 <= index < monomial_count(level):
         raise ValueError(f"index {index} out of range 0..{monomial_count(level) - 1}")

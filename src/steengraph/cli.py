@@ -23,6 +23,7 @@ from .algebra import (
     Level,
     Monomial,
     enumerate_monomials,
+    max_truncation,
     monomial_count,
     parse_monomial,
 )
@@ -295,6 +296,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_hopf(args) -> int:
+    if args.n is None:
+        # untruncated, the work still grows as 2^(i-1) terms and 2^j exponents
+        cap = max_truncation()
+        if args.i + args.j - 1 > cap:
+            raise ValueError(
+                f"xi{args.i}^(2^{args.j}) without -n needs level {args.i + args.j - 1},"
+                f" above the cap {cap} (set {ENV_MAX_N} to raise it)"
+            )
     level = UNTRUNCATED if args.n is None else Level(args.n)
     if args.action == "coproduct":
         result = str(coproduct_generator(args.i, args.j, level))

@@ -15,16 +15,33 @@ paths from p to q.  The digraph is unilateral (some directed path
 joins each pair, in one direction or the other) exactly when every
 U(p,q) with p < q is positive: q can never reach p < q.
 
+Every arrow raises the vertex index, so the only directed path from p
+to p+1 is the edge itself.  Hence the digraph is unilateral exactly when
+every edge {p, p+1} is present, i.e. when r_1 = 2^(n+1) - 1 (the
+spanning-dipath criterion of structure.py): 2^(n(n+1)/2) monomials of
+each level, one in every 2^(n+1).
+
+Exhaustive sweeps decide a whole block of monomials at once with
+lane_verdicts: the same power sums, taken over the Boolean semiring
+(positivity of a sum of nonnegative integers is the OR of their
+positivity), with each matrix entry a big int holding one bit, or
+lane, per monomial of the block.  The integer tables above serve
+single monomials (analyze) and the sampled cross-checks of the sweeps.
+
 The oracle_* functions decide the same questions by direct graph
 search, sharing no code with the matrix route.
 """
 
 from collections import deque
+from functools import lru_cache
 from operator import mul
 from typing import Dict, Tuple
 
-from .algebra import Monomial
+from .algebra import Level, Monomial, index_bit, monomial_count
 from .graphs import WoodGraph, adjacency_matrix
+
+# A block holds at most 2^15 monomials, so a lane int is at most 4 KiB at any n.
+BLOCK_BITS = 15
 
 
 class WalkCountTable:
@@ -118,6 +135,93 @@ def is_connected(x: Monomial) -> bool:
 def is_unilateral(x: Monomial) -> bool:
     """True iff every unilateral number is positive."""
     return unilateral_numbers(x).all_positive
+
+
+@lru_cache(maxsize=1)
+def _lane_patterns() -> tuple:
+    """Entry b has bit t set exactly when bit b of t is set, for t < 2^BLOCK_BITS."""
+    lanes = 1 << BLOCK_BITS
+    ones = (1 << lanes) - 1
+    patterns = []
+    for b in range(BLOCK_BITS):
+        run = 1 << b
+        # one 1 per period of 2*run lanes, widened to the upper run of each period
+        patterns.append(ones // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run))
+    return tuple(patterns)
+
+
+def _boolean_matmul(a: list, b: list) -> list:
+    m = len(b)
+    out = []
+    for row in a:
+        acc = [0] * m
+        for k, r in enumerate(row):
+            if r:
+                bk = b[k]
+                for j in range(m):
+                    acc[j] |= r & bk[j]
+        out.append(acc)
+    return out
+
+
+def _boolean_power_sum(a: list, top: int) -> list:
+    # a | a^2 | ... | a^top over lane ints
+    total = [list(row) for row in a]
+    power = a
+    for _ in range(top - 1):
+        power = _boolean_matmul(power, a)
+        for trow, prow in zip(total, power):
+            for j, v in enumerate(prow):
+                trow[j] |= v
+    return total
+
+
+def _every_pair(s: list, full: int) -> int:
+    # lanes where every entry above the diagonal is set
+    for p, row in enumerate(s):
+        for v in row[p + 1:]:
+            full &= v
+    return full
+
+
+def block_width(level: Level) -> int:
+    """Index bits spanned by the widest block at this level: all of them, at most BLOCK_BITS."""
+    return min(BLOCK_BITS, monomial_count(level).bit_length() - 1)
+
+
+def lane_verdicts(level: Level, base: int, width: int) -> Tuple[int, int]:
+    """Connectedness and unilaterality of the 2^width monomials with indices base, base+1, ...
+
+    Returns the lane masks (connected, unilateral): bit t of each is the
+    verdict for monomial_from_index(level, base + t).  base must be a
+    multiple of 2^width, and width at most block_width(level).  Edge (p, q) sits on index bit b = index_bit(p, q):
+    for b < width its lane int is a fixed pattern, above that it is all
+    ones or zero for the whole block.  The verdicts are the positivity of
+    every pair p < q in A | A^2 | ... | A^(n+1), for the undirected and
+    the directed adjacency matrix.
+    """
+    level._require_truncated()
+    lanes = 1 << width
+    count = monomial_count(level)
+    widest = block_width(level)
+    if not 0 <= width <= widest:
+        raise ValueError(f"block width {width} outside 0..{widest} at n={level.n}")
+    if base % lanes or not 0 <= base < count:
+        raise ValueError(f"block base {base} is not a multiple of {lanes} in 0..{count - 1}")
+    full = (1 << lanes) - 1
+    patterns = _lane_patterns()
+    m = level.n + 2
+    up = [[0] * m for _ in range(m)]
+    for p in range(m):
+        for q in range(p + 1, m):
+            b = index_bit(level, p, q)
+            up[p][q] = patterns[b] & full if b < width else full * (base >> b & 1)
+    both = [[up[p][q] | up[q][p] for q in range(m)] for p in range(m)]
+    top = level.n + 1
+    return (
+        _every_pair(_boolean_power_sum(both, top), full),
+        _every_pair(_boolean_power_sum(up, top), full),
+    )
 
 
 def oracle_is_connected(g: WoodGraph) -> bool:

@@ -30,8 +30,10 @@ from .algebra import (
     random_monomials,
 )
 from .connectivity import (
+    block_width,
     is_connected,
     is_unilateral,
+    lane_verdicts,
     oracle_is_connected,
     oracle_is_unilateral,
 )
@@ -50,7 +52,6 @@ from .hopf import (
 from .structure import (
     dirac_condition,
     has_hamilton_directed_path,
-    is_tree,
     oracle_hamilton_cycle,
     oracle_hamilton_directed_path,
     oracle_is_tree,
@@ -88,21 +89,45 @@ def _iter_range(level: Level, start: int, stop: int):
         yield monomial_from_index(level, k)
 
 
+def _iter_lanes(level: Level, start: int, stop: int, failures: list):
+    """(monomial, connected, unilateral) for each index in range, the verdicts as 0/1 lanes.
+
+    Walks the aligned blocks of lane_verdicts that meet the range, so
+    any split of a level into ranges reads the same lanes.  In each
+    block the first, middle and last index of the range are checked
+    against the integer walk-count tables; a mismatch is appended to
+    failures.
+    """
+    width = block_width(level)
+    size = 1 << width
+    for base in range(start - start % size, stop, size):
+        connected, unilateral = lane_verdicts(level, base, width)
+        lo, hi = max(start, base), min(stop, base + size)
+        sampled = (lo, (lo + hi - 1) // 2, hi - 1)
+        for k in range(lo, hi):
+            x = monomial_from_index(level, k)
+            lanes = (connected >> (k - base) & 1, unilateral >> (k - base) & 1)
+            if k in sampled and lanes != (is_connected(x), is_unilateral(x)):
+                failures.append(f"block kernel disagrees with the walk-count tables on {x}")
+            yield (x, *lanes)
+
+
 def _sweep_main(level: Level, start: int, stop: int) -> tuple:
     failures = []
-    for x in _iter_range(level, start, stop):
+    for x, connected, unilateral in _iter_lanes(level, start, stop, failures):
         g = to_graph(x)
-        if is_connected(x) != oracle_is_connected(g):
+        if connected != oracle_is_connected(g):
             failures.append(f"connectedness criterion disagrees with search on {x}")
-        if is_unilateral(x) != oracle_is_unilateral(g):
+        if unilateral != oracle_is_unilateral(g):
             failures.append(f"unilaterality criterion disagrees with closure on {x}")
     return stop - start, failures, []
 
 
 def _sweep_tree(level: Level, start: int, stop: int) -> tuple:
     failures = []
-    for x in _iter_range(level, start, stop):
-        if is_tree(x) != oracle_is_tree(to_graph(x)):
+    for x, connected, _ in _iter_lanes(level, start, stop, failures):
+        tree = connected == 1 and x.edge_count == level.n + 1
+        if tree != oracle_is_tree(to_graph(x)):
             failures.append(f"tree criterion disagrees with search on {x}")
     return stop - start, failures, []
 
@@ -139,8 +164,8 @@ def _sweep_corollary(level: Level, start: int, stop: int) -> tuple:
     failures = []
     findings = []
     report_integer_reading = level.n <= 2
-    for x in _iter_range(level, start, stop):
-        walks = is_unilateral(x)
+    for x, _, unilateral in _iter_lanes(level, start, stop, failures):
+        walks = unilateral == 1
         if unilateral_via_antipode(x) != walks:
             failures.append(f"antipode divisibility test disagrees with walks on {x}")
         if report_integer_reading and unilateral_via_antipode(x, edgewise=False) != walks:
@@ -308,6 +333,7 @@ def run_check(name: str, n: int, jobs: int = 1) -> SweepResult:
             f" (set {ENV_MAX_N} to override, sweep size grows as 2^((n+1)(n+2)/2))"
         )
     level = Level(n)
+    notes = []
     if spec.whole_runner is not None:
         cases, failures, findings = spec.whole_runner(level)
     else:
@@ -326,14 +352,17 @@ def run_check(name: str, n: int, jobs: int = 1) -> SweepResult:
                             *zip(*((name, n, a, b) for a, b in ranges)),
                         )
                     )
-            except OSError:
+            except OSError as exc:
                 parts = [spec.range_runner(level, a, b) for a, b in ranges]
+                notes.append(
+                    f"process pool unavailable ({exc}); ran {len(ranges)} chunks serially"
+                )
         else:
             parts = [spec.range_runner(level, 0, total)]
         cases = sum(p[0] for p in parts)
         failures = [w for p in parts for w in p[1]]
         findings = [w for p in parts for w in p[2]]
-    result = SweepResult(name, n, cases, failures, findings)
+    result = SweepResult(name, n, cases, failures, findings, notes)
     if name == "corollary-unilateral":
         if n <= 2:
             k = len(result.findings)

@@ -15,6 +15,7 @@ from steengraph.algebra import (
     Polynomial,
     alpha,
     enumerate_monomials,
+    index_bit,
     monomial_count,
     monomial_from_index,
     monomial_product,
@@ -279,6 +280,19 @@ class TestEnumeration:
             assert monomial_from_index(L2, k) == x
         with pytest.raises(ValueError):
             monomial_from_index(L2, 64)
+
+    def test_index_bit_names_edge_bit(self):
+        for level in (L0, L1, L2, L3):
+            m = level.n + 2
+            bits = {index_bit(level, p, q) for p in range(m) for q in range(p + 1, m)}
+            assert bits == set(range(monomial_count(level).bit_length() - 1))
+            for k, x in enumerate(enumerate_monomials(level)):
+                assert monomial_from_index(level, k) == x
+                for p in range(m):
+                    for q in range(p + 1, m):
+                        assert (k >> index_bit(level, p, q)) & 1 == x.edge_bit(p, q), (k, p, q)
+        with pytest.raises(ValueError):
+            index_bit(L2, 1, 1)
 
     def test_random_monomials_deterministic(self):
         a = random_monomials(L3, 20, seed=7)

@@ -185,6 +185,16 @@ class TestHopf:
         assert code == 2
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("action", ["antipode", "paths", "coproduct"])
+    def test_untruncated_request_must_fit_the_level_cap(self, capsys, action):
+        # without -n, xi_i^(2^j) must exist in A*(12), the default cap: i + j - 1 <= 12
+        for argv in (["--i", "40"], ["--i", "1", "--j", "13"]):
+            code, out, err = run_cli(capsys, ["hopf", action, *argv])
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and "STEENGRAPH_MAX_N" in err
+        code, out, _ = run_cli(capsys, ["hopf", action, "--i", "1", "--j", "12"])
+        assert code == 0 and "xi1^4096" in out
+
 
 class TestEnumerate:
     def test_limit(self, capsys):
@@ -328,3 +338,34 @@ class TestVerifyInputs:
         code, out, err = run_cli(capsys, argv)
         assert code == 2 and out == ""
         assert err == "error: STEENGRAPH_MAX_N must be an integer, got 'abc'\n"
+
+    def test_unaligned_chunks_read_the_same_lanes(self, pool):
+        from steengraph.verify import run_check
+
+        serial = run_check("main", 4)
+        # 32768 monomials in 12 chunks of 2731: no chunk starts on a block boundary
+        assert run_check("main", 4, jobs=3) == serial
+        assert pool.sizes == [3]
+        assert serial.cases == 32768 and serial.failures == [] and serial.notes == []
+
+
+class RefusingPool(RecordingPool):
+    """A ProcessPoolExecutor stand-in that cannot start its workers."""
+
+    def map(self, fn, *iterables):
+        raise OSError(24, "Too many open files")
+
+
+class TestSerialFallback:
+    def test_fallback_is_noted(self, capsys, monkeypatch):
+        from steengraph import verify
+
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", RefusingPool)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        argv = ["verify", "--theorem", "tree", "-n", "2"]
+        _, serial, _ = run_cli(capsys, argv)
+        code, fallback, _ = run_cli(capsys, argv + ["--jobs", "2"])
+        assert code == 0
+        note = "  note: process pool unavailable ([Errno 24] Too many open files); ran 8 chunks serially\n"
+        head, rest = serial.split("\n", 1)
+        assert fallback == head + "\n" + note + rest

@@ -4,12 +4,22 @@ import itertools
 
 import pytest
 
-from steengraph.algebra import Level, Monomial, enumerate_monomials, parse_monomial
+from steengraph.algebra import (
+    Level,
+    Monomial,
+    enumerate_monomials,
+    monomial_count,
+    monomial_from_index,
+    parse_monomial,
+)
 from steengraph.connectivity import (
+    BLOCK_BITS,
     WalkCountTable,
+    block_width,
     connection_numbers,
     is_connected,
     is_unilateral,
+    lane_verdicts,
     oracle_is_connected,
     oracle_is_unilateral,
     unilateral_numbers,
@@ -215,3 +225,64 @@ class TestStructuralProperties:
             for x in enumerate_monomials(level):
                 if is_unilateral(x):
                     assert is_connected(x), x
+
+
+def level_lanes(level, width):
+    """(base, connected, unilateral) for each aligned block of 2^width indices of a level."""
+    return [
+        (base, *lane_verdicts(level, base, width))
+        for base in range(0, monomial_count(level), 1 << width)
+    ]
+
+
+class TestLaneVerdicts:
+    def test_every_lane_matches_the_integer_tables(self):
+        # every block width, down to single lanes, for every monomial up to n=3
+        for level in (L0, L1, L2, L3):
+            expected = [
+                (is_connected(x), is_unilateral(x)) for x in enumerate_monomials(level)
+            ]
+            for width in range(monomial_count(level).bit_length()):
+                for base, connected, unilateral in level_lanes(level, width):
+                    assert connected >> (1 << width) == 0 == unilateral >> (1 << width)
+                    for t in range(1 << width):
+                        lanes = (connected >> t & 1, unilateral >> t & 1)
+                        assert lanes == expected[base + t], (level, width, base + t)
+
+    def test_blocks_are_bounded_and_aligned(self):
+        assert [block_width(Level(n)) for n in range(6)] == [1, 3, 6, 10, 15, 15]
+        with pytest.raises(ValueError):
+            lane_verdicts(L2, 0, 7)  # A*(2) has 6 index bits
+        with pytest.raises(ValueError):
+            lane_verdicts(Level(5), 0, BLOCK_BITS + 1)  # 21 index bits, blocks of 15
+        with pytest.raises(ValueError):
+            lane_verdicts(L3, 4, 3)
+        with pytest.raises(ValueError):
+            lane_verdicts(L1, 8, 0)
+
+
+class TestCensus:
+    # Classical counts, independent of this package: connected labelled
+    # graphs on n+2 vertices (OEIS A001187), labelled trees (Cayley,
+    # (n+2)^n) and unilateral monomials (every edge p -> p+1 present,
+    # the other n(n+1)/2 edges free).
+    CONNECTED = [1, 4, 38, 728, 26704]
+    TREES = [1, 3, 16, 125, 1296]
+    UNILATERAL = [1, 2, 8, 64, 1024]
+
+    def test_whole_level_counts(self):
+        for n in range(5):
+            level = Level(n)
+            width = block_width(level)
+            connected = unilateral = trees = 0
+            for base, c, u in level_lanes(level, width):
+                connected += c.bit_count()
+                unilateral += u.bit_count()
+                trees += sum(
+                    monomial_from_index(level, base + t).edge_count == n + 1
+                    for t in range(1 << width)
+                    if c >> t & 1
+                )
+            assert connected == self.CONNECTED[n], n
+            assert unilateral == self.UNILATERAL[n] == 2 ** (n * (n + 1) // 2), n
+            assert trees == self.TREES[n] == (n + 2) ** n, n
