@@ -33,10 +33,12 @@ import operator
 import os
 import random
 import re
+from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 ENV_MAX_N = "STEENGRAPH_MAX_N"
 DEFAULT_MAX_N = 12
+PACKINGS_CACHED = 64  # one packing a level, plus one a degree bit length untruncated
 
 
 def max_truncation() -> int:
@@ -58,7 +60,7 @@ class Level:
     algebra, with generators xi_i for every i >= 1 and no exponent bound.
     """
 
-    __slots__ = ("n",)
+    __slots__ = ("n", "widths")
 
     def __init__(self, n: Optional[int] = None):
         if n is not None:
@@ -72,6 +74,8 @@ class Level:
                     f" (set {ENV_MAX_N} to raise it)"
                 )
         self.n = n
+        # bits of r_1, ..., r_(n+1): r_i < 2^(n+2-i), the one statement of the bound
+        self.widths = () if n is None else tuple(range(n + 1, 0, -1))
 
     @property
     def truncated(self) -> bool:
@@ -94,23 +98,24 @@ class Level:
         self._require_truncated()
         if not 1 <= i <= self.n + 1:
             raise ValueError(f"generator index {i} out of range 1..{self.n + 1}")
-        return (1 << (self.n + 2 - i)) - 1
+        return (1 << self.widths[i - 1]) - 1
 
     def first_breach(self, exponents) -> Optional[int]:
         """Index i of the first exponent r_i outside this level, or None when all fit.
 
-        Exponents are >= 0, at level n each r_i satisfies r_i >> (n+2-i) == 0,
-        and generators past xi_(n+1) have exponent 0.  This is the one
-        statement of the truncation bound.  (A negative r shifts to -1, so
-        the shift test rejects it too.)
+        Exponents are >= 0, at level n each r_i fits in its field of `widths`
+        (r_i >> w == 0), and generators past xi_(n+1) have exponent 0
+        (a field of width 0).  (A negative r shifts to -1, so the shift test
+        rejects it too.)
         """
         if self.n is None:
             return next((i for i, r in enumerate(exponents, start=1) if r < 0), None)
-        top = self.n + 2
-        for i, r in enumerate(exponents, start=1):
-            if r >> (top - i) if i < top else r:
-                return i
-        return None
+        widths = self.widths
+        # the usual case, every exponent in range, without a Python-level loop
+        if not any(map(operator.rshift, exponents, widths)) and not any(exponents[len(widths):]):
+            return None
+        pairs = itertools.zip_longest(exponents, widths, fillvalue=0)
+        return next(i for i, (r, w) in enumerate(pairs, start=1) if r >> w)
 
     def generator_valid(self, i: int) -> bool:
         if i < 1:
@@ -570,6 +575,53 @@ def index_bit(level: Level, p: int, q: int) -> int:
         raise ValueError(f"need 0 <= p < q <= {level.n + 1}, got p={p}, q={q}")
     w = level.n + 1 - (q - p)
     return w * (w + 1) // 2 + p
+
+
+class Packing(NamedTuple):
+    """Exponent vectors as one int: r_i in a field of widths[i-1] bits, a guard bit above each.
+
+    The fields keep the order of the enumeration index (see index_bit),
+    r_1 highest and the last field lowest.  Adding two packed vectors adds
+    their exponents, and `sum & guard` is nonzero exactly when some r_i
+    outgrew its field; with a level's widths that is Level.first_breach
+    of the sum.  A tensor term a (x) b packs as `a << size | b`, and the
+    same add-and-guard test, with the guard repeated in each half,
+    multiplies tensor terms.
+    """
+
+    widths: tuple
+    offsets: tuple  # bit where the field of r_i starts
+    guard: int
+    size: int  # bits of one packed vector, guards included
+
+    def pack(self, exponents) -> int:
+        return sum(r << o for r, o in zip(exponents, self.offsets))
+
+    def unpack(self, packed: int) -> tuple:
+        return tuple(packed >> o & ((1 << w) - 1) for w, o in zip(self.widths, self.offsets))
+
+    def bit(self, i: int, j: int) -> int:
+        """The packed xi_i^(2^j): bit j of the field of r_i."""
+        return 1 << (self.offsets[i - 1] + j)
+
+    def generator_power(self, bit: int) -> tuple:
+        """(i, j) of the packed xi_i^(2^j) that is `bit`; the inverse of `bit`."""
+        position = bit.bit_length() - 1
+        i = next(i for i, o in enumerate(self.offsets, start=1) if o <= position)
+        return i, position - self.offsets[i - 1]
+
+
+@lru_cache(maxsize=PACKINGS_CACHED)
+def packing(widths: tuple) -> Packing:
+    """The packing of fields of the given widths, r_1 first; `Level.widths` gives a level's."""
+    offsets = []
+    size = 0
+    for w in reversed(widths):
+        offsets.append(size)
+        size += w + 1
+    offsets.reverse()
+    guard = sum(1 << (o + w) for w, o in zip(widths, offsets))
+    return Packing(widths, tuple(offsets), guard, size)
 
 
 def monomial_from_index(level: Level, index: int) -> Monomial:

@@ -25,6 +25,12 @@ unilateral exactly when for every vertex pair some directed path
 between them is edgewise present, and the antipode terms enumerate the
 candidate paths.
 
+The maps and the axiom checks compute on packed ints (algebra.Packing):
+a monomial is one int with a guard bit above each exponent field, a
+product is one addition and a guard test, a tensor term a (x) b is
+`a << S | b`, and a rank-3 term is `(a << S | b) << S | c`.  `coproduct`
+and `antipode` unpack their results into the F2 sums of the API.
+
 Truncation interacts with everything here through the quotient map
 (truncate_monomial / truncate_polynomial / truncate_tensor): the
 truncation ideals are Hopf ideals, which `verify_hopf_ideal` checks at
@@ -32,6 +38,7 @@ desk scale, so all maps descend to the finite algebras.
 """
 
 import itertools
+import operator
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional, Tuple, Union
 
@@ -40,13 +47,17 @@ from .algebra import (
     F2Sum,
     Level,
     Monomial,
+    Packing,
     Polynomial,
+    _stored_form,
     monomial_product,
+    packing,
     truncate_monomial,
     truncate_polynomial,
 )
 
 TensorTerm = Tuple[Monomial, Monomial]
+TABLES_CACHED = 64  # packings whose generator tables are kept: one a level, one a degree size
 
 
 class TensorPolynomial(F2Sum):
@@ -118,6 +129,107 @@ def compositions(total: int) -> Iterator[Composition]:
         yield Composition(tuple(parts))
 
 
+def _packing_of(x: Monomial) -> Packing:
+    """The packing that holds x and every term its coproduct, antipode and axioms form.
+
+    At a level it is the level's.  Untruncated, every such term has degree
+    at most deg x, where xi_i has degree 2^i - 1, so each r_i <= deg x and
+    only xi_i with 2^i - 1 <= deg x occur: d fields of d bits, with d the
+    bit length of deg x, hold them all, and no guard bit fires.  A dyadic
+    bit xi_i^(2^j) of such a term has 2^(i+j-1) <= 2^j (2^i - 1) < 2^d, so
+    the terms of its coproduct and antipode, whose bits reach 2^(i+j-1),
+    fit as well.
+    """
+    if x.level.truncated:
+        return packing(x.level.widths)
+    degree = sum(r * ((1 << i) - 1) for i, r in enumerate(x.exponents, start=1))
+    d = degree.bit_length()
+    return packing((d,) * d)
+
+
+def _coproduct_terms(pk: Packing, i: int, j: int) -> tuple:
+    """Packed coproduct_generator(i, j): the ends, then the splittings of edge j -> i+j."""
+    g = pk.bit(i, j)
+    return (g << pk.size, g) + tuple(
+        pk.bit(i - k, j + k) << pk.size | pk.bit(k, j) for k in range(1, i)
+    )
+
+
+def _antipode_terms(pk: Packing, i: int, j: int) -> tuple:
+    """Packed antipode of xi_i^(2^j): Milnor's composition sum, each part shifted by j."""
+    terms = []
+    for comp in compositions(i):
+        term, offset = 0, j
+        for part in comp.parts:
+            term |= pk.bit(part, offset)
+            offset += part
+        terms.append(term)
+    return tuple(terms)
+
+
+class _GeneratorTable(dict):
+    """Packed xi_i^(2^j) -> its packed image under `terms`, filled on first use.
+
+    Untruncated packings have room for generator powers whose antipodes
+    are far too long to list in advance, and a monomial uses few of them.
+    """
+
+    def __init__(self, pk: Packing, terms):
+        super().__init__()
+        self.pk, self.terms = pk, terms
+
+    def __missing__(self, bit: int) -> tuple:
+        image = self[bit] = self.terms(self.pk, *self.pk.generator_power(bit))
+        return image
+
+
+@lru_cache(maxsize=TABLES_CACHED)
+def _coproduct_table(pk: Packing) -> _GeneratorTable:
+    return _GeneratorTable(pk, _coproduct_terms)
+
+
+@lru_cache(maxsize=TABLES_CACHED)
+def _antipode_table(pk: Packing) -> _GeneratorTable:
+    return _GeneratorTable(pk, _antipode_terms)
+
+
+class _Expansion(dict):
+    """Packed monomial -> its image under the algebra map that table gives on dyadic bits.
+
+    The image of p is the image of p without its lowest bit times
+    table[that bit], summed over F2; a term whose sum sets a guard bit
+    lies in the ideal and dies.  Adding a fixed term is injective, so each
+    batch has no internal duplicates and xor-ing whole batches computes
+    the F2 sum.  Images are kept, so the monomials one check meets share
+    the work of their common bits; an instance serves one call.
+    """
+
+    def __init__(self, table: dict, guard: int):
+        super().__init__({0: {0}})
+        self.table, self.guard = table, guard
+
+    def __missing__(self, p: int) -> set:
+        low = p & -p
+        rest, guard = self[p ^ low], self.guard
+        image = set()
+        for t in self.table[low]:
+            image ^= {u for s in rest if not (u := s + t) & guard}
+        self[p] = image
+        return image
+
+
+def _coproducts(pk: Packing) -> _Expansion:
+    return _Expansion(_coproduct_table(pk), pk.guard << pk.size | pk.guard)
+
+
+def _antipodes(pk: Packing) -> _Expansion:
+    return _Expansion(_antipode_table(pk), pk.guard)
+
+
+def _unpacked(level: Level, pk: Packing, packed: int) -> Monomial:
+    return Monomial._unchecked(level, _stored_form(level, pk.unpack(packed)))
+
+
 def coproduct_generator(i: int, j: int, level: Level) -> TensorPolynomial:
     """Coproduct of xi_i^(2^j): ends plus all splittings through intermediate vertices.
 
@@ -125,34 +237,20 @@ def coproduct_generator(i: int, j: int, level: Level) -> TensorPolynomial:
     0 < k < i the pair xi_(i-k)^(2^(j+k)) (x) xi_k^(2^j), i.e. the edge
     j -> i+j broken at vertex j+k (second edge on the left).
     """
-    g = Monomial.generator_power(i, j, level)
-    u = Monomial.one(level)
-    terms = [(g, u), (u, g)]
-    for k in range(1, i):
-        terms.append(
-            (
-                Monomial.generator_power(i - k, j + k, level),
-                Monomial.generator_power(k, j, level),
-            )
-        )
-    return TensorPolynomial(level, terms)
-
-
-@lru_cache(maxsize=None)
-def _coproduct_monomial(x: Monomial) -> TensorPolynomial:
-    acc = TensorPolynomial.one(x.level)
-    for i, j in x.dyadic_bits():
-        acc = acc * coproduct_generator(i, j, x.level)
-    return acc
+    return coproduct(Monomial.generator_power(i, j, level))
 
 
 def coproduct(x: Monomial) -> TensorPolynomial:
-    """Coproduct of any monomial: product of the generator coproducts of its dyadic bits.
-
-    Cached: the coassociativity and antipode checks re-expand the
-    coproduct of every tensor factor, and factors repeat heavily.
-    """
-    return _coproduct_monomial(x)
+    """Coproduct of any monomial: product of the generator coproducts of its dyadic bits."""
+    pk = _packing_of(x)
+    low = (1 << pk.size) - 1
+    return TensorPolynomial(
+        x.level,
+        (
+            (_unpacked(x.level, pk, t >> pk.size), _unpacked(x.level, pk, t & low))
+            for t in _coproducts(pk)[pk.pack(x.exponents)]
+        ),
+    )
 
 
 def counit(x: Union[Monomial, Polynomial]) -> int:
@@ -162,47 +260,22 @@ def counit(x: Union[Monomial, Polynomial]) -> int:
     return 1 if x.is_one else 0
 
 
-@lru_cache(maxsize=None)
-def _antipode_generator_cached(i: int, level: Level) -> Polynomial:
-    acc = []
-    for comp in compositions(i):
-        exps = [0] * i
-        offset = 0
-        for part in comp.parts:
-            exps[part - 1] += 1 << offset
-            offset += part
-        acc.append(Monomial(UNTRUNCATED, exps))
-    poly = Polynomial(UNTRUNCATED, acc)  # distinct compositions never collide
-    if level.truncated:
-        return truncate_polynomial(poly, level)
-    return poly
-
-
 def antipode_generator(i: int, level: Level) -> Polynomial:
     """Antipode of xi_i by Milnor's composition sum; truncation may kill terms."""
     if i < 1:
         raise ValueError(f"generator index must be >= 1, got {i}")
     if level.truncated and i > level.n + 1:
         raise ValueError(f"generator xi{i} out of range at n={level.n}")
-    return _antipode_generator_cached(i, level)
-
-
-@lru_cache(maxsize=None)
-def _antipode_bit(i: int, j: int, level: Level) -> Polynomial:
-    return _antipode_generator_cached(i, level).frobenius(j)
-
-
-@lru_cache(maxsize=None)
-def _antipode_monomial(x: Monomial) -> Polynomial:
-    acc = Polynomial.one(x.level)
-    for i, j in x.dyadic_bits():
-        acc = acc * _antipode_bit(i, j, x.level)
-    return acc
+    return antipode(Monomial.generator_power(i, 0, level))
 
 
 def antipode(x: Monomial) -> Polynomial:
     """Antipode of any monomial: product over dyadic bits of antipode_generator^(2^j)."""
-    return _antipode_monomial(x)
+    pk = _packing_of(x)
+    return Polynomial(
+        x.level,
+        (_unpacked(x.level, pk, t) for t in _antipodes(pk)[pk.pack(x.exponents)]),
+    )
 
 
 def antipode_recursion_residual(i: int) -> Polynomial:
@@ -264,6 +337,13 @@ def directed_path_polynomial(j: int, i: int, level: Level) -> Polynomial:
     return Polynomial(level, acc)
 
 
+@lru_cache(maxsize=TABLES_CACHED)
+def _level_antipodes(pk: Packing) -> tuple:
+    """The packed antipode of every generator power a level's packing holds."""
+    table = _antipode_table(pk)
+    return tuple(table[pk.bit(i, j)] for i, w in enumerate(pk.widths, start=1) for j in range(w))
+
+
 def unilateral_via_antipode(x: Monomial, edgewise: bool = True) -> bool:
     """Unilaterality read off the antipode: every edge slot must host a present path.
 
@@ -275,13 +355,15 @@ def unilateral_via_antipode(x: Monomial, edgewise: bool = True) -> bool:
     """
     level = x.level
     level._require_truncated()
-    test = Monomial.divides_edgewise if edgewise else Monomial.divides_integerwise
-    for i in range(1, level.n + 2):
-        for j in range(level.n + 2 - i):
-            c = _antipode_bit(i, j, level)
-            if not any(test(t, x) for t in c.terms):
-                return False
-    return True
+    pk = packing(level.widths)
+    slots = _level_antipodes(pk)
+    if edgewise:
+        m = pk.pack(x.exponents)
+        return all(any(not t & ~m for t in terms) for terms in slots)
+    r = x.exponents
+    return all(
+        any(all(map(operator.le, pk.unpack(t), r)) for t in terms) for terms in slots
+    )
 
 
 def truncate_tensor(tp: TensorPolynomial, level: Level) -> TensorPolynomial:
@@ -332,56 +414,50 @@ def verify_hopf_ideal(n: int) -> bool:
     return not hopf_ideal_violations(Level(n))
 
 
-def _apply_counit_left(tp: TensorPolynomial) -> Polynomial:
-    # (counit (x) id): keep the right factor of terms whose left factor is 1
-    return Polynomial.from_terms(tp.level, (b for a, b in tp.terms if a.is_one))
-
-
-def _apply_counit_right(tp: TensorPolynomial) -> Polynomial:
-    return Polynomial.from_terms(tp.level, (a for a, b in tp.terms if b.is_one))
-
-
 def counit_laws_hold(x: Monomial) -> bool:
     """(counit (x) id) after coproduct gives back x, and likewise on the right."""
-    d = coproduct(x)
-    back = x.as_polynomial()
-    return _apply_counit_left(d) == back and _apply_counit_right(d) == back
+    pk = _packing_of(x)
+    p = pk.pack(x.exponents)
+    low = (1 << pk.size) - 1
+    d = _coproducts(pk)[p]
+    left = {t & low for t in d if not t >> pk.size}
+    right = {t >> pk.size for t in d if not t & low}
+    return left == {p} and right == {p}
 
 
 def coassociativity_holds(x: Monomial) -> bool:
     """Expanding the left or the right tensor factor again gives the same rank-3 sum.
 
-    Each batch below has no internal duplicates (the expanded factor is
-    fixed within it), so xor-ing whole batches computes the F2 sum.
+    A rank-3 term a1 (x) a2 (x) b packs as (a1 << S | a2) << S | b.  Both
+    sums are xor-ed into one set, which must end empty.  Each batch below
+    has no internal duplicates (the expanded factor is fixed within it),
+    so xor-ing whole batches computes the F2 sum.
     """
-    d = coproduct(x)
-    left = set()
-    for a, b in d.terms:
-        left.symmetric_difference_update(
-            (a1, a2, b) for a1, a2 in coproduct(a).terms
-        )
-    right = set()
-    for a, b in d.terms:
-        right.symmetric_difference_update(
-            (a, b1, b2) for b1, b2 in coproduct(b).terms
-        )
-    return left == right
+    pk = _packing_of(x)
+    size = pk.size
+    low = (1 << size) - 1
+    delta = _coproducts(pk)
+    both = set()
+    for t in delta[pk.pack(x.exponents)]:
+        a, b = t >> size, t & low
+        both ^= {u << size | b for u in delta[a]}
+        both ^= {a << 2 * size | u for u in delta[b]}
+    return not both
 
 
 def antipode_identity_holds(x: Monomial) -> bool:
     """Multiplying antipode into either coproduct factor collapses x to its counit."""
-    d = coproduct(x)
-    level = x.level
+    pk = _packing_of(x)
+    low = (1 << pk.size) - 1
+    guard = pk.guard
+    chi = _antipodes(pk)
     left = set()
     right = set()
-    for a, b in d.terms:
+    for t in _coproducts(pk)[pk.pack(x.exponents)]:
+        a, b = t >> pk.size, t & low
         # multiplication by a fixed monomial is injective where it survives,
         # so each batch is duplicate-free and xor gives the F2 sum
-        left.symmetric_difference_update(
-            p for p in (monomial_product(t, b) for t in antipode(a).terms) if p is not None
-        )
-        right.symmetric_difference_update(
-            p for p in (monomial_product(t, a) for t in antipode(b).terms) if p is not None
-        )
-    expected = Polynomial.one(level) if counit(x) else Polynomial.zero(level)
-    return Polynomial(level, left) == expected and Polynomial(level, right) == expected
+        left ^= {u for s in chi[a] if not (u := s + b) & guard}
+        right ^= {u for s in chi[b] if not (u := a + s) & guard}
+    expected = {0} if counit(x) else set()
+    return left == expected and right == expected

@@ -16,7 +16,6 @@ so output is identical for any worker count.
 """
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -314,6 +313,17 @@ def _worker_count(jobs: int) -> int:
     if jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {jobs}")
     return min(jobs, os.cpu_count() or 1)
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """A concurrent.futures process pool, imported on the first call.
+
+    Only `--jobs K` with K > 1 starts one, and importing it (with
+    multiprocessing) is a large share of the start-up of every CLI call.
+    """
+    from concurrent.futures import ProcessPoolExecutor as Pool
+
+    return Pool(max_workers=max_workers)
 
 
 def _run_range_worker(name: str, n: int, start: int, stop: int) -> tuple:

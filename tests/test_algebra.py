@@ -19,6 +19,7 @@ from steengraph.algebra import (
     monomial_count,
     monomial_from_index,
     monomial_product,
+    packing,
     parse_monomial,
     random_monomials,
     truncate_monomial,
@@ -467,3 +468,67 @@ class TestBoundRule:
                     expected ^= {(normal_form(level, ac), normal_form(level, bd))}
         product = tensor(left) * tensor(right)
         assert {(x.exponents, y.exponents) for x, y in product.terms} == expected
+
+
+def squeeze_guards(pk, packed):
+    """The packed int with its guard bits cut out, fields closed up."""
+    out, shift = 0, 0
+    for w, o in sorted(zip(pk.widths, pk.offsets), key=lambda f: f[1]):
+        out |= (packed >> o & ((1 << w) - 1)) << shift
+        shift += w
+    return out
+
+
+level_pairs = st.integers(0, 5).flatmap(
+    lambda n: st.tuples(
+        st.just(Level(n)),
+        exponent_vectors(Level(n), valid=True),
+        exponent_vectors(Level(n), valid=True),
+    )
+)
+
+
+class TestPacking:
+    """The guard-bit packing of a level against Level.first_breach and the enumeration index."""
+
+    @given(level_pairs)
+    @settings(max_examples=300)
+    def test_unpack_inverts_pack(self, case):
+        level, a, _ = case
+        pk = packing(level.widths)
+        assert pk.unpack(pk.pack(a)) == normal_form(level, a)
+
+    @given(level_pairs)
+    @settings(max_examples=300)
+    def test_guard_fires_exactly_when_the_sum_breaches(self, case):
+        level, a, b = case
+        pk = packing(level.widths)
+        total = reference_sum(a, b)
+        s = pk.pack(a) + pk.pack(b)
+        assert bool(s & pk.guard) == (level.first_breach(total) is not None)
+        if not s & pk.guard:
+            assert pk.unpack(s) == normal_form(level, total)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_fields_hold_exactly_the_exponent_bound(self, n):
+        level = Level(n)
+        pk = packing(level.widths)
+        for i in range(1, n + 2):
+            top = [0] * (n + 1)
+            top[i - 1] = level.exponent_bound(i)
+            assert not pk.pack(top) & pk.guard
+            assert (pk.pack(top) + pk.bit(i, 0)) & pk.guard
+            assert pk.unpack(pk.pack(top)) == tuple(top)
+
+    @given(st.integers(0, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, 2 ** 21))))
+    @settings(max_examples=200)
+    def test_field_order_is_the_enumeration_index(self, case):
+        n, k = case
+        level = Level(n)
+        k %= monomial_count(level)
+        pk = packing(level.widths)
+        assert squeeze_guards(pk, pk.pack(monomial_from_index(level, k).exponents)) == k
+        for p, q in [(p, q) for q in range(n + 2) for p in range(q)]:
+            bit = pk.bit(q - p, p)
+            assert pk.generator_power(bit) == (q - p, p)
+            assert squeeze_guards(pk, bit) == 1 << index_bit(level, p, q)

@@ -369,3 +369,31 @@ class TestSerialFallback:
         note = "  note: process pool unavailable ([Errno 24] Too many open files); ran 8 chunks serially\n"
         head, rest = serial.split("\n", 1)
         assert fallback == head + "\n" + note + rest
+
+
+class TestLazyPool:
+    def test_cli_import_leaves_the_process_pool_unloaded(self):
+        env = dict(os.environ)
+        root = str(Path(steengraph.__file__).parents[1])
+        inherited = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = root + os.pathsep + inherited if inherited else root
+        probe = (
+            "import sys, steengraph.cli; "
+            "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_first_call_gives_a_process_pool(self):
+        from concurrent.futures import ProcessPoolExecutor as Pool
+
+        from steengraph import verify
+
+        pool = verify.ProcessPoolExecutor(max_workers=1)  # starts no process before a submit
+        try:
+            assert isinstance(pool, Pool)
+        finally:
+            pool.shutdown()

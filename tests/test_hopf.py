@@ -376,3 +376,82 @@ class TestHopfAxioms:
         assert counit_laws_hold(x)
         assert coassociativity_holds(x)
         assert antipode_identity_holds(x)
+
+
+def coproduct_by_generators(x):
+    """The F2Sum route: product of the generator coproducts of the dyadic bits of x."""
+    acc = TensorPolynomial.one(x.level)
+    for i, j in x.dyadic_bits():
+        acc = acc * coproduct_generator(i, j, x.level)
+    return acc
+
+
+def antipode_by_generators(x):
+    """The F2Sum route: product of antipode_generator(i)^(2^j) over the dyadic bits of x."""
+    acc = Polynomial.one(x.level)
+    for i, j in x.dyadic_bits():
+        acc = acc * antipode_generator(i, x.level).frobenius(j)
+    return acc
+
+
+WIDE_UNTRUNCATED = ["xi1^1048577 xi3^5", "xi2^4097 xi4^3", "xi1^7 xi5^2 xi6", "xi7^64"]
+
+
+class TestPackedKernel:
+    """coproduct and antipode on packed ints against products of F2 sums of generator images."""
+
+    def test_every_monomial_up_to_n2(self):
+        for level in (L0, L1, L2):
+            for x in enumerate_monomials(level):
+                assert coproduct(x) == coproduct_by_generators(x), x
+                assert antipode(x) == antipode_by_generators(x), x
+
+    @given(st.integers(0, 1023))
+    @settings(max_examples=40, deadline=None)
+    def test_sampled_monomials_at_n3(self, index):
+        from steengraph.algebra import monomial_from_index
+
+        x = monomial_from_index(L3, index)
+        assert coproduct(x) == coproduct_by_generators(x)
+        assert antipode(x) == antipode_by_generators(x)
+
+    @pytest.mark.parametrize("text", WIDE_UNTRUNCATED)
+    def test_wide_untruncated_exponents(self, text):
+        x = parse_monomial(text, UNTRUNCATED)
+        assert coproduct(x) == coproduct_by_generators(x)
+        assert antipode(x) == antipode_by_generators(x)
+        assert counit_laws_hold(x) and antipode_identity_holds(x)
+
+    def test_dropped_splitting_breaks_coassociativity(self, monkeypatch):
+        from steengraph import hopf
+
+        terms = hopf._coproduct_terms
+
+        def without_a_splitting(pk, i, j):
+            image = terms(pk, i, j)
+            # xi_2 loses xi1^2 (x) xi1, the one splitting of the edge 0 -> 2
+            return image[:2] if (i, j) == (2, 0) else image
+
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(hopf, "_coproduct_terms", without_a_splitting)
+                hopf._coproduct_table.cache_clear()
+                failing = [x for x in enumerate_monomials(L2) if not coassociativity_holds(x)]
+        finally:
+            hopf._coproduct_table.cache_clear()
+        assert parse_monomial("xi3", L2) in failing
+        assert all(coassociativity_holds(x) for x in enumerate_monomials(L2))
+
+
+class TestCaches:
+    def test_every_cache_is_bounded_after_a_sweep(self):
+        from steengraph import hopf
+        from steengraph.verify import run_check
+
+        caches = [f for f in vars(hopf).values() if hasattr(f, "cache_info")]
+        assert caches
+        assert all(f.cache_info().maxsize is not None for f in caches)
+        assert run_check("hopf-axioms", 3).ok
+        for f in caches:
+            info = f.cache_info()
+            assert info.currsize <= info.maxsize, f
