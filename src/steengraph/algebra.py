@@ -10,8 +10,7 @@ so a monomial of A*(n) is an exponent vector (r_1, ..., r_(n+1)) with
 exponent is the structural key: the bit 2^j of r_i stands for the factor
 xi_i^(2^j), and that factor corresponds to the edge {2^j, 2^(i+j)} of the
 graph on vertices {2^0, ..., 2^(n+1)} associated to the monomial.  All
-edge-level queries (edge_bit, divides_edgewise, dyadic_bits) read those
-bits directly.
+edge-level queries (edge_bit, dyadic_bits) read those bits directly.
 
 Polynomials are finite sets of monomials: coefficients live in F2, so a
 monomial is either present or absent and duplicates cancel pairwise.
@@ -246,21 +245,6 @@ class Monomial:
             raise ValueError(f"vertex index {q} out of range 0..{self.level.n + 1}")
         return (self.exponent(q - p) >> p) & 1
 
-    def divides_edgewise(self, other: "Monomial") -> bool:
-        """True when every dyadic bit of self is also set in other.
-
-        This is divisibility of the associated graphs (edge-subset
-        containment), strictly stronger than integer-exponent comparison:
-        xi1^3 does not divide xi1^5 edgewise although 3 <= 5.
-        """
-        self._check_level(other)
-        return all(d & r == d for d, r in _zip_pad(self.exponents, other.exponents))
-
-    def divides_integerwise(self, other: "Monomial") -> bool:
-        """True when r_i(self) <= r_i(other) for every i (plain monomial divisibility)."""
-        self._check_level(other)
-        return all(d <= r for d, r in _zip_pad(self.exponents, other.exponents))
-
     def __mul__(self, other: "Monomial") -> "Polynomial":
         """Product in the algebra: exponentwise sum, zero if any bound is breached."""
         if not isinstance(other, Monomial):
@@ -322,12 +306,6 @@ def _stored_form(level: Level, exps: tuple) -> tuple:
     while exps and exps[-1] == 0:
         exps = exps[:-1]
     return exps
-
-
-def _zip_pad(a: tuple, b: tuple):
-    if len(a) == len(b):
-        return zip(a, b)
-    return itertools.zip_longest(a, b, fillvalue=0)
 
 
 def monomial_product(x: Monomial, y: Monomial) -> Optional[Monomial]:
@@ -551,30 +529,41 @@ def _monomial_with_bounds_check(level: Level, exps: list) -> Monomial:
 def monomial_count(level: Level) -> int:
     """Number of monomials of A*(n): 2^((n+1)(n+2)/2)."""
     level._require_truncated()
-    return 1 << ((level.n + 1) * (level.n + 2) // 2)
+    return 1 << sum(level.widths)
 
 
 def enumerate_monomials(level: Level) -> Iterator[Monomial]:
-    """All monomials of A*(n) exactly once, lexicographically by exponent vector."""
+    """All monomials of A*(n) exactly once, in enumeration index order.
+
+    That order is lexicographic by exponent vector, r_1 most significant.
+    """
     level._require_truncated()
-    ranges = [range(1 << (level.n + 2 - i)) for i in range(1, level.n + 2)]
+    ranges = [range(1 << w) for _, w in index_fields(level.widths)]
     for exps in itertools.product(*ranges):
-        yield Monomial(level, exps)
+        yield Monomial._unchecked(level, exps)
+
+
+@lru_cache(maxsize=PACKINGS_CACHED)
+def index_fields(widths: tuple) -> tuple:
+    """(offset, width) of the field of each r_i in an enumeration index, r_1 first.
+
+    The index is the Packing of a level's widths (`Level.widths`) with its
+    guard bits squeezed out: the fields laid end to end, r_1 in the highest
+    bits and the last field in the lowest.  Each bit is one edge, so a level
+    has 2^(sum of widths) monomials, each with one index.
+    """
+    return tuple((sum(widths[i + 1:]), w) for i, w in enumerate(widths))
 
 
 def index_bit(level: Level, p: int, q: int) -> int:
     """The bit of an enumeration index that holds edge (p, q), for 0 <= p < q <= n+1.
 
-    The index is the exponent fields laid end to end: r_(n+1) in the
-    lowest bit, then r_n, ..., r_1 in the highest n+1 bits, r_i being
-    n+2-i bits wide.  So the field of r_i starts at bit w(w+1)/2 with
-    w = n+1-i, and edge (p, q) is bit p of the field of r_(q-p).
+    Edge (p, q) is bit p of the field of r_(q-p) (see index_fields).
     """
     level._require_truncated()
     if not 0 <= p < q <= level.n + 1:
         raise ValueError(f"need 0 <= p < q <= {level.n + 1}, got p={p}, q={q}")
-    w = level.n + 1 - (q - p)
-    return w * (w + 1) // 2 + p
+    return index_fields(level.widths)[q - p - 1][0] + p
 
 
 class Packing(NamedTuple):
@@ -625,18 +614,17 @@ def packing(widths: tuple) -> Packing:
 
 
 def monomial_from_index(level: Level, index: int) -> Monomial:
-    """The index-th monomial in enumeration order (mixed-radix decode of the rank).
+    """The index-th monomial in enumeration order: each r_i read from its field.
 
     Every radix is a power of 2, so the index is a plain bit field with
-    one bit per edge; index_bit names the bit of each edge.
+    one bit per edge (index_fields); index_bit names the bit of each edge.
     """
     level._require_truncated()
     if not 0 <= index < monomial_count(level):
         raise ValueError(f"index {index} out of range 0..{monomial_count(level) - 1}")
-    exps = [0] * (level.n + 1)
-    for i in range(level.n + 1, 0, -1):
-        index, exps[i - 1] = divmod(index, 1 << (level.n + 2 - i))
-    return Monomial(level, exps)
+    fields = index_fields(level.widths)
+    # a masked field is within its width, so the exponents need no check
+    return Monomial._unchecked(level, tuple(index >> o & ((1 << w) - 1) for o, w in fields))
 
 
 def random_monomials(level: Level, count: int, seed: int) -> list:

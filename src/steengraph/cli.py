@@ -13,6 +13,7 @@ Output is deterministic: identical invocations give identical bytes.
 """
 
 import argparse
+import itertools
 import json
 import sys
 from typing import Optional
@@ -331,11 +332,7 @@ def cmd_enumerate(args) -> int:
     level = Level(args.n)
     total = monomial_count(level)
     listed = total if args.limit is None else max(0, min(args.limit, total))
-    names = []
-    for k, x in enumerate(enumerate_monomials(level)):
-        if k >= listed:
-            break
-        names.append(str(x))
+    names = map(str, itertools.islice(enumerate_monomials(level), listed))
     if args.json:
         _emit_json(
             {
@@ -343,11 +340,11 @@ def cmd_enumerate(args) -> int:
                 "n": args.n,
                 "count": total,
                 "listed": listed,
-                "monomials": names,
+                "monomials": list(names),
             }
         )
     else:
-        for name in names:
+        for name in names:  # printed as produced, never held as a list
             _emit(name + "\n")
     return 0
 

@@ -32,7 +32,6 @@ The oracle_* functions decide the same questions by direct graph
 search, sharing no code with the matrix route.
 """
 
-from collections import deque
 from functools import lru_cache
 from operator import mul
 from typing import Dict, Tuple
@@ -225,45 +224,41 @@ def lane_verdicts(level: Level, base: int, width: int) -> Tuple[int, int]:
 
 
 def oracle_is_connected(g: WoodGraph) -> bool:
-    """Breadth-first search from vertex 0 must reach all n+2 vertices."""
-    m = g.vertex_count
-    adj = [[] for _ in range(m)]
-    for p, q in g.edges:
-        adj[p].append(q)
-        adj[q].append(p)
-    seen = [False] * m
-    seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                queue.append(w)
-    return count == m
+    """Breadth-first search from vertex 0 over neighbour masks must reach all n+2 vertices.
+
+    Each step takes the lowest vertex f & -f of the frontier f.
+    """
+    rows, m = g.rows, g.vertex_count
+    everyone = (1 << m) - 1
+    seen = frontier = 1
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = rows >> (low.bit_length() - 1) * m & everyone & ~seen
+        seen |= new
+        frontier |= new
+    return seen == everyone
 
 
 def oracle_is_unilateral(g: WoodGraph) -> bool:
-    """Transitive closure of the increasing orientation; each pair must be joined one way.
+    """Reach closure of the increasing orientation; each pair must be joined one way.
 
-    Reachability sets are bitsets built in reverse topological order
-    (vertex indices are already a topological order since every edge
-    points upward).
+    Reach masks are built in reverse vertex order (vertex indices are a
+    topological order, since every edge points upward).  So q > p never
+    reaches p, and the pair is joined exactly when p reaches q: reach[p]
+    must hold every vertex from p up.
     """
-    m = g.vertex_count
-    succ = [[] for _ in range(m)]
-    for p, q in g.edges:
-        succ[p].append(q)
+    rows, m = g.rows, g.vertex_count
+    everyone = (1 << m) - 1
     reach = [0] * m
     for p in range(m - 1, -1, -1):
         r = 1 << p
-        for q in succ[p]:
-            r |= reach[q]
+        later = (rows >> p * m & everyone) >> (p + 1)  # bit t: the arrow p -> p+1+t
+        while later:
+            low = later & -later
+            later ^= low
+            r |= reach[low.bit_length() + p]
+        if r >> p != everyone >> p:
+            return False
         reach[p] = r
-    for p in range(m):
-        for q in range(p + 1, m):
-            if not ((reach[p] >> q) & 1 or (reach[q] >> p) & 1):
-                return False
     return True

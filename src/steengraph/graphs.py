@@ -9,28 +9,36 @@ connectedness questions depend on them.
 
 The directed view orients every edge toward its larger endpoint, which
 makes the directed adjacency matrix strictly upper triangular.
+
+A WoodGraph is one int of neighbour masks, and the search oracles of
+connectivity.py and structure.py run on those masks.
 """
 
-from typing import Iterable, Iterator, Optional, Tuple
+from functools import lru_cache
+from typing import Iterable, Optional, Tuple
 
 from .algebra import Level, Monomial
 
 Edge = Tuple[int, int]
 
+ROW_TABLES_CACHED = 16  # one entry a level
+
 
 class WoodGraph:
     """A simple graph on vertices {0, ..., n+1}; vertex p stands for 2^p.
 
-    Edges are unordered pairs stored as (p, q) with p < q.  Loops are
+    The graph is one int, `rows`: with m = n+2, bits p*m ... p*m+m-1 are
+    the neighbour mask of vertex p, so edge (p, q) sets bit p*m+q and bit
+    q*m+p.  Edges given to the constructor are unordered pairs; loops are
     rejected and duplicate edges collapse.
     """
 
-    __slots__ = ("level", "edges")
+    __slots__ = ("level", "rows")
 
     def __init__(self, level: Level, edges: Iterable[Edge] = ()):
         level._require_truncated()
         top = level.n + 1
-        canon = set()
+        rows = 0
         for p, q in edges:
             if p > q:
                 p, q = q, p
@@ -38,9 +46,16 @@ class WoodGraph:
                 raise ValueError(f"loop at vertex {p} not allowed")
             if p < 0 or q > top:
                 raise ValueError(f"edge ({p},{q}) outside vertex range 0..{top}")
-            canon.add((p, q))
+            rows |= 1 << (p * (top + 1) + q) | 1 << (q * (top + 1) + p)
         self.level = level
-        self.edges = frozenset(canon)
+        self.rows = rows
+
+    @classmethod
+    def _unchecked(cls, level: Level, rows: int) -> "WoodGraph":
+        """A graph from rows already symmetric, loop-free and within the level's vertices."""
+        g = object.__new__(cls)
+        g.level, g.rows = level, rows
+        return g
 
     @property
     def vertex_count(self) -> int:
@@ -48,7 +63,12 @@ class WoodGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return self.rows.bit_count() // 2
+
+    @property
+    def edges(self) -> frozenset:
+        """The edges as pairs (p, q) with p < q."""
+        return frozenset(self.sorted_edges())
 
     def vertices(self) -> range:
         return range(self.level.n + 2)
@@ -58,45 +78,44 @@ class WoodGraph:
         return 1 << p
 
     def has_edge(self, p: int, q: int) -> bool:
-        if p > q:
-            p, q = q, p
-        return (p, q) in self.edges
+        m = self.level.n + 2
+        return 0 <= p < m and 0 <= q < m and bool(self.rows >> (p * m + q) & 1)
 
     def sorted_edges(self) -> list:
-        return sorted(self.edges)
+        m = self.level.n + 2
+        return [(p, q) for p in range(m) for q in range(p + 1, m) if self.rows >> (p * m + q) & 1]
 
     def neighbors(self, p: int) -> tuple:
-        out = [q for q in self.vertices() if q != p and self.has_edge(p, q)]
-        return tuple(out)
+        return tuple(q for q in self.vertices() if self.has_edge(p, q))
 
     def degree(self, p: int) -> int:
-        return sum(1 for a, b in self.edges if p in (a, b))
+        return len(self.neighbors(p))
 
     def out_degree(self, p: int) -> int:
         """Arrows leaving p in the directed view (edges to larger vertices)."""
-        return sum(1 for a, b in self.edges if a == p)
+        return sum(1 for q in self.neighbors(p) if q > p)
 
     def in_degree(self, p: int) -> int:
         """Arrows entering p in the directed view (edges from smaller vertices)."""
-        return sum(1 for a, b in self.edges if b == p)
+        return sum(1 for q in self.neighbors(p) if q < p)
 
     @property
     def is_complete(self) -> bool:
         m = self.vertex_count
-        return len(self.edges) == m * (m - 1) // 2
+        return self.edge_count == m * (m - 1) // 2
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, WoodGraph)
             and self.level == other.level
-            and self.edges == other.edges
+            and self.rows == other.rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.level, self.edges))
+        return hash((self.level, self.rows))
 
     def __str__(self) -> str:
-        if not self.edges:
+        if not self.rows:
             return f"graph on {self.vertex_count} vertices with no edges"
         body = ", ".join(f"{{{1 << p},{1 << q}}}" for p, q in self.sorted_edges())
         return f"graph on {self.vertex_count} vertices with edges {body}"
@@ -105,10 +124,42 @@ class WoodGraph:
         return f"WoodGraph({self.level!r}, {self.sorted_edges()!r})"
 
 
+def exponent_rows(level: Level, i: int, r: int) -> int:
+    """The rows of the edges of xi_i^r at a truncated level: bit j of r is edge (j, i+j).
+
+    This is the search oracles' own edge rule.  The block kernel reads
+    edges off the enumeration index (algebra.index_bit) instead.
+    """
+    m = level.n + 2
+    rows = 0
+    while r:
+        low = r & -r
+        j = low.bit_length() - 1
+        rows |= 1 << (j * m + i + j) | 1 << ((i + j) * m + j)
+        r ^= low
+    return rows
+
+
+@lru_cache(maxsize=ROW_TABLES_CACHED)
+def row_tables(level: Level) -> tuple:
+    """Entry i-1 maps every exponent r of xi_i at this level to exponent_rows(level, i, r).
+
+    2^(n+1) + ... + 2 rows a level: the sweeps build them once, while
+    to_graph, which must serve n=12, calls exponent_rows directly.
+    """
+    return tuple(
+        tuple(exponent_rows(level, i, r) for r in range(level.exponent_bound(i) + 1))
+        for i in range(1, level.n + 2)
+    )
+
+
 def to_graph(x: Monomial) -> WoodGraph:
     """The graph of a monomial: dyadic factor xi_i^(2^j) becomes edge {j, i+j}."""
     x.level._require_truncated()
-    return WoodGraph(x.level, ((j, i + j) for i, j in x.dyadic_bits()))
+    rows = 0
+    for i, r in enumerate(x.exponents, start=1):
+        rows |= exponent_rows(x.level, i, r)
+    return WoodGraph._unchecked(x.level, rows)
 
 
 def from_graph(g: WoodGraph) -> Monomial:

@@ -22,7 +22,7 @@ is 2^(n+1) - 1.
 
 from typing import NamedTuple, Optional, Sequence, Tuple
 
-from .algebra import Monomial
+from .algebra import Level, Monomial
 from .connectivity import is_connected, oracle_is_connected
 from .graphs import WoodGraph
 
@@ -60,26 +60,27 @@ def is_tree(x: Monomial) -> bool:
 
 
 def oracle_is_acyclic(g: WoodGraph) -> bool:
-    """Depth-first search finds no back edge (parent edges excluded)."""
-    m = g.vertex_count
-    adj = [[] for _ in range(m)]
-    for p, q in g.edges:
-        adj[p].append(q)
-        adj[q].append(p)
-    seen = [False] * m
-    for root in range(m):
-        if seen[root]:
-            continue
-        seen[root] = True
-        stack = [(root, -1)]
-        while stack:
-            v, parent = stack.pop()
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append((w, v))
-                elif w != parent:
-                    return False
+    """Search over neighbour masks from each unseen vertex finds no cycle.
+
+    A vertex taken from the frontier has seen at most one of its
+    neighbours, the one it was reached from, unless an edge closes a cycle.
+    """
+    rows, m = g.rows, g.vertex_count
+    everyone = (1 << m) - 1
+    seen = 0
+    while seen != everyone:
+        frontier = everyone & ~seen
+        frontier &= -frontier  # the lowest unseen vertex roots the next search
+        seen |= frontier
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            neighbours = rows >> (low.bit_length() - 1) * m & everyone
+            if (neighbours & seen).bit_count() > 1:
+                return False
+            new = neighbours & ~seen
+            seen |= new
+            frontier |= new
     return True
 
 
@@ -123,35 +124,38 @@ def oracle_hamilton_cycle(g: WoodGraph) -> Optional[Tuple[int, ...]]:
 
     The witness starts at vertex 0 and is the lexicographically
     smallest such sequence, with the reflection duplicate removed by
-    requiring the second vertex to be smaller than the last.
+    requiring the second vertex to be smaller than the last: the
+    candidates after the last vertex are its unused neighbours, lowest
+    first.
     """
     m = g.vertex_count
     if m < 3:
         return None
-    adj = [set() for _ in range(m)]
-    for p, q in g.edges:
-        adj[p].add(q)
-        adj[q].add(p)
-    if any(len(a) < 2 for a in adj):
+    masks = [g.rows >> p * m & ((1 << m) - 1) for p in range(m)]
+    if any(mask.bit_count() < 2 for mask in masks):
         return None
-    order = [sorted(a) for a in adj]
     seq = [0]
-    used = [True] + [False] * (m - 1)
 
-    def extend() -> bool:
+    def extend(used: int) -> bool:
+        last = seq[-1]
         if len(seq) == m:
-            return seq[1] < seq[-1] and 0 in adj[seq[-1]]
-        for w in order[seq[-1]]:
-            if not used[w]:
-                seq.append(w)
-                used[w] = True
-                if extend():
-                    return True
-                seq.pop()
-                used[w] = False
+            return seq[1] < last and masks[last] & 1 == 1
+        free = masks[last] & ~used
+        while free:
+            low = free & -free
+            free ^= low
+            seq.append(low.bit_length() - 1)
+            if extend(used | low):
+                return True
+            seq.pop()
         return False
 
-    return tuple(seq) if extend() else None
+    return tuple(seq) if extend(1) else None
+
+
+def dipath_criterion(level: Level, r1: int) -> bool:
+    """The paper's spanning-dipath test on the exponent r_1 of xi_1: r_1 = 2^(n+1) - 1."""
+    return r1 == level.exponent_bound(1)
 
 
 def has_hamilton_directed_path(x: Monomial) -> bool:
@@ -161,15 +165,14 @@ def has_hamilton_directed_path(x: Monomial) -> bool:
     orientation is increasing, so the only candidate is 0,1,...,n+1 and
     it needs every consecutive edge, i.e. every bit of r_1.
     """
-    level = x.level
-    level._require_truncated()
-    return x.exponent(1) == (1 << (level.n + 1)) - 1
+    return dipath_criterion(x.level, x.exponent(1))
 
 
 def oracle_hamilton_directed_path(g: WoodGraph) -> Optional[Tuple[int, ...]]:
-    """Spanning directed path by direct check of the consecutive edges {p, p+1}."""
-    m = g.vertex_count
-    if all(g.has_edge(p, p + 1) for p in range(m - 1)):
+    """Spanning directed path by direct check of the consecutive-edge bits {p, p+1}."""
+    rows, m = g.rows, g.vertex_count
+    # edge {p, p+1} is bit p*m + p+1 = p*(m+1) + 1
+    if all(rows >> (p * (m + 1) + 1) & 1 for p in range(m - 1)):
         return tuple(range(m))
     return None
 

@@ -15,14 +15,17 @@ at most os.cpu_count() workers; results are aggregated in index order,
 so output is identical for any worker count.
 """
 
+import itertools
 import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, List, Optional
 
 from .algebra import (
     ENV_MAX_N,
     Level,
     Monomial,
+    index_fields,
     max_truncation,
     monomial_count,
     monomial_from_index,
@@ -36,7 +39,7 @@ from .connectivity import (
     oracle_is_connected,
     oracle_is_unilateral,
 )
-from .graphs import to_graph
+from .graphs import WoodGraph, row_tables, to_graph
 from .hopf import (
     antipode,
     antipode_identity_holds,
@@ -49,8 +52,8 @@ from .hopf import (
     verify_hopf_ideal,
 )
 from .structure import (
+    dipath_criterion,
     dirac_condition,
-    has_hamilton_directed_path,
     oracle_hamilton_cycle,
     oracle_hamilton_directed_path,
     oracle_is_tree,
@@ -88,45 +91,69 @@ def _iter_range(level: Level, start: int, stop: int):
         yield monomial_from_index(level, k)
 
 
+def _iter_graphs(level: Level, start: int, stop: int):
+    """(index, graph) for each index in range, the graph ORed from the per-generator row tables."""
+    fields = [
+        (offset, (1 << width) - 1, table)
+        for (offset, width), table in zip(index_fields(level.widths), row_tables(level))
+    ]
+    for k in range(start, stop):
+        rows = 0
+        for offset, mask, table in fields:
+            rows |= table[k >> offset & mask]
+        yield k, WoodGraph._unchecked(level, rows)
+
+
+_LANE_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def _iter_lanes(level: Level, start: int, stop: int, failures: list):
-    """(monomial, connected, unilateral) for each index in range, the verdicts as 0/1 lanes.
+    """(index, graph, connected, unilateral) for each index in range, the verdicts as 0/1 lanes.
 
     Walks the aligned blocks of lane_verdicts that meet the range, so
     any split of a level into ranges reads the same lanes.  In each
     block the first, middle and last index of the range are checked
     against the integer walk-count tables; a mismatch is appended to
-    failures.
+    failures.  Those three are the only monomials built.
     """
     width = block_width(level)
     size = 1 << width
+    graphs = _iter_graphs(level, start, stop)
     for base in range(start - start % size, stop, size):
-        connected, unilateral = lane_verdicts(level, base, width)
         lo, hi = max(start, base), min(stop, base + size)
+        # byte t is bit t of the lane int: one pass over the int, not a shift of it per lane
+        connected, unilateral = (
+            format(lanes, f"0{size}b")[::-1].encode().translate(_LANE_BYTES)[lo - base:hi - base]
+            for lanes in lane_verdicts(level, base, width)
+        )
         sampled = (lo, (lo + hi - 1) // 2, hi - 1)
-        for k in range(lo, hi):
-            x = monomial_from_index(level, k)
-            lanes = (connected >> (k - base) & 1, unilateral >> (k - base) & 1)
-            if k in sampled and lanes != (is_connected(x), is_unilateral(x)):
-                failures.append(f"block kernel disagrees with the walk-count tables on {x}")
-            yield (x, *lanes)
+        for (k, g), c, u in zip(itertools.islice(graphs, hi - lo), connected, unilateral):
+            if k in sampled:
+                x = monomial_from_index(level, k)
+                if (c, u) != (is_connected(x), is_unilateral(x)):
+                    failures.append(f"block kernel disagrees with the walk-count tables on {x}")
+            yield k, g, c, u
 
 
 def _sweep_main(level: Level, start: int, stop: int) -> tuple:
     failures = []
-    for x, connected, unilateral in _iter_lanes(level, start, stop, failures):
-        g = to_graph(x)
+    for k, g, connected, unilateral in _iter_lanes(level, start, stop, failures):
         if connected != oracle_is_connected(g):
+            x = monomial_from_index(level, k)
             failures.append(f"connectedness criterion disagrees with search on {x}")
         if unilateral != oracle_is_unilateral(g):
+            x = monomial_from_index(level, k)
             failures.append(f"unilaterality criterion disagrees with closure on {x}")
     return stop - start, failures, []
 
 
 def _sweep_tree(level: Level, start: int, stop: int) -> tuple:
     failures = []
-    for x, connected, _ in _iter_lanes(level, start, stop, failures):
-        tree = connected == 1 and x.edge_count == level.n + 1
-        if tree != oracle_is_tree(to_graph(x)):
+    for k, g, connected, _ in _iter_lanes(level, start, stop, failures):
+        # each index bit is one edge, so the edge count is the popcount of the index
+        tree = connected == 1 and k.bit_count() == level.n + 1
+        if tree != oracle_is_tree(g):
+            x = monomial_from_index(level, k)
             failures.append(f"tree criterion disagrees with search on {x}")
     return stop - start, failures, []
 
@@ -134,11 +161,14 @@ def _sweep_tree(level: Level, start: int, stop: int) -> tuple:
 def _sweep_dipath(level: Level, start: int, stop: int) -> tuple:
     failures = []
     spine = tuple(range(level.n + 2))
-    for x in _iter_range(level, start, stop):
-        witness = oracle_hamilton_directed_path(to_graph(x))
-        if has_hamilton_directed_path(x) != (witness is not None):
+    offset, width = index_fields(level.widths)[0]
+    for k, g in _iter_graphs(level, start, stop):
+        witness = oracle_hamilton_directed_path(g)
+        if dipath_criterion(level, k >> offset & ((1 << width) - 1)) != (witness is not None):
+            x = monomial_from_index(level, k)
             failures.append(f"spanning-dipath criterion disagrees with search on {x}")
         elif witness is not None and witness != spine:
+            x = monomial_from_index(level, k)
             failures.append(f"dipath witness for {x} is {witness}, not the full spine")
     return stop - start, failures, []
 
@@ -163,7 +193,8 @@ def _sweep_corollary(level: Level, start: int, stop: int) -> tuple:
     failures = []
     findings = []
     report_integer_reading = level.n <= 2
-    for x, _, unilateral in _iter_lanes(level, start, stop, failures):
+    for k, _, _, unilateral in _iter_lanes(level, start, stop, failures):
+        x = monomial_from_index(level, k)
         walks = unilateral == 1
         if unilateral_via_antipode(x) != walks:
             failures.append(f"antipode divisibility test disagrees with walks on {x}")
@@ -204,6 +235,12 @@ def _check_antipode_paths(level: Level) -> tuple:
     return cases, failures, []
 
 
+@lru_cache(maxsize=1)
+def _antipode_recursion_holds() -> bool:
+    """verify_antipode_recursion(8): untruncated, so the same at every level; run once a process."""
+    return verify_antipode_recursion(8)
+
+
 def _check_hopf_axioms(level: Level) -> tuple:
     failures = []
     cases = 0
@@ -218,7 +255,7 @@ def _check_hopf_axioms(level: Level) -> tuple:
         if not antipode_identity_holds(x):
             failures.append(f"antipode identity fails on {x}")
     cases += 2
-    if not verify_antipode_recursion(8):
+    if not _antipode_recursion_holds():
         failures.append("antipode recursion residual is nonzero below i=9")
     if not verify_hopf_ideal(level.n):
         failures.append(f"truncation ideal at n={level.n} fails a Hopf-ideal check")

@@ -1,5 +1,6 @@
 """Exponent-vector arithmetic: construction, parsing, products, enumeration."""
 
+import itertools
 from collections import Counter
 
 import pytest
@@ -532,3 +533,34 @@ class TestPacking:
             bit = pk.bit(q - p, p)
             assert pk.generator_power(bit) == (q - p, p)
             assert squeeze_guards(pk, bit) == 1 << index_bit(level, p, q)
+
+
+class TestIndexLayout:
+    """The index layout stated once (index_fields): decode, enumeration and index_bit agree."""
+
+    @given(st.integers(0, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, 2 ** 21 - 1))))
+    @settings(max_examples=300)
+    def test_decoded_exponents_fit_and_each_index_bit_is_its_edge(self, case):
+        n, k = case
+        level = Level(n)
+        k %= monomial_count(level)
+        x = monomial_from_index(level, k)
+        assert level.first_breach(x.exponents) is None
+        assert x == Monomial(level, x.exponents)
+        for q in range(n + 2):
+            for p in range(q):
+                bit = index_bit(level, p, q)
+                assert x.edge_bit(p, q) == k >> bit & 1
+                single = Monomial.generator_power(q - p, p, level)
+                assert monomial_from_index(level, 1 << bit) == single
+
+    @given(st.integers(0, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, 2 ** 15 - 1))))
+    @settings(max_examples=60)
+    def test_enumeration_follows_index_order(self, case):
+        n, start = case
+        level = Level(n)
+        count = monomial_count(level)
+        start %= count
+        window = list(itertools.islice(enumerate_monomials(level), start, start + 8))
+        stop = min(start + 8, count)
+        assert window == [monomial_from_index(level, k) for k in range(start, stop)]

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface."""
 
+import itertools
 import json
 import os
 import shutil
@@ -397,3 +398,28 @@ class TestLazyPool:
             assert isinstance(pool, Pool)
         finally:
             pool.shutdown()
+
+
+class TestEnumerateStreams:
+    def test_level_3_text_is_every_name_in_index_order(self, capsys):
+        # exponent vectors in lexicographic order, r_1 most significant
+        names = [
+            "*".join(f"xi{i}^{r}" for i, r in enumerate(exps, start=1) if r) or "1"
+            for exps in itertools.product(range(16), range(8), range(4), range(2))
+        ]
+        code, out, _ = run_cli(capsys, ["enumerate", "-n", "3"])
+        assert code == 0
+        assert out == "".join(name + "\n" for name in names)
+        assert len(names) == 1024
+
+    def test_names_are_printed_as_they_are_produced(self, capsys, monkeypatch):
+        produced = cli.enumerate_monomials
+
+        def failing_after_two(level):
+            yield from itertools.islice(produced(level), 2)
+            raise RuntimeError("enumeration stopped")
+
+        monkeypatch.setattr(cli, "enumerate_monomials", failing_after_two)
+        with pytest.raises(RuntimeError):
+            cli.main(["enumerate", "-n", "1"])
+        assert capsys.readouterr().out == "1\nxi2^1\n"

@@ -215,3 +215,44 @@ class TestMultiplicationCompatibility:
             else:
                 (z,) = product.terms
                 assert to_graph(z).edges == expected, f"{x} * {y}"
+
+
+def dyadic_edges(x: Monomial) -> list:
+    """The edge rule read off the factors: xi_i^(2^j) is edge (j, i+j)."""
+    return [(j, i + j) for i, j in x.dyadic_bits()]
+
+
+class TestPackedRows:
+    def test_to_graph_is_the_validated_graph_of_the_dyadic_edges(self):
+        for level in (L0, L1, L2, L3):
+            for x in enumerate_monomials(level):
+                g = to_graph(x)
+                assert g == WoodGraph(level, dyadic_edges(x)), x
+                assert from_graph(g) == x
+
+    def test_public_graph_api_matches_an_edge_set(self):
+        for level in (L0, L1, L2):
+            m = level.n + 2
+            for x in enumerate_monomials(level):
+                edges = sorted(dyadic_edges(x))
+                g = to_graph(x)
+                assert g.edges == frozenset(edges) and g.sorted_edges() == edges
+                assert g.edge_count == len(edges)
+                assert g.is_complete == (len(edges) == m * (m - 1) // 2)
+                for p in range(-1, m + 1):
+                    near = tuple(q for q in range(m) if (min(p, q), max(p, q)) in edges)
+                    assert g.neighbors(p) == near
+                    assert g.degree(p) == len(near)
+                    assert g.out_degree(p) == sum(q > p for q in near)
+                    assert g.in_degree(p) == sum(q < p for q in near)
+                    for q in range(-1, m + 1):
+                        assert g.has_edge(p, q) == ((min(p, q), max(p, q)) in edges)
+                body = ", ".join(f"{{{1 << p},{1 << q}}}" for p, q in edges)
+                assert str(g) == (
+                    f"graph on {m} vertices with edges {body}"
+                    if edges
+                    else f"graph on {m} vertices with no edges"
+                )
+                assert repr(g) == f"WoodGraph({level!r}, {edges!r})"
+                twin = WoodGraph(level, reversed([(q, p) for p, q in edges]))
+                assert twin == g and hash(twin) == hash(g)

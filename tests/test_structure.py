@@ -234,3 +234,55 @@ class TestRendering:
 
     def test_path_labels(self):
         assert format_directed_path((0, 1, 2, 3, 4)) == "1->2->4->8->16"
+
+
+def hamilton_cycle_by_adjacency_lists(g: WoodGraph):
+    """Reference backtracking over sorted adjacency lists: the lexicographically smallest
+    Hamilton cycle from vertex 0 with second vertex below the last, or None."""
+    m = g.vertex_count
+    adj = [[q for q in range(m) if g.has_edge(p, q)] for p in range(m)]
+    if m < 3 or any(len(a) < 2 for a in adj):
+        return None
+
+    def extend(seq):
+        if len(seq) == m:
+            return seq if seq[1] < seq[-1] and g.has_edge(seq[-1], 0) else None
+        for w in adj[seq[-1]]:
+            if w not in seq:
+                found = extend(seq + [w])
+                if found:
+                    return found
+        return None
+
+    found = extend([0])
+    return tuple(found) if found else None
+
+
+def component_count(g: WoodGraph) -> int:
+    """Union-find over the edge list."""
+    parent = list(range(g.vertex_count))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for p, q in g.sorted_edges():
+        parent[root(p)] = root(q)
+    return len({root(v) for v in range(g.vertex_count)})
+
+
+class TestMaskOracles:
+    def test_hamilton_witnesses_match_the_adjacency_list_search(self):
+        for level in (L0, L1, L2, L3):
+            for x in enumerate_monomials(level):
+                g = to_graph(x)
+                assert oracle_hamilton_cycle(g) == hamilton_cycle_by_adjacency_lists(g), x
+
+    def test_acyclic_exactly_for_forests(self):
+        # a forest on m vertices with c components has m - c edges, and only a forest does
+        for level in (L0, L1, L2, L3):
+            for x in enumerate_monomials(level):
+                g = to_graph(x)
+                forest = g.edge_count == g.vertex_count - component_count(g)
+                assert oracle_is_acyclic(g) == forest, x
