@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface."""
 
+import hashlib
 import itertools
 import json
 import os
@@ -13,7 +14,8 @@ import pytest
 from jsonschema import Draft202012Validator
 
 import steengraph
-from steengraph import cli
+from steengraph import cli, connectivity
+from steengraph.algebra import Level, parse_monomial, random_monomials
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +96,35 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, ["analyze", "xi1", "-n", "3"])
         assert code == 2
         assert "error: " in err
+
+
+class TestReportBytes:
+    # sha256 over the text and the JSON of 20 seeded reports at each n=4..12,
+    # frozen from the matrix-product tables that the recurrence replaced
+    DIGEST = "f3d95d456ff3b501644faa3b91a4aa358be1c637a7d23ae14b1a17db46614724"
+
+    def test_seeded_reports_keep_their_bytes(self):
+        h = hashlib.sha256()
+        for n in range(4, 13):
+            for x in random_monomials(Level(n), 20, seed=n):
+                rep = cli.build_report(x)
+                h.update(cli.render_analysis_text(rep).encode())
+                h.update((json.dumps(rep, indent=2) + "\n").encode())
+        assert h.hexdigest() == self.DIGEST
+
+    def test_each_walk_table_is_built_once(self, monkeypatch):
+        calls = []
+        real = connectivity.adjacency_matrix
+
+        def counting(x, directed=False):
+            calls.append(directed)
+            return real(x, directed=directed)
+
+        monkeypatch.setattr(connectivity, "adjacency_matrix", counting)
+        # 4 edges, not n+1 = 3, so the tree criterion builds no table of its own
+        rep = cli.build_report(parse_monomial("xi1^6 xi2 xi3", Level(2)))
+        assert rep["connected"] and not rep["unilateral"]
+        assert sorted(calls) == [False, True]
 
 
 class TestVerify:

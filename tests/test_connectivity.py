@@ -152,6 +152,25 @@ class TestDefinitionAgainstMatrixRoute:
                 )
 
 
+class TestCompleteGraphTables:
+    # The top class of A*(n) is the complete graph K_m on m = n+2 vertices.
+    # Walks of length k between two distinct vertices of K_m number
+    # ((m-1)^k - (-1)^k)/m, and with every edge pointing upward the directed
+    # paths from p to q are the subsets of the q-p-1 vertices between them.
+    def test_closed_forms_through_the_largest_level(self):
+        for n in range(13):
+            level = Level(n)
+            m = n + 2
+            walks = sum(((m - 1) ** k - (-1) ** k) // m for k in range(1, n + 2))
+            c = connection_numbers(top_class(level))
+            u = unilateral_numbers(top_class(level))
+            for p in range(m):
+                for q in range(p + 1, m):
+                    assert c[(p, q)] == walks, (n, p, q)
+                    assert u[(p, q)] == 2 ** (q - p - 1), (n, p, q)
+        assert walks == 23_436_764_200_591
+
+
 class TestCriteria:
     def test_worked_verdicts(self):
         x = parse_monomial("xi1^6 xi2 xi3", L2)
