@@ -30,8 +30,6 @@ from .algebra import (
 )
 from .connectivity import (
     connection_numbers,
-    is_connected,
-    is_unilateral,
     oracle_is_connected,
     oracle_is_unilateral,
     unilateral_numbers,
@@ -50,7 +48,7 @@ from .structure import (
     oracle_is_tree,
     paper_hamilton_condition,
 )
-from .verify import CHECK_ORDER, CapExceeded, run_all, run_check
+from .verify import CHECK_ORDER, CapExceeded, effective_cap, run_all, run_check
 
 MAX_LISTED = 10
 
@@ -60,9 +58,9 @@ def build_report(x: Monomial) -> dict:
     g = to_graph(x)
     c = connection_numbers(x)
     u = unilateral_numbers(x)
-    connected = is_connected(x)
+    connected = c.all_positive
     oracle_connected = oracle_is_connected(g)
-    unilateral = is_unilateral(x)
+    unilateral = u.all_positive
     oracle_unilateral = oracle_is_unilateral(g)
     tree = is_tree(x)
     oracle_tree = oracle_is_tree(g)
@@ -331,6 +329,13 @@ def cmd_hopf(args) -> int:
 def cmd_enumerate(args) -> int:
     level = Level(args.n)
     total = monomial_count(level)
+    cap = effective_cap("main")
+    if args.json and args.limit is None and args.n > cap:
+        # one JSON document holds every name before any is printed
+        raise CapExceeded(
+            f"enumerate --json above n={cap} needs --limit K ({total} monomials at n={args.n};"
+            f" set {ENV_MAX_N} to override)"
+        )
     listed = total if args.limit is None else max(0, min(args.limit, total))
     names = map(str, itertools.islice(enumerate_monomials(level), listed))
     if args.json:

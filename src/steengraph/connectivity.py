@@ -21,6 +21,11 @@ every edge {p, p+1} is present, i.e. when r_1 = 2^(n+1) - 1 (the
 spanning-dipath criterion of structure.py): 2^(n(n+1)/2) monomials of
 each level, one in every 2^(n+1).
 
+Both tables follow S_1 = A, S_(k+1) = A + A S_k on the 0/1 rows of A:
+row p of A S_k is the sum of the rows S_k[j] at the neighbours j of p.
+The entries are exact ints, the route is the same for both orientations,
+and analyze builds each table once and reads its verdicts off it.
+
 Exhaustive sweeps decide a whole block of monomials at once with
 lane_verdicts: the same power sums, taken over the Boolean semiring
 (positivity of a sum of nonnegative integers is the OR of their
@@ -33,7 +38,6 @@ search, sharing no code with the matrix route.
 """
 
 from functools import lru_cache
-from operator import mul
 from typing import Dict, Tuple
 
 from .algebra import Level, Monomial, index_bit, monomial_count
@@ -86,24 +90,13 @@ class WalkCountTable:
         return f"WalkCountTable({self.level!r}, {dict(self.items())!r})"
 
 
-def _matmul(a: list, b: list) -> list:
-    cols = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
-
-
 def _walk_power_sum(a: tuple, top: int) -> list:
-    # a + a^2 + ... + a^top with exact integer entries
-    m = len(a)
-    total = [list(row) for row in a]
-    power = [list(row) for row in a]
+    # a + a^2 + ... + a^top by S_(k+1) = a + a S_k: row p adds the rows of S_k at p's neighbours
+    neighbours = [[j for j, v in enumerate(row) if v] for row in a]
+    s = list(a)
     for _ in range(top - 1):
-        power = _matmul(power, a)
-        for i in range(m):
-            ti = total[i]
-            pi = power[i]
-            for j in range(m):
-                ti[j] += pi[j]
-    return total
+        s = [list(map(sum, zip(row, *[s[j] for j in nbrs]))) for row, nbrs in zip(a, neighbours)]
+    return s
 
 
 def _table_from_matrix(x: Monomial, directed: bool) -> WalkCountTable:

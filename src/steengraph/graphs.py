@@ -73,10 +73,6 @@ class WoodGraph:
     def vertices(self) -> range:
         return range(self.level.n + 2)
 
-    def vertex_label(self, p: int) -> int:
-        """The dyadic value 2^p shown in rendered output."""
-        return 1 << p
-
     def has_edge(self, p: int, q: int) -> bool:
         m = self.level.n + 2
         return 0 <= p < m and 0 <= q < m and bool(self.rows >> (p * m + q) & 1)

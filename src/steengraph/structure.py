@@ -93,22 +93,23 @@ def oracle_is_tree(g: WoodGraph) -> bool:
     return oracle_is_connected(g) and oracle_is_acyclic(g)
 
 
-def paper_hamilton_condition(x: Monomial) -> bool:
-    """Every vertex degree at least n/2 (and n > 0), compared exactly as 2*degree >= n."""
+def _degree_bound_holds(x: Monomial, extra: int) -> bool:
+    """2*degree >= n + extra at every vertex, stopping at the first one below; never at n = 0."""
     level = x.level
     level._require_truncated()
     if level.n == 0:
         return False
-    return all(2 * degrees(x, p).degree >= level.n for p in range(level.n + 2))
+    return all(2 * degrees(x, p).degree >= level.n + extra for p in range(level.n + 2))
+
+
+def paper_hamilton_condition(x: Monomial) -> bool:
+    """Every vertex degree at least n/2 (and n > 0), compared exactly as 2*degree >= n."""
+    return _degree_bound_holds(x, 0)
 
 
 def dirac_condition(x: Monomial) -> bool:
     """Every vertex degree at least half the vertex count (n+2)/2, as 2*degree >= n+2."""
-    level = x.level
-    level._require_truncated()
-    if level.n == 0:
-        return False
-    return all(2 * degrees(x, p).degree >= level.n + 2 for p in range(level.n + 2))
+    return _degree_bound_holds(x, 2)
 
 
 def is_hamilton_cycle(g: WoodGraph, seq: Sequence[int]) -> bool:

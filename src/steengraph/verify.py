@@ -266,7 +266,6 @@ def _check_hopf_axioms(level: Level) -> tuple:
 class CheckSpec:
     name: str
     cap: int
-    sound: bool
     summary: str
     range_runner: Optional[Callable] = None
     whole_runner: Optional[Callable] = None
@@ -278,56 +277,48 @@ CHECKS = {
         CheckSpec(
             "main",
             cap=4,
-            sound=True,
             summary="connectedness and unilaterality criteria vs graph search",
             range_runner=_sweep_main,
         ),
         CheckSpec(
             "tree",
             cap=4,
-            sound=True,
             summary="tree criterion (connected with n+1 edges) vs search",
             range_runner=_sweep_tree,
         ),
         CheckSpec(
             "dipath",
             cap=4,
-            sound=True,
             summary="spanning directed path criterion and its unique witness",
             range_runner=_sweep_dipath,
         ),
         CheckSpec(
             "dirac",
             cap=3,
-            sound=True,
             summary="degree bound (n+2)/2 implies a Hamilton cycle",
             range_runner=_sweep_dirac,
         ),
         CheckSpec(
             "paper-hamilton",
             cap=3,
-            sound=False,
             summary="counterexample report for the printed n/2 degree bound",
             range_runner=_sweep_paper_hamilton,
         ),
         CheckSpec(
             "corollary-unilateral",
             cap=3,
-            sound=True,
             summary="antipode divisibility test for unilaterality vs walk counts",
             range_runner=_sweep_corollary,
         ),
         CheckSpec(
             "antipode-paths",
             cap=4,
-            sound=True,
             summary="antipode of generator powers equals the directed path sum",
             whole_runner=_check_antipode_paths,
         ),
         CheckSpec(
             "hopf-axioms",
             cap=3,
-            sound=True,
             summary="counit, coassociativity, antipode identities; recursion; Hopf ideal",
             whole_runner=_check_hopf_axioms,
         ),

@@ -99,8 +99,8 @@ class TestAnalyze:
 
 
 class TestReportBytes:
-    # sha256 over the text and the JSON of 20 seeded reports at each n=4..12,
-    # frozen from the matrix-product tables that the recurrence replaced
+    # sha256 over the text and the JSON of 20 seeded reports at each n=4..12:
+    # a change in any table, verdict or rendering of these reports shows here
     DIGEST = "f3d95d456ff3b501644faa3b91a4aa358be1c637a7d23ae14b1a17db46614724"
 
     def test_seeded_reports_keep_their_bytes(self):
@@ -245,6 +245,17 @@ class TestEnumerate:
         code, out, _ = run_cli(capsys, ["enumerate", "-n", "2"])
         assert code == 0
         assert len(out.splitlines()) == 64
+
+    def test_json_above_the_sweep_cap_needs_a_limit(self, capsys, monkeypatch):
+        monkeypatch.delenv("STEENGRAPH_MAX_N", raising=False)
+        code, out, err = run_cli(capsys, ["enumerate", "-n", "5", "--json"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "--limit" in err
+        code, out, _ = run_cli(capsys, ["enumerate", "-n", "5", "--json", "--limit", "3"])
+        assert code == 0
+        rep = json.loads(out)
+        assert (rep["count"], rep["listed"]) == (2 ** 21, 3)
+        assert rep["monomials"] == ["1", "xi6^1", "xi5^1"]
 
 
 class TestDot:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from steengraph import structure
 from steengraph.algebra import Level, Monomial, alpha, enumerate_monomials, parse_monomial
 from steengraph.connectivity import is_connected
 from steengraph.graphs import WoodGraph, adjacency_matrix, to_graph, top_class
@@ -148,6 +149,22 @@ class TestHamiltonConditions:
         for x in enumerate_monomials(L2):
             if dirac_condition(x):
                 assert paper_hamilton_condition(x)
+
+    @pytest.mark.parametrize("condition", [paper_hamilton_condition, dirac_condition])
+    def test_stops_at_the_first_vertex_below_the_bound(self, monkeypatch, condition):
+        seen = []
+        real = structure.degrees
+
+        def counting(x, p):
+            seen.append(p)
+            return real(x, p)
+
+        monkeypatch.setattr(structure, "degrees", counting)
+        assert not condition(Monomial.one(L3))
+        assert seen == [0]
+        seen.clear()
+        assert condition(top_class(L3))
+        assert seen == [0, 1, 2, 3, 4]
 
 
 class TestHamiltonCycle:
