@@ -179,6 +179,42 @@ class TestVerify:
         )
         assert serial == pooled
 
+    @pytest.mark.parametrize(
+        "n, expected",
+        [
+            (2, {
+                "paper-hamilton": [
+                    "  note: 31 counterexamples to the n/2 degree bound"
+                    " (reported, not failed: the sweep itself is the verdict)"
+                ],
+                "corollary-unilateral": [
+                    "  note: integer-exponent divisibility reading disagrees in 15 cases"
+                    " with the walk criterion"
+                ],
+            }),
+            (3, {
+                "paper-hamilton": [
+                    "  note: 35 counterexamples to the n/2 degree bound"
+                    " (reported, not failed: the sweep itself is the verdict)"
+                ],
+                "corollary-unilateral": [
+                    "  note: integer-exponent divisibility reading reported only for n <= 2"
+                ],
+            }),
+        ],
+    )
+    def test_sweep_notes(self, capsys, n, expected):
+        code, out, _ = run_cli(capsys, ["verify", "-n", str(n)])
+        assert code == 0
+        notes = {}
+        for line in out.splitlines():
+            if line.startswith("verify "):
+                check = notes.setdefault(line.split()[1], [])
+            elif line.startswith("  note: "):
+                check.append(line)
+        assert {name: notes[name] for name in expected} == expected
+        assert not any(notes[name] for name in notes if name not in expected)
+
 
 class TestHopf:
     def test_antipode_golden(self, capsys):
