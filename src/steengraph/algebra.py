@@ -226,12 +226,10 @@ class Monomial:
     def dyadic_bits(self) -> Iterator[DyadicBit]:
         """Factors xi_i^(2^j) of this monomial, ordered by (i, j)."""
         for i, r in enumerate(self.exponents, start=1):
-            j = 0
             while r:
-                if r & 1:
-                    yield DyadicBit(i, j)
-                r >>= 1
-                j += 1
+                low = r & -r
+                yield DyadicBit(i, low.bit_length() - 1)
+                r ^= low
 
     def edge_bit(self, p: int, q: int) -> int:
         """Coefficient of 2^p in the binary expansion of r_(q-p), for 0 <= p < q.

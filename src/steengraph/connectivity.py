@@ -27,11 +27,12 @@ The entries are exact ints, the route is the same for both orientations,
 and analyze builds each table once and reads its verdicts off it.
 
 Exhaustive sweeps decide a whole block of monomials at once with
-lane_verdicts: the same power sums, taken over the Boolean semiring
-(positivity of a sum of nonnegative integers is the OR of their
-positivity), with each matrix entry a big int holding one bit, or
-lane, per monomial of the block.  The integer tables above serve
-single monomials (analyze) and the sampled cross-checks of the sweeps.
+lane_verdicts: the same recurrence over the Boolean semiring, S_(k+1) =
+A | A S_k (positivity of a sum of nonnegative integers is the OR of
+their positivity), with each matrix entry a big int holding one bit, or
+lane, per monomial of the block.  It shares no code with the integer
+tables, which serve single monomials (analyze) and the sampled
+cross-checks of the sweeps.
 
 The oracle_* functions decide the same questions by direct graph
 search, sharing no code with the matrix route.
@@ -101,7 +102,6 @@ def _walk_power_sum(a: tuple, top: int) -> list:
 
 def _table_from_matrix(x: Monomial, directed: bool) -> WalkCountTable:
     level = x.level
-    level._require_truncated()
     a = adjacency_matrix(x, directed=directed)
     s = _walk_power_sum(a, level.n + 1)
     m = level.n + 2
@@ -142,30 +142,19 @@ def _lane_patterns() -> tuple:
     return tuple(patterns)
 
 
-def _boolean_matmul(a: list, b: list) -> list:
-    m = len(b)
-    out = []
-    for row in a:
-        acc = [0] * m
-        for k, r in enumerate(row):
-            if r:
-                bk = b[k]
-                for j in range(m):
-                    acc[j] |= r & bk[j]
-        out.append(acc)
-    return out
-
-
 def _boolean_power_sum(a: list, top: int) -> list:
-    # a | a^2 | ... | a^top over lane ints
-    total = [list(row) for row in a]
-    power = a
+    # a | a^2 | ... | a^top over lane ints by S_(k+1) = a | a S_k: row p ORs in a[p][j] & S_k[j]
+    s = a
     for _ in range(top - 1):
-        power = _boolean_matmul(power, a)
-        for trow, prow in zip(total, power):
-            for j, v in enumerate(prow):
-                trow[j] |= v
-    return total
+        s_next = []
+        for row in a:
+            acc = row
+            for r, srow in zip(row, s):
+                if r:
+                    acc = [t | r & v for t, v in zip(acc, srow)]
+            s_next.append(acc)
+        s = s_next
+    return s
 
 
 def _every_pair(s: list, full: int) -> int:
@@ -190,7 +179,7 @@ def lane_verdicts(level: Level, base: int, width: int) -> Tuple[int, int]:
     for b < width its lane int is a fixed pattern, above that it is all
     ones or zero for the whole block.  The verdicts are the positivity of
     every pair p < q in A | A^2 | ... | A^(n+1), for the undirected and
-    the directed adjacency matrix.
+    the directed adjacency matrix, by the recurrence S_(k+1) = A | A S_k.
     """
     level._require_truncated()
     lanes = 1 << width

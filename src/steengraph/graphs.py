@@ -15,7 +15,7 @@ connectivity.py and structure.py run on those masks.
 """
 
 from functools import lru_cache
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Tuple
 
 from .algebra import Level, Monomial
 
@@ -169,20 +169,18 @@ def from_graph(g: WoodGraph) -> Monomial:
 def adjacency_matrix(x: Monomial, directed: bool = False) -> tuple:
     """0/1 adjacency matrix of the graph of x, as a tuple of row tuples.
 
-    Undirected: symmetric with zero diagonal.  Directed: entry (p, q) is
-    the edge indicator only for p < q, so the matrix is strictly upper
-    triangular.
+    The factor xi_i^(2^j) is edge (j, i+j).  Undirected: symmetric with
+    zero diagonal.  Directed: entry (p, q) is the edge indicator only for
+    p < q, so the matrix is strictly upper triangular.
     """
     x.level._require_truncated()
     m = x.level.n + 2
     rows = [[0] * m for _ in range(m)]
-    for p in range(m):
-        for q in range(p + 1, m):
-            bit = x.edge_bit(p, q)
-            rows[p][q] = bit
-            if not directed:
-                rows[q][p] = bit
-    return tuple(tuple(r) for r in rows)
+    for i, j in x.dyadic_bits():
+        rows[j][i + j] = 1
+        if not directed:
+            rows[i + j][j] = 1
+    return tuple(map(tuple, rows))
 
 
 def top_class(level: Level) -> Monomial:
@@ -191,7 +189,7 @@ def top_class(level: Level) -> Monomial:
     return Monomial(level, [level.exponent_bound(i) for i in range(1, level.n + 2)])
 
 
-def export_dot(g: WoodGraph, directed: bool = False, name: Optional[str] = None) -> str:
+def export_dot(g: WoodGraph, directed: bool = False) -> str:
     """Graphviz text for a graph, with vertices labeled by their dyadic values.
 
     Every vertex is declared, isolated ones included, and edges appear
@@ -201,8 +199,7 @@ def export_dot(g: WoodGraph, directed: bool = False, name: Optional[str] = None)
     """
     kind = "digraph" if directed else "graph"
     arrow = "->" if directed else "--"
-    header = f"{kind} {name} {{" if name else f"{kind} {{"
-    lines = [header]
+    lines = [f"{kind} {{"]
     even = [str(1 << p) for p in g.vertices() if p % 2 == 0]
     odd = [str(1 << p) for p in g.vertices() if p % 2 == 1]
     lines.append("  // vertex labels are dyadic values 2^p")

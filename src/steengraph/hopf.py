@@ -262,10 +262,6 @@ def counit(x: Union[Monomial, Polynomial]) -> int:
 
 def antipode_generator(i: int, level: Level) -> Polynomial:
     """Antipode of xi_i by Milnor's composition sum; truncation may kill terms."""
-    if i < 1:
-        raise ValueError(f"generator index must be >= 1, got {i}")
-    if level.truncated and i > level.n + 1:
-        raise ValueError(f"generator xi{i} out of range at n={level.n}")
     return antipode(Monomial.generator_power(i, 0, level))
 
 

@@ -42,8 +42,9 @@ def degrees(x: Monomial, p: int) -> DegreeProfile:
     level._require_truncated()
     if not 0 <= p <= level.n + 1:
         raise ValueError(f"vertex index {p} out of range 0..{level.n + 1}")
-    out = sum(x.edge_bit(p, p + k) for k in range(1, level.n + 2 - p))
-    inn = sum(x.edge_bit(p - k, p) for k in range(1, p + 1))
+    # edge (p, p+k) is bit p of r_k, edge (p-k, p) is bit p-k of r_k
+    out = sum(x.exponent(k) >> p & 1 for k in range(1, level.n + 2 - p))
+    inn = sum(x.exponent(k) >> (p - k) & 1 for k in range(1, p + 1))
     return DegreeProfile(p, out, inn, out + inn)
 
 

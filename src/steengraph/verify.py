@@ -8,6 +8,10 @@ threshold (`paper-hamilton`) instead *reports* its counterexamples,
 because deciding whether that threshold holds is exactly the question
 the sweep answers.
 
+Every range sweep walks (index, graph) pairs, the graph ORed from the
+per-generator row tables; it decodes a Monomial only for a criterion
+that reads one, a sampled cross-check of the block kernel, or a failure.
+
 Checks are capped by default at the largest n where the sweep is
 desk-scale (seconds); setting STEENGRAPH_MAX_N overrides the caps.
 Sweeps over the monomial stream can be split across a process pool of
@@ -18,7 +22,7 @@ so output is identical for any worker count.
 import itertools
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, List, Optional
 
 from .algebra import (
@@ -39,7 +43,7 @@ from .connectivity import (
     oracle_is_connected,
     oracle_is_unilateral,
 )
-from .graphs import WoodGraph, row_tables, to_graph
+from .graphs import WoodGraph, row_tables
 from .hopf import (
     antipode,
     antipode_identity_holds,
@@ -62,7 +66,6 @@ from .structure import (
 
 RANDOM_SEED = 1009
 RANDOM_SAMPLE_SIZE = 50
-MAX_LISTED_WITNESSES = 10
 
 
 @dataclass
@@ -84,11 +87,6 @@ class SweepResult:
 
 class CapExceeded(ValueError):
     """Requested n is above the configured cap for the selected check."""
-
-
-def _iter_range(level: Level, start: int, stop: int):
-    for k in range(start, stop):
-        yield monomial_from_index(level, k)
 
 
 def _iter_graphs(level: Level, start: int, stop: int):
@@ -173,20 +171,15 @@ def _sweep_dipath(level: Level, start: int, stop: int) -> tuple:
     return stop - start, failures, []
 
 
-def _sweep_dirac(level: Level, start: int, stop: int) -> tuple:
-    failures = []
-    for x in _iter_range(level, start, stop):
-        if dirac_condition(x) and oracle_hamilton_cycle(to_graph(x)) is None:
-            failures.append(f"degree bound (n+2)/2 holds but no Hamilton cycle: {x}")
-    return stop - start, failures, []
-
-
-def _sweep_paper_hamilton(level: Level, start: int, stop: int) -> tuple:
-    findings = []
-    for x in _iter_range(level, start, stop):
-        if paper_hamilton_condition(x) and oracle_hamilton_cycle(to_graph(x)) is None:
-            findings.append(f"degree bound n/2 holds but no Hamilton cycle: {x}")
-    return stop - start, [], findings
+def _sweep_degree_bound(level: Level, start: int, stop: int, sound: bool) -> tuple:
+    """Hamilton cycle search where a degree bound holds: (n+2)/2 is sound, n/2 is reported."""
+    condition, bound = (dirac_condition, "(n+2)/2") if sound else (paper_hamilton_condition, "n/2")
+    misses = []
+    for k, g in _iter_graphs(level, start, stop):
+        x = monomial_from_index(level, k)
+        if condition(x) and oracle_hamilton_cycle(g) is None:
+            misses.append(f"degree bound {bound} holds but no Hamilton cycle: {x}")
+    return (stop - start, misses, []) if sound else (stop - start, [], misses)
 
 
 def _sweep_corollary(level: Level, start: int, stop: int) -> tuple:
@@ -262,11 +255,27 @@ def _check_hopf_axioms(level: Level) -> tuple:
     return cases, failures, []
 
 
+def _paper_hamilton_note(n: int, findings: list) -> str:
+    return (
+        f"{len(findings)} counterexamples to the n/2 degree bound"
+        " (reported, not failed: the sweep itself is the verdict)"
+    )
+
+
+def _corollary_note(n: int, findings: list) -> str:
+    if n > 2:
+        return "integer-exponent divisibility reading reported only for n <= 2"
+    verdict = f"disagrees in {len(findings)} cases with" if findings else "agrees with"
+    return f"integer-exponent divisibility reading {verdict} the walk criterion"
+
+
 @dataclass(frozen=True)
 class CheckSpec:
+    """A named check; note(n, findings), when set, gives one more line of each result's notes."""
+
     name: str
     cap: int
-    summary: str
+    note: Optional[Callable] = None
     range_runner: Optional[Callable] = None
     whole_runner: Optional[Callable] = None
 
@@ -274,54 +283,21 @@ class CheckSpec:
 CHECKS = {
     spec.name: spec
     for spec in (
-        CheckSpec(
-            "main",
-            cap=4,
-            summary="connectedness and unilaterality criteria vs graph search",
-            range_runner=_sweep_main,
-        ),
-        CheckSpec(
-            "tree",
-            cap=4,
-            summary="tree criterion (connected with n+1 edges) vs search",
-            range_runner=_sweep_tree,
-        ),
-        CheckSpec(
-            "dipath",
-            cap=4,
-            summary="spanning directed path criterion and its unique witness",
-            range_runner=_sweep_dipath,
-        ),
-        CheckSpec(
-            "dirac",
-            cap=3,
-            summary="degree bound (n+2)/2 implies a Hamilton cycle",
-            range_runner=_sweep_dirac,
-        ),
+        CheckSpec("main", cap=4, range_runner=_sweep_main),
+        CheckSpec("tree", cap=4, range_runner=_sweep_tree),
+        CheckSpec("dipath", cap=4, range_runner=_sweep_dipath),
+        CheckSpec("dirac", cap=3, range_runner=partial(_sweep_degree_bound, sound=True)),
         CheckSpec(
             "paper-hamilton",
             cap=3,
-            summary="counterexample report for the printed n/2 degree bound",
-            range_runner=_sweep_paper_hamilton,
+            note=_paper_hamilton_note,
+            range_runner=partial(_sweep_degree_bound, sound=False),
         ),
         CheckSpec(
-            "corollary-unilateral",
-            cap=3,
-            summary="antipode divisibility test for unilaterality vs walk counts",
-            range_runner=_sweep_corollary,
+            "corollary-unilateral", cap=3, note=_corollary_note, range_runner=_sweep_corollary
         ),
-        CheckSpec(
-            "antipode-paths",
-            cap=4,
-            summary="antipode of generator powers equals the directed path sum",
-            whole_runner=_check_antipode_paths,
-        ),
-        CheckSpec(
-            "hopf-axioms",
-            cap=3,
-            summary="counit, coassociativity, antipode identities; recursion; Hopf ideal",
-            whole_runner=_check_hopf_axioms,
-        ),
+        CheckSpec("antipode-paths", cap=4, whole_runner=_check_antipode_paths),
+        CheckSpec("hopf-axioms", cap=3, whole_runner=_check_hopf_axioms),
     )
 }
 
@@ -400,24 +376,9 @@ def run_check(name: str, n: int, jobs: int = 1) -> SweepResult:
         cases = sum(p[0] for p in parts)
         failures = [w for p in parts for w in p[1]]
         findings = [w for p in parts for w in p[2]]
-    result = SweepResult(name, n, cases, failures, findings, notes)
-    if name == "corollary-unilateral":
-        if n <= 2:
-            k = len(result.findings)
-            verdict = "agrees with" if k == 0 else f"disagrees in {k} cases with"
-            result.notes.append(
-                f"integer-exponent divisibility reading {verdict} the walk criterion"
-            )
-        else:
-            result.notes.append(
-                "integer-exponent divisibility reading reported only for n <= 2"
-            )
-    if name == "paper-hamilton":
-        result.notes.append(
-            f"{len(result.findings)} counterexamples to the n/2 degree bound"
-            " (reported, not failed: the sweep itself is the verdict)"
-        )
-    return result
+    if spec.note is not None:
+        notes.append(spec.note(n, findings))
+    return SweepResult(name, n, cases, failures, findings, notes)
 
 
 def run_all(n: int, jobs: int = 1) -> list:

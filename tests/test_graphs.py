@@ -11,6 +11,7 @@ from steengraph.algebra import (
     alpha,
     enumerate_monomials,
     parse_monomial,
+    random_monomials,
 )
 from steengraph.graphs import (
     WoodGraph,
@@ -256,3 +257,27 @@ class TestPackedRows:
                 assert repr(g) == f"WoodGraph({level!r}, {edges!r})"
                 twin = WoodGraph(level, reversed([(q, p) for p, q in edges]))
                 assert twin == g and hash(twin) == hash(g)
+
+
+class TestEdgeBitReference:
+    # Monomial.edge_bit, one range-checked exponent read per pair, is the reference
+    # for the edges that dyadic_bits and adjacency_matrix read off the set bits
+    @pytest.mark.parametrize("n", range(13))
+    def test_dyadic_bits_and_adjacency_match_edge_bit(self, n):
+        level = Level(n)
+        m = n + 2
+        for x in random_monomials(level, 20, seed=n) + [top_class(level)]:
+            edges = [(p, q) for p in range(m) for q in range(p + 1, m) if x.edge_bit(p, q)]
+            factors = list(x.dyadic_bits())
+            assert factors == sorted(factors)
+            assert sorted(dyadic_edges(x)) == edges
+            up = adjacency_matrix(x, directed=True)
+            both = adjacency_matrix(x)
+            for a in (up, both):
+                assert type(a) is tuple and all(type(row) is tuple and len(row) == m for row in a)
+            assert len(up) == len(both) == m
+            for p in range(m):
+                for q in range(m):
+                    bit = x.edge_bit(min(p, q), max(p, q)) if p != q else 0
+                    assert up[p][q] == (bit if p < q else 0), (x, p, q)
+                    assert both[p][q] == bit, (x, p, q)

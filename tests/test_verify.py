@@ -2,6 +2,8 @@
 
 import itertools
 
+import pytest
+
 from steengraph import graphs, verify
 from steengraph.algebra import Level, monomial_count, monomial_from_index
 from steengraph.connectivity import block_width
@@ -124,3 +126,17 @@ def test_the_antipode_recursion_runs_once_a_process(monkeypatch):
     assert all(r.ok for r in results)
     # generator powers, 50 random monomials, and the recursion and ideal checks
     assert [r.cases for r in results] == [(n + 1) * (n + 2) // 2 + 52 for n in range(4)]
+
+
+@pytest.mark.parametrize(
+    "check", ["main", "tree", "dipath", "dirac", "paper-hamilton", "corollary-unilateral"]
+)
+def test_range_sweeps_build_no_graph_through_to_graph(monkeypatch, check):
+    # every range sweep reads its graphs off the row tables
+    def refused(x):
+        raise AssertionError(f"to_graph({x}) called by the {check} sweep")
+
+    monkeypatch.setattr(graphs, "to_graph", refused)
+    monkeypatch.setattr(verify, "to_graph", refused, raising=False)
+    assert verify.CHECKS[check].range_runner is not None
+    assert verify.run_check(check, 3).ok
