@@ -86,6 +86,24 @@ class TestAnalyze:
         assert "WARNING: a criterion disagrees with its oracle above" in out
         assert "connected: yes (search oracle: no)" in out
 
+    def test_edgeless_report_text(self, capsys):
+        code, out, err = run_cli(capsys, ["analyze", "1", "-n", "2"])
+        assert code == 0 and err == ""
+        assert out == (
+            "monomial 1 at n=2 (4 vertices, 0 edges)\n"
+            "edges: none\n"
+            "degrees (in+out): 1:0+0 2:0+0 4:0+0 8:0+0\n"
+            "C: C(0,1)=0 C(0,2)=0 C(0,3)=0 C(1,2)=0 C(1,3)=0 C(2,3)=0\n"
+            "U: U(0,1)=0 U(0,2)=0 U(0,3)=0 U(1,2)=0 U(1,3)=0 U(2,3)=0\n"
+            "connected: no (search oracle: no)\n"
+            "unilateral: no (closure oracle: no)\n"
+            "tree: no (search oracle: no)\n"
+            "hamilton cycle: none found\n"
+            "  degree bound n/2 (printed condition): no\n"
+            "  degree bound (n+2)/2 (vertex-count bound): no\n"
+            "hamilton directed path: none\n"
+        )
+
     def test_parse_error_exits_two(self, capsys):
         code, out, err = run_cli(capsys, ["analyze", "xi9^2", "-n", "2"])
         assert code == 2 and out == ""
@@ -214,6 +232,33 @@ class TestVerify:
                 check.append(line)
         assert {name: notes[name] for name in expected} == expected
         assert not any(notes[name] for name in notes if name not in expected)
+
+
+class TestVerifyBytes:
+    # sha256 of the stdout of `verify -n N` at default caps, text then --json; n=4 takes the
+    # capped-out branch of run_all (dirac, paper-hamilton, corollary-unilateral, hopf-axioms)
+    DIGESTS = {
+        0: ("82b94a2751f345a1f37a06ca274ee1aca0d0ed5bb1b7d45cd13aec6da376aaa3",
+            "c8926b1897b165f5db938e59772000c1f0f66357d3bc0043d7c3c9ca15b27b28"),
+        1: ("eca75ee61ae62f7bd4e0f5a20f222acce74a3d9edcf0f01d10281f7cbba9bf60",
+            "8c80cd6bb406f10a8ec77c3df78e33c31178741bc6613977ab89eb18ad6b0dea"),
+        2: ("96566c30b24b2dcd93cb9581cb29025c9456ba153ca55e1b193dc889e378b6c6",
+            "46cf202a5d7d37ef1a0150a1dd4b492d0c9fcde95c715823fef78c63308fa896"),
+        3: ("e269cd1037bb302a509bc7810b6a6a8195ccfb90eaed6c6a0e10651d49f7af37",
+            "7dc7db586f5fc4278b524848c0bd75eef85f2df43aa71fcac50793fddcc944ed"),
+        4: ("b752ddf0cac23352bbc15f068310991dfdd57ba62c4e99ae81e161894a7666aa",
+            "43ffdd2cb80c365f07d4e2ecc2454603eef4be57817058a78dba5cc8471039d5"),
+    }
+
+    @pytest.mark.parametrize("n", sorted(DIGESTS))
+    def test_verify_output_keeps_its_bytes(self, capsys, monkeypatch, n):
+        monkeypatch.delenv("STEENGRAPH_MAX_N", raising=False)
+        digests = []
+        for extra in ([], ["--json"]):
+            code, out, err = run_cli(capsys, ["verify", "-n", str(n), *extra])
+            assert code == 0 and err == ""
+            digests.append(hashlib.sha256(out.encode()).hexdigest())
+        assert tuple(digests) == self.DIGESTS[n]
 
 
 class TestHopf:
