@@ -12,6 +12,10 @@ xi_i^(2^j), and that factor corresponds to the edge {2^j, 2^(i+j)} of the
 graph on vertices {2^0, ..., 2^(n+1)} associated to the monomial.  All
 edge-level queries (edge_bit, dyadic_bits) read those bits directly.
 
+One layout, `Packing`, lays those bits out in an int.  Without guard bits
+it is the enumeration index, one bit per edge; with a guard bit above each
+exponent field, adding two packed monomials multiplies them (hopf.py).
+
 Polynomials are finite sets of monomials: coefficients live in F2, so a
 monomial is either present or absent and duplicates cancel pairwise.
 The zero polynomial is the empty set.  F2Sum holds that set arithmetic
@@ -37,7 +41,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 ENV_MAX_N = "STEENGRAPH_MAX_N"
 DEFAULT_MAX_N = 12
-PACKINGS_CACHED = 64  # one packing a level, plus one a degree bit length untruncated
+PACKINGS_CACHED = 64  # index and guarded packing a level, plus one a degree bit length untruncated
 
 
 def max_truncation() -> int:
@@ -109,12 +113,8 @@ class Level:
         """
         if self.n is None:
             return next((i for i, r in enumerate(exponents, start=1) if r < 0), None)
-        widths = self.widths
-        # the usual case, every exponent in range, without a Python-level loop
-        if not any(map(operator.rshift, exponents, widths)) and not any(exponents[len(widths):]):
-            return None
-        pairs = itertools.zip_longest(exponents, widths, fillvalue=0)
-        return next(i for i, (r, w) in enumerate(pairs, start=1) if r >> w)
+        pairs = itertools.zip_longest(exponents, self.widths, fillvalue=0)
+        return next((i for i, (r, w) in enumerate(pairs, start=1) if r >> w), None)
 
     def generator_valid(self, i: int) -> bool:
         if i < 1:
@@ -369,9 +369,6 @@ class F2Sum:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def __len__(self) -> int:
         return len(self.terms)
 
@@ -536,49 +533,36 @@ def enumerate_monomials(level: Level) -> Iterator[Monomial]:
     That order is lexicographic by exponent vector, r_1 most significant.
     """
     level._require_truncated()
-    ranges = [range(1 << w) for _, w in index_fields(level.widths)]
-    for exps in itertools.product(*ranges):
+    for exps in itertools.product(*(range(1 << w) for w in level.widths)):
         yield Monomial._unchecked(level, exps)
-
-
-@lru_cache(maxsize=PACKINGS_CACHED)
-def index_fields(widths: tuple) -> tuple:
-    """(offset, width) of the field of each r_i in an enumeration index, r_1 first.
-
-    The index is the Packing of a level's widths (`Level.widths`) with its
-    guard bits squeezed out: the fields laid end to end, r_1 in the highest
-    bits and the last field in the lowest.  Each bit is one edge, so a level
-    has 2^(sum of widths) monomials, each with one index.
-    """
-    return tuple((sum(widths[i + 1:]), w) for i, w in enumerate(widths))
 
 
 def index_bit(level: Level, p: int, q: int) -> int:
     """The bit of an enumeration index that holds edge (p, q), for 0 <= p < q <= n+1.
 
-    Edge (p, q) is bit p of the field of r_(q-p) (see index_fields).
+    Edge (p, q) is bit p of the field of r_(q-p) in the index packing.
     """
     level._require_truncated()
     if not 0 <= p < q <= level.n + 1:
         raise ValueError(f"need 0 <= p < q <= {level.n + 1}, got p={p}, q={q}")
-    return index_fields(level.widths)[q - p - 1][0] + p
+    return packing(level.widths, 0).offsets[q - p - 1] + p
 
 
 class Packing(NamedTuple):
-    """Exponent vectors as one int: r_i in a field of widths[i-1] bits, a guard bit above each.
+    """Exponent vectors as one int: r_i in a field of widths[i-1] bits, r_1 highest.
 
-    The fields keep the order of the enumeration index (see index_bit),
-    r_1 highest and the last field lowest.  Adding two packed vectors adds
-    their exponents, and `sum & guard` is nonzero exactly when some r_i
-    outgrew its field; with a level's widths that is Level.first_breach
-    of the sum.  A tensor term a (x) b packs as `a << size | b`, and the
-    same add-and-guard test, with the guard repeated in each half,
-    multiplies tensor terms.
+    Without guard bits, a level's packing is its enumeration index: one
+    bit per edge, so 2^(sum of widths) monomials.  With a guard bit above
+    each field, adding two packed vectors adds their exponents, and
+    `sum & guard` is nonzero exactly when some r_i outgrew its field (with
+    a level's widths, Level.first_breach of the sum).  A tensor term
+    a (x) b packs as `a << size | b`; the same add-and-guard test, with the
+    guard repeated in each half, multiplies tensor terms.
     """
 
     widths: tuple
     offsets: tuple  # bit where the field of r_i starts
-    guard: int
+    guard: int  # the guard bits, 0 when there are none
     size: int  # bits of one packed vector, guards included
 
     def pack(self, exponents) -> int:
@@ -599,30 +583,28 @@ class Packing(NamedTuple):
 
 
 @lru_cache(maxsize=PACKINGS_CACHED)
-def packing(widths: tuple) -> Packing:
-    """The packing of fields of the given widths, r_1 first; `Level.widths` gives a level's."""
+def packing(widths: tuple, guards: int = 1) -> Packing:
+    """Fields of the given widths, r_1 first, `guards` bits above each (0: the index layout)."""
     offsets = []
     size = 0
     for w in reversed(widths):
         offsets.append(size)
-        size += w + 1
+        size += w + guards
     offsets.reverse()
-    guard = sum(1 << (o + w) for w, o in zip(widths, offsets))
+    guard = sum(((1 << guards) - 1) << (o + w) for w, o in zip(widths, offsets))
     return Packing(widths, tuple(offsets), guard, size)
 
 
 def monomial_from_index(level: Level, index: int) -> Monomial:
-    """The index-th monomial in enumeration order: each r_i read from its field.
+    """The index-th monomial in enumeration order: the index unpacked by the level's index packing.
 
     Every radix is a power of 2, so the index is a plain bit field with
-    one bit per edge (index_fields); index_bit names the bit of each edge.
+    one bit per edge; index_bit names the bit of each edge.
     """
-    level._require_truncated()
     if not 0 <= index < monomial_count(level):
         raise ValueError(f"index {index} out of range 0..{monomial_count(level) - 1}")
-    fields = index_fields(level.widths)
     # a masked field is within its width, so the exponents need no check
-    return Monomial._unchecked(level, tuple(index >> o & ((1 << w) - 1) for o, w in fields))
+    return Monomial._unchecked(level, packing(level.widths, 0).unpack(index))
 
 
 def random_monomials(level: Level, count: int, seed: int) -> list:

@@ -13,6 +13,7 @@ Output is deterministic: identical invocations give identical bytes.
 """
 
 import argparse
+import dataclasses
 import itertools
 import json
 import sys
@@ -131,17 +132,8 @@ def render_analysis_text(rep: dict) -> str:
     )
     lines.append("C: " + " ".join(f"C({r['p']},{r['q']})={r['value']}" for r in rep["C"]))
     lines.append("U: " + " ".join(f"U({r['p']},{r['q']})={r['value']}" for r in rep["U"]))
-    lines.append(
-        f"connected: {_yesno(rep['connected'])}"
-        f" (search oracle: {_yesno(rep['oracle_connected'])})"
-    )
-    lines.append(
-        f"unilateral: {_yesno(rep['unilateral'])}"
-        f" (closure oracle: {_yesno(rep['oracle_unilateral'])})"
-    )
-    lines.append(
-        f"tree: {_yesno(rep['tree'])} (search oracle: {_yesno(rep['oracle_tree'])})"
-    )
+    for key, oracle in (("connected", "search"), ("unilateral", "closure"), ("tree", "search")):
+        lines.append(f"{key}: {_yesno(rep[key])} ({oracle} oracle: {_yesno(rep['oracle_' + key])})")
     if rep["hamilton_cycle_found"]:
         lines.append(f"hamilton cycle: {rep['hamilton_cycle_witness']}")
     else:
@@ -165,18 +157,7 @@ def _verify_payload(results: list, n: int) -> dict:
     return {
         "report": "verify",
         "n": n,
-        "checks": [
-            {
-                "name": r.theorem,
-                "n": r.n,
-                "cases": r.cases,
-                "failures": r.failures,
-                "findings": r.findings,
-                "notes": r.notes,
-                "ok": r.ok,
-            }
-            for r in results
-        ],
+        "checks": [{**dataclasses.asdict(r), "ok": r.ok} for r in results],
         "ok": all(r.ok for r in results),
     }
 
@@ -184,7 +165,7 @@ def _verify_payload(results: list, n: int) -> dict:
 def render_verify_text(results: list) -> str:
     lines = []
     for r in results:
-        head = f"verify {r.theorem} at n={r.n}: {r.cases} cases, {len(r.failures)} discrepancies"
+        head = f"verify {r.name} at n={r.n}: {r.cases} cases, {len(r.failures)} discrepancies"
         if r.findings:
             head += f", {len(r.findings)} findings"
         lines.append(head)
@@ -226,6 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(a, need_n=True)
     a.add_argument("--dot", metavar="PATH", help="also write the DOT export here")
     a.add_argument("--directed", action="store_true", help="orient the DOT export")
+    a.set_defaults(run=cmd_analyze)
 
     v = sub.add_parser("verify", help="exhaustive criterion-vs-oracle sweeps")
     _add_common(v, need_n=True)
@@ -236,32 +218,41 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"one of: all, {', '.join(CHECK_ORDER)} (default: all)",
     )
     v.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+    v.set_defaults(run=cmd_verify)
 
     h = sub.add_parser("hopf", help="expand coproduct / antipode / path sums")
     h.add_argument("action", choices=["coproduct", "antipode", "paths"])
     h.add_argument("--i", type=int, required=True, help="generator index i of xi_i")
     h.add_argument("--j", type=int, default=0, help="power index j in xi_i^(2^j)")
     _add_common(h, need_n=False)
+    h.set_defaults(run=cmd_hopf)
 
     e = sub.add_parser("enumerate", help="list the monomials of a level")
     _add_common(e, need_n=True)
     e.add_argument("--limit", type=int, default=None, help="list at most this many")
+    e.set_defaults(run=cmd_enumerate)
 
     d = sub.add_parser("dot", help="Graphviz text for a monomial's graph")
     d.add_argument("monomial")
     _add_common(d, need_n=True)
     d.add_argument("--dot", metavar="PATH", help="write here instead of stdout")
     d.add_argument("--directed", action="store_true", help="orient the edges")
+    d.set_defaults(run=cmd_dot)
 
     return ap
 
 
-def _emit(text: str):
-    sys.stdout.write(text)
-
-
 def _emit_json(payload: dict):
-    _emit(json.dumps(payload, indent=2) + "\n")
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+
+
+def _write_dot(path: str, text: str):
+    """Write a --dot file; a path that cannot be written is a usage error (exit 2)."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write --dot file {path}: {exc.strerror}") from None
 
 
 def cmd_analyze(args) -> int:
@@ -269,12 +260,11 @@ def cmd_analyze(args) -> int:
     x = parse_monomial(args.monomial, level)
     rep = build_report(x)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(export_dot(to_graph(x), directed=args.directed))
+        _write_dot(args.dot, export_dot(to_graph(x), directed=args.directed))
     if args.json:
         _emit_json(rep)
     else:
-        _emit(render_analysis_text(rep))
+        sys.stdout.write(render_analysis_text(rep))
     return 0 if rep["oracles_agree"] else 1
 
 
@@ -290,7 +280,7 @@ def cmd_verify(args) -> int:
     if args.json:
         _emit_json(_verify_payload(results, args.n))
     else:
-        _emit(render_verify_text(results))
+        sys.stdout.write(render_verify_text(results))
     return 0 if all(r.ok for r in results) else 1
 
 
@@ -322,7 +312,7 @@ def cmd_hopf(args) -> int:
             }
         )
     else:
-        _emit(result + "\n")
+        sys.stdout.write(result + "\n")
     return 0
 
 
@@ -350,7 +340,7 @@ def cmd_enumerate(args) -> int:
         )
     else:
         for name in names:  # printed as produced, never held as a list
-            _emit(name + "\n")
+            sys.stdout.write(name + "\n")
     return 0
 
 
@@ -359,24 +349,16 @@ def cmd_dot(args) -> int:
     x = parse_monomial(args.monomial, level)
     text = export_dot(to_graph(x), directed=args.directed)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        _write_dot(args.dot, text)
     else:
-        _emit(text)
+        sys.stdout.write(text)
     return 0
 
 
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "analyze": cmd_analyze,
-        "verify": cmd_verify,
-        "hopf": cmd_hopf,
-        "enumerate": cmd_enumerate,
-        "dot": cmd_dot,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except ValueError as exc:  # ParseError and CapExceeded included
         print(f"error: {exc}", file=sys.stderr)
         return 2

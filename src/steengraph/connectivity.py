@@ -38,6 +38,7 @@ The oracle_* functions decide the same questions by direct graph
 search, sharing no code with the matrix route.
 """
 
+import itertools
 from functools import lru_cache
 from typing import Dict, Tuple
 
@@ -54,12 +55,7 @@ class WalkCountTable:
     __slots__ = ("level", "values")
 
     def __init__(self, level, values: Dict[Tuple[int, int], int]):
-        expected = {
-            (p, q)
-            for p in range(level.n + 2)
-            for q in range(p + 1, level.n + 2)
-        }
-        if set(values) != expected:
+        if set(values) != set(itertools.combinations(range(level.n + 2), 2)):
             raise ValueError(
                 f"walk count table needs exactly the pairs p<q in 0..{level.n + 1}"
             )

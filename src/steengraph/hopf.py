@@ -117,16 +117,9 @@ def compositions(total: int) -> Iterator[Composition]:
     if total < 1:
         raise ValueError(f"compositions need a positive total, got {total}")
     for mask in range(1 << (total - 1)):
-        parts = []
-        run = 1
-        for pos in range(total - 1):
-            if (mask >> pos) & 1:
-                parts.append(run)
-                run = 1
-            else:
-                run += 1
-        parts.append(run)
-        yield Composition(tuple(parts))
+        # bit pos of the mask cuts between positions pos and pos+1
+        cuts = [0] + [pos + 1 for pos in range(total - 1) if mask >> pos & 1] + [total]
+        yield Composition(tuple(b - a for a, b in zip(cuts, cuts[1:])))
 
 
 def _packing_of(x: Monomial) -> Packing:
@@ -393,7 +386,6 @@ def hopf_ideal_generators(level: Level) -> list:
 
 def hopf_ideal_violations(level: Level) -> list:
     """Ideal generators whose coproduct, antipode, or counit image fails to vanish."""
-    level._require_truncated()
     bad = []
     for g in hopf_ideal_generators(level):
         if not truncate_tensor(coproduct(g), level).is_zero:

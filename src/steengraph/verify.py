@@ -29,10 +29,10 @@ from .algebra import (
     ENV_MAX_N,
     Level,
     Monomial,
-    index_fields,
     max_truncation,
     monomial_count,
     monomial_from_index,
+    packing,
     random_monomials,
 )
 from .connectivity import (
@@ -70,9 +70,9 @@ RANDOM_SAMPLE_SIZE = 50
 
 @dataclass
 class SweepResult:
-    """Outcome of one named check at one level."""
+    """Outcome of one named check at one level; its fields, then ok, are a --json check record."""
 
-    theorem: str
+    name: str
     n: int
     cases: int
     failures: List[str] = field(default_factory=list)
@@ -91,9 +91,10 @@ class CapExceeded(ValueError):
 
 def _iter_graphs(level: Level, start: int, stop: int):
     """(index, graph) for each index in range, the graph ORed from the per-generator row tables."""
+    pk = packing(level.widths, 0)
     fields = [
         (offset, (1 << width) - 1, table)
-        for (offset, width), table in zip(index_fields(level.widths), row_tables(level))
+        for offset, width, table in zip(pk.offsets, pk.widths, row_tables(level))
     ]
     for k in range(start, stop):
         rows = 0
@@ -159,10 +160,10 @@ def _sweep_tree(level: Level, start: int, stop: int) -> tuple:
 def _sweep_dipath(level: Level, start: int, stop: int) -> tuple:
     failures = []
     spine = tuple(range(level.n + 2))
-    offset, width = index_fields(level.widths)[0]
+    top = packing(level.widths, 0).offsets[0]  # r_1 is the highest field, so it needs no mask
     for k, g in _iter_graphs(level, start, stop):
         witness = oracle_hamilton_directed_path(g)
-        if dipath_criterion(level, k >> offset & ((1 << width) - 1)) != (witness is not None):
+        if dipath_criterion(level, k >> top) != (witness is not None):
             x = monomial_from_index(level, k)
             failures.append(f"spanning-dipath criterion disagrees with search on {x}")
         elif witness is not None and witness != spine:

@@ -359,6 +359,13 @@ class TestDot:
         assert code == 0 and out == ""
         assert target.read_text().startswith("graph {\n")
 
+    @pytest.mark.parametrize("command", ["analyze", "dot"])
+    def test_unwritable_target_exits_two(self, capsys, tmp_path, command):
+        target = tmp_path / "missing" / "x.dot"
+        code, out, err = run_cli(capsys, [command, "xi1", "-n", "1", "--dot", str(target)])
+        assert code == 2 and out == ""
+        assert err == f"error: cannot write --dot file {target}: No such file or directory\n"
+
 
 ANTIPODE_ARGV = ["hopf", "antipode", "--i", "2", "--j", "0", "-n", "3"]
 

@@ -80,6 +80,13 @@ class TestCompositions:
         assert {c.parts for c in compositions(2)} == {(2,), (1, 1)}
         assert {c.parts for c in compositions(3)} == {(3,), (1, 2), (2, 1), (1, 1, 1)}
 
+    def test_cut_mask_order(self):
+        # bit pos of the mask index cuts after position pos, the lowest bit first
+        assert [c.parts for c in compositions(3)] == [(3,), (1, 2), (2, 1), (1, 1, 1)]
+        assert [c.parts for c in compositions(4)] == [
+            (4,), (1, 3), (2, 2), (1, 1, 2), (3, 1), (1, 2, 1), (2, 1, 1), (1, 1, 1, 1)
+        ]
+
     def test_counts_up_to_eight(self):
         for i in range(1, 9):
             parts = list(compositions(i))

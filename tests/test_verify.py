@@ -72,6 +72,21 @@ def test_a_flipped_dipath_verdict_is_one_named_discrepancy(monkeypatch):
     ]
 
 
+def test_a_witness_off_the_spine_is_named(monkeypatch):
+    oracle = verify.oracle_hamilton_directed_path
+
+    def reversed_spine(g):
+        witness = oracle(g)
+        return None if witness is None else witness[::-1]
+
+    monkeypatch.setattr(verify, "oracle_hamilton_directed_path", reversed_spine)
+    # at n=2 the dipaths are the 8 monomials with r_1 = 7, indices 56..63
+    assert verify.run_check("dipath", 2).failures == [
+        f"dipath witness for {monomial_from_index(Level(2), k)} is (3, 2, 1, 0), not the full spine"
+        for k in range(56, 64)
+    ]
+
+
 def test_a_dropped_edge_in_the_oracle_rows_fails_main(monkeypatch):
     # without edge (0, 1), the oracles see xi1^1 as no edge at all
     exponent_rows = graphs.exponent_rows
