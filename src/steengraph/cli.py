@@ -8,7 +8,9 @@ Subcommands:
   dot        Graphviz text for a monomial's graph
 
 Exit codes: 0 all good, 1 a sound claim disagreed with its oracle,
-2 usage error (bad monomial text, out-of-range parameters, capped n).
+2 usage error (bad monomial text, out-of-range parameters, capped n),
+141 stdout closed by its reader before the output ended (128 + SIGPIPE,
+as a shell reports a process that a broken pipe killed), nothing on stderr.
 Output is deterministic: identical invocations give identical bytes.
 """
 
@@ -16,6 +18,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import os
 import sys
 from typing import Optional
 
@@ -38,8 +41,8 @@ from .connectivity import (
 from .graphs import export_dot, to_graph
 from .hopf import antipode, coproduct_generator, directed_path_polynomial
 from .structure import (
+    degree_bound_holds,
     degree_table,
-    dirac_condition,
     format_cycle,
     format_directed_path,
     has_hamilton_directed_path,
@@ -47,7 +50,6 @@ from .structure import (
     oracle_hamilton_cycle,
     oracle_hamilton_directed_path,
     oracle_is_tree,
-    paper_hamilton_condition,
 )
 from .verify import CHECK_ORDER, CapExceeded, effective_cap, run_all, run_check
 
@@ -68,7 +70,8 @@ def build_report(x: Monomial) -> dict:
     cycle = oracle_hamilton_cycle(g)
     dipath = has_hamilton_directed_path(x)
     oracle_dipath = oracle_hamilton_directed_path(g)
-    dirac = dirac_condition(x)
+    degree_profiles = degree_table(x)
+    dirac = degree_bound_holds(x.level, degree_profiles, 2)
     agree = (
         connected == oracle_connected
         and unilateral == oracle_unilateral
@@ -89,7 +92,7 @@ def build_report(x: Monomial) -> dict:
                 "out": d.out_degree,
                 "degree": d.degree,
             }
-            for d in degree_table(x)
+            for d in degree_profiles
         ],
         "C": c.as_records(),
         "U": u.as_records(),
@@ -99,7 +102,7 @@ def build_report(x: Monomial) -> dict:
         "oracle_unilateral": oracle_unilateral,
         "tree": tree,
         "oracle_tree": oracle_tree,
-        "paper_hamilton_condition": paper_hamilton_condition(x),
+        "paper_hamilton_condition": degree_bound_holds(x.level, degree_profiles, 0),
         "dirac_condition": dirac,
         "hamilton_cycle_found": cycle is not None,
         "hamilton_cycle_witness": format_cycle(cycle) if cycle else None,
@@ -358,10 +361,19 @@ def cmd_dot(args) -> int:
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # a reader that left early fails this flush, not the one at exit
+        return code
     except ValueError as exc:  # ParseError and CapExceeded included
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`); point stdout at devnull so
+        # that the flush at interpreter exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

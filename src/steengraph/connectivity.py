@@ -21,10 +21,16 @@ every edge {p, p+1} is present, i.e. when r_1 = 2^(n+1) - 1 (the
 spanning-dipath criterion of structure.py): 2^(n(n+1)/2) monomials of
 each level, one in every 2^(n+1).
 
-Both tables follow S_1 = A, S_(k+1) = A + A S_k on the 0/1 rows of A:
-row p of A S_k is the sum of the rows S_k[j] at the neighbours j of p.
-The entries are exact ints, the route is the same for both orientations,
-and analyze builds each table once and reads its verdicts off it.
+Both tables follow S_1 = A, S_(k+1) = A + A S_k, with row p of S_k
+packed into one int: entry (p, q) is the field of w bits at bit q*w.
+Row p of A S_k is the sum of the rows S_k[j] at the neighbours j of p,
+so one step is one big-int add per neighbour.  No field carries into the
+next: an entry counts walks of length at most m-1 = n+1 in a graph on m
+vertices, each vertex of degree at most m-1, so it is below m^m, and
+w = (m^m).bit_length().  Every partial sum of a row adds nonnegative
+fields, each at most its final entry.  Only the fields of the pairs
+p < q are unpacked.  The route is the same for both orientations, and
+analyze builds each table once and reads its verdicts off it.
 
 Exhaustive sweeps decide a whole block of monomials at once with
 lane_verdicts: the same recurrence over the Boolean semiring, S_(k+1) =
@@ -87,21 +93,24 @@ class WalkCountTable:
         return f"WalkCountTable({self.level!r}, {dict(self.items())!r})"
 
 
-def _walk_power_sum(a: tuple, top: int) -> list:
-    # a + a^2 + ... + a^top by S_(k+1) = a + a S_k: row p adds the rows of S_k at p's neighbours
-    neighbours = [[j for j, v in enumerate(row) if v] for row in a]
-    s = list(a)
-    for _ in range(top - 1):
-        s = [list(map(sum, zip(row, *[s[j] for j in nbrs]))) for row, nbrs in zip(a, neighbours)]
-    return s
+def _field_width(m: int) -> int:
+    """Bits per field of a packed walk-count row on m vertices: every entry is below m^m."""
+    return (m**m).bit_length()
 
 
 def _table_from_matrix(x: Monomial, directed: bool) -> WalkCountTable:
     level = x.level
     a = adjacency_matrix(x, directed=directed)
-    s = _walk_power_sum(a, level.n + 1)
     m = level.n + 2
-    values = {(p, q): s[p][q] for p in range(m) for q in range(p + 1, m)}
+    w = _field_width(m)
+    neighbours = [[j for j, v in enumerate(row) if v] for row in a]
+    ones = [sum(1 << j * w for j in nbrs) for nbrs in neighbours]
+    s = ones
+    for _ in range(m - 2):  # S_1 = A, then n more steps to S_(n+1)
+        row_of = s.__getitem__
+        s = [sum(map(row_of, nbrs), one) for nbrs, one in zip(neighbours, ones)]
+    mask = (1 << w) - 1
+    values = {(p, q): s[p] >> q * w & mask for p in range(m) for q in range(p + 1, m)}
     return WalkCountTable(level, values)
 
 

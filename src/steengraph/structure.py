@@ -20,7 +20,7 @@ consecutive edges {p, p+1} are present, i.e. when the exponent of xi_1
 is 2^(n+1) - 1.
 """
 
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import Level, Monomial
 from .connectivity import is_connected, oracle_is_connected
@@ -42,9 +42,10 @@ def degrees(x: Monomial, p: int) -> DegreeProfile:
     level._require_truncated()
     if not 0 <= p <= level.n + 1:
         raise ValueError(f"vertex index {p} out of range 0..{level.n + 1}")
-    # edge (p, p+k) is bit p of r_k, edge (p-k, p) is bit p-k of r_k
-    out = sum(x.exponent(k) >> p & 1 for k in range(1, level.n + 2 - p))
-    inn = sum(x.exponent(k) >> (p - k) & 1 for k in range(1, p + 1))
+    # edge (p, p+k) is bit p of r_k, edge (p-k, p) is bit p-k of r_k; r_k is exponents[k-1]
+    exps = x.exponents
+    out = sum(exps[k - 1] >> p & 1 for k in range(1, level.n + 2 - p))
+    inn = sum(exps[k - 1] >> (p - k) & 1 for k in range(1, p + 1))
     return DegreeProfile(p, out, inn, out + inn)
 
 
@@ -94,23 +95,31 @@ def oracle_is_tree(g: WoodGraph) -> bool:
     return oracle_is_connected(g) and oracle_is_acyclic(g)
 
 
-def _degree_bound_holds(x: Monomial, extra: int) -> bool:
-    """2*degree >= n + extra at every vertex, stopping at the first one below; never at n = 0."""
-    level = x.level
+def degree_bound_holds(level: Level, profiles: Iterable[DegreeProfile], extra: int) -> bool:
+    """2*degree >= n + extra at every vertex, stopping at the first one below; never at n = 0.
+
+    profiles holds the degree profiles of every vertex of a monomial at
+    this level; a lazy iterable is read only up to the first vertex below.
+    """
     level._require_truncated()
     if level.n == 0:
         return False
-    return all(2 * degrees(x, p).degree >= level.n + extra for p in range(level.n + 2))
+    return all(2 * d.degree >= level.n + extra for d in profiles)
+
+
+def _lazy_degrees(x: Monomial) -> Iterator[DegreeProfile]:
+    # one profile at a time, so a bound that fails early stops the degree passes too
+    return (degrees(x, p) for p in range(x.level.n + 2))
 
 
 def paper_hamilton_condition(x: Monomial) -> bool:
     """Every vertex degree at least n/2 (and n > 0), compared exactly as 2*degree >= n."""
-    return _degree_bound_holds(x, 0)
+    return degree_bound_holds(x.level, _lazy_degrees(x), 0)
 
 
 def dirac_condition(x: Monomial) -> bool:
     """Every vertex degree at least half the vertex count (n+2)/2, as 2*degree >= n+2."""
-    return _degree_bound_holds(x, 2)
+    return degree_bound_holds(x.level, _lazy_degrees(x), 2)
 
 
 def is_hamilton_cycle(g: WoodGraph, seq: Sequence[int]) -> bool:

@@ -553,3 +553,47 @@ class TestEnumerateStreams:
         with pytest.raises(RuntimeError):
             cli.main(["enumerate", "-n", "1"])
         assert capsys.readouterr().out == "1\nxi2^1\n"
+
+
+class TestClosedStdout:
+    """A reader that closes the pipe early ends the run with 141 and an empty stderr."""
+
+    @staticmethod
+    def start(argv, stdout):
+        env = dict(os.environ)
+        root = str(Path(steengraph.__file__).parents[1])
+        inherited = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = root + os.pathsep + inherited if inherited else root
+        return subprocess.Popen(
+            [sys.executable, "-m", "steengraph.cli", *argv],
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+
+    def test_reader_leaves_after_one_line(self):
+        # 32768 names at n=4 overflow the pipe, so the writer is still running
+        proc = self.start(["enumerate", "-n", "4"], subprocess.PIPE)
+        try:
+            assert proc.stdout.readline() == b"1\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 141
+            assert proc.stderr.read() == b""
+        finally:
+            proc.kill()
+            proc.stderr.close()
+
+    def test_reader_gone_before_the_first_write(self):
+        # output small enough to sit in the buffer until the last flush
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = self.start(["enumerate", "-n", "1"], write_end)
+        finally:
+            os.close(write_end)
+        try:
+            assert proc.wait(timeout=60) == 141
+            assert proc.stderr.read() == b""
+        finally:
+            proc.kill()
+            proc.stderr.close()

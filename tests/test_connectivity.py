@@ -11,10 +11,12 @@ from steengraph.algebra import (
     monomial_count,
     monomial_from_index,
     parse_monomial,
+    random_monomials,
 )
 from steengraph.connectivity import (
     BLOCK_BITS,
     WalkCountTable,
+    _field_width,
     block_width,
     connection_numbers,
     is_connected,
@@ -169,6 +171,43 @@ class TestCompleteGraphTables:
                     assert c[(p, q)] == walks, (n, p, q)
                     assert u[(p, q)] == 2 ** (q - p - 1), (n, p, q)
         assert walks == 23_436_764_200_591
+
+
+def power_sum_by_products(a):
+    """A + A^2 + ... + A^(m-1) for the m x m matrix a, by plain row-by-column products."""
+    m = len(a)
+    power = [list(row) for row in a]
+    total = [list(row) for row in a]
+    for _ in range(m - 2):
+        power = [
+            [sum(power[i][k] * a[k][j] for k in range(m)) for j in range(m)] for i in range(m)
+        ]
+        total = [[t + v for t, v in zip(trow, prow)] for trow, prow in zip(total, power)]
+    return total
+
+
+class TestPackedRowsAtAnalyzeLevels:
+    # analyze serves n up to 12, where a packed row holds 14 fields of
+    # (14^14).bit_length() = 54 bits each.
+    def test_tables_match_matrix_products(self):
+        for n in range(4, 13):
+            level = Level(n)
+            m = n + 2
+            for x in random_monomials(level, 6, seed=100 + n):
+                for directed, table in ((False, connection_numbers), (True, unilateral_numbers)):
+                    total = power_sum_by_products(adjacency_matrix(x, directed=directed))
+                    expected = {(p, q): total[p][q] for p in range(m) for q in range(p + 1, m)}
+                    assert table(x).values == expected, (x, directed)
+
+    def test_largest_entry_fits_its_field(self):
+        # the complete graph has the most walks; its diagonal (closed walks) is
+        # packed too, so every entry of the sum must stay below 2^w, not only p < q
+        n = 12
+        m = n + 2
+        total = power_sum_by_products(adjacency_matrix(top_class(Level(n))))
+        largest = max(max(row) for row in total)
+        assert largest == 23_436_764_200_591
+        assert largest < m**m < 2 ** _field_width(m) == 2**54
 
 
 class TestCriteria:
