@@ -85,12 +85,6 @@ class Level:
         return self.n is not None
 
     @property
-    def generator_count(self) -> int:
-        """Number of generators, n+1."""
-        self._require_truncated()
-        return self.n + 1
-
-    @property
     def vertex_count(self) -> int:
         """Number of graph vertices, n+2 (vertex p stands for 2^p)."""
         self._require_truncated()
@@ -463,7 +457,7 @@ class ParseError(ValueError):
     """Monomial text that does not conform to the grammar."""
 
 
-_TERM_RE = re.compile(r"^xi(\d+)(?:\^(\d+))?$")
+_TERM_RE = re.compile(r"^xi(\d+)(?:\^(\d+))?$", re.ASCII)
 
 
 def parse_monomial(text: str, level: Level) -> Monomial:
@@ -471,7 +465,7 @@ def parse_monomial(text: str, level: Level) -> Monomial:
 
     `1` alone denotes the unit monomial.  The compact form `[r1,r2,...]`
     lists all n+1 exponents directly.  Repeated generators accumulate
-    their exponents.
+    their exponents.  Numbers are ASCII decimal digits only.
     """
     text = text.strip()
     if not text:
@@ -482,7 +476,7 @@ def parse_monomial(text: str, level: Level) -> Monomial:
         items = [s.strip() for s in text[1:-1].split(",")] if text[1:-1].strip() else []
         exps = []
         for s in items:
-            if not s.isdigit():
+            if not (s.isascii() and s.isdigit()):
                 raise ParseError(f"bad exponent {s!r} in {text!r}")
             exps.append(int(s))
         if level.truncated and len(exps) != level.n + 1:

@@ -46,14 +46,19 @@ from .structure import (
     format_cycle,
     format_directed_path,
     has_hamilton_directed_path,
-    is_tree,
     oracle_hamilton_cycle,
     oracle_hamilton_directed_path,
     oracle_is_tree,
+    tree_criterion,
 )
 from .verify import CHECK_ORDER, CapExceeded, effective_cap, run_all, run_check
 
 MAX_LISTED = 10
+
+
+def _walk_records(table: dict) -> list:
+    """A walk-count table as JSON rows [{'p': p, 'q': q, 'value': v}, ...] in its (p, q) order."""
+    return [{"p": p, "q": q, "value": v} for (p, q), v in table.items()]
 
 
 def build_report(x: Monomial) -> dict:
@@ -61,11 +66,11 @@ def build_report(x: Monomial) -> dict:
     g = to_graph(x)
     c = connection_numbers(x)
     u = unilateral_numbers(x)
-    connected = c.all_positive
+    connected = all(c.values())
     oracle_connected = oracle_is_connected(g)
-    unilateral = u.all_positive
+    unilateral = all(u.values())
     oracle_unilateral = oracle_is_unilateral(g)
-    tree = is_tree(x)
+    tree = tree_criterion(x.level, g.edge_count, connected)
     oracle_tree = oracle_is_tree(g)
     cycle = oracle_hamilton_cycle(g)
     dipath = has_hamilton_directed_path(x)
@@ -94,8 +99,8 @@ def build_report(x: Monomial) -> dict:
             }
             for d in degree_profiles
         ],
-        "C": c.as_records(),
-        "U": u.as_records(),
+        "C": _walk_records(c),
+        "U": _walk_records(u),
         "connected": connected,
         "oracle_connected": oracle_connected,
         "unilateral": unilateral,

@@ -29,8 +29,10 @@ next: an entry counts walks of length at most m-1 = n+1 in a graph on m
 vertices, each vertex of degree at most m-1, so it is below m^m, and
 w = (m^m).bit_length().  Every partial sum of a row adds nonnegative
 fields, each at most its final entry.  Only the fields of the pairs
-p < q are unpacked.  The route is the same for both orientations, and
-analyze builds each table once and reads its verdicts off it.
+p < q are unpacked, into a dict {(p, q): count} whose keys run in
+(p, q) order, the order of a report's C and U records.  The route is the
+same for both orientations, and analyze builds each table once and reads
+its verdicts off it.
 
 Exhaustive sweeps decide a whole block of monomials at once with
 lane_verdicts: the same recurrence over the Boolean semiring, S_(k+1) =
@@ -44,9 +46,8 @@ The oracle_* functions decide the same questions by direct graph
 search, sharing no code with the matrix route.
 """
 
-import itertools
 from functools import lru_cache
-from typing import Dict, Tuple
+from typing import Tuple
 
 from .algebra import Level, Monomial, index_bit, monomial_count
 from .graphs import WoodGraph, adjacency_matrix
@@ -55,53 +56,14 @@ from .graphs import WoodGraph, adjacency_matrix
 BLOCK_BITS = 15
 
 
-class WalkCountTable:
-    """Walk counts indexed by vertex pairs (p, q) with 0 <= p < q <= n+1."""
-
-    __slots__ = ("level", "values")
-
-    def __init__(self, level, values: Dict[Tuple[int, int], int]):
-        if set(values) != set(itertools.combinations(range(level.n + 2), 2)):
-            raise ValueError(
-                f"walk count table needs exactly the pairs p<q in 0..{level.n + 1}"
-            )
-        self.level = level
-        self.values = dict(values)
-
-    def __getitem__(self, pair: Tuple[int, int]) -> int:
-        return self.values[pair]
-
-    def items(self):
-        return sorted(self.values.items())
-
-    @property
-    def all_positive(self) -> bool:
-        return all(v > 0 for v in self.values.values())
-
-    def as_records(self) -> list:
-        """JSON-friendly rows [{'p': p, 'q': q, 'value': v}, ...] in (p, q) order."""
-        return [{"p": p, "q": q, "value": v} for (p, q), v in self.items()]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, WalkCountTable)
-            and self.level == other.level
-            and self.values == other.values
-        )
-
-    def __repr__(self) -> str:
-        return f"WalkCountTable({self.level!r}, {dict(self.items())!r})"
-
-
 def _field_width(m: int) -> int:
     """Bits per field of a packed walk-count row on m vertices: every entry is below m^m."""
     return (m**m).bit_length()
 
 
-def _table_from_matrix(x: Monomial, directed: bool) -> WalkCountTable:
-    level = x.level
+def _table_from_matrix(x: Monomial, directed: bool) -> dict:
     a = adjacency_matrix(x, directed=directed)
-    m = level.n + 2
+    m = x.level.n + 2
     w = _field_width(m)
     neighbours = [[j for j, v in enumerate(row) if v] for row in a]
     ones = [sum(1 << j * w for j in nbrs) for nbrs in neighbours]
@@ -110,28 +72,27 @@ def _table_from_matrix(x: Monomial, directed: bool) -> WalkCountTable:
         row_of = s.__getitem__
         s = [sum(map(row_of, nbrs), one) for nbrs, one in zip(neighbours, ones)]
     mask = (1 << w) - 1
-    values = {(p, q): s[p] >> q * w & mask for p in range(m) for q in range(p + 1, m)}
-    return WalkCountTable(level, values)
+    return {(p, q): s[p] >> q * w & mask for p in range(m) for q in range(p + 1, m)}
 
 
-def connection_numbers(x: Monomial) -> WalkCountTable:
-    """Numbers of walks of length <= n+1 between vertex pairs of the graph of x."""
+def connection_numbers(x: Monomial) -> dict:
+    """{(p, q): walks of length <= n+1 from p to q} in the graph of x, for p < q in (p, q) order."""
     return _table_from_matrix(x, directed=False)
 
 
-def unilateral_numbers(x: Monomial) -> WalkCountTable:
-    """Numbers of directed paths between vertex pairs of the digraph of x."""
+def unilateral_numbers(x: Monomial) -> dict:
+    """{(p, q): directed paths from p to q} in the digraph of x, for p < q in (p, q) order."""
     return _table_from_matrix(x, directed=True)
 
 
 def is_connected(x: Monomial) -> bool:
     """True iff every connection number is positive."""
-    return connection_numbers(x).all_positive
+    return all(connection_numbers(x).values())
 
 
 def is_unilateral(x: Monomial) -> bool:
     """True iff every unilateral number is positive."""
-    return unilateral_numbers(x).all_positive
+    return all(unilateral_numbers(x).values())
 
 
 @lru_cache(maxsize=1)

@@ -81,25 +81,6 @@ class WoodGraph:
         m = self.level.n + 2
         return [(p, q) for p in range(m) for q in range(p + 1, m) if self.rows >> (p * m + q) & 1]
 
-    def neighbors(self, p: int) -> tuple:
-        return tuple(q for q in self.vertices() if self.has_edge(p, q))
-
-    def degree(self, p: int) -> int:
-        return len(self.neighbors(p))
-
-    def out_degree(self, p: int) -> int:
-        """Arrows leaving p in the directed view (edges to larger vertices)."""
-        return sum(1 for q in self.neighbors(p) if q > p)
-
-    def in_degree(self, p: int) -> int:
-        """Arrows entering p in the directed view (edges from smaller vertices)."""
-        return sum(1 for q in self.neighbors(p) if q < p)
-
-    @property
-    def is_complete(self) -> bool:
-        m = self.vertex_count
-        return self.edge_count == m * (m - 1) // 2
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, WoodGraph)

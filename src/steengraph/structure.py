@@ -3,7 +3,8 @@
 The tree test combines connectedness with the edge count: a connected
 graph on n+2 vertices is a tree exactly when it has n+1 edges, and the
 edge count of a monomial graph is the total number of 1s across the
-binary expansions of its exponents.
+binary expansions of its exponents.  tree_criterion states that rule
+once, for is_tree, the analyze report and the tree sweep.
 
 Two sufficient conditions for a Hamilton cycle are exposed side by
 side.  `paper_hamilton_condition` bounds every vertex degree below by
@@ -54,11 +55,14 @@ def degree_table(x: Monomial) -> list:
     return [degrees(x, p) for p in range(x.level.n + 2)]
 
 
+def tree_criterion(level: Level, edge_count: int, connected: bool) -> bool:
+    """The tree rule: a graph on the n+2 vertices of a level is a tree iff connected with n+1 edges."""
+    return connected and edge_count == level.n + 1
+
+
 def is_tree(x: Monomial) -> bool:
     """True iff the graph of x is a tree: connected with exactly n+1 edges."""
-    if x.edge_count != x.level.n + 2 - 1:
-        return False
-    return is_connected(x)
+    return tree_criterion(x.level, x.edge_count, is_connected(x))
 
 
 def oracle_is_acyclic(g: WoodGraph) -> bool:

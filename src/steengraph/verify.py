@@ -62,6 +62,7 @@ from .structure import (
     oracle_hamilton_directed_path,
     oracle_is_tree,
     paper_hamilton_condition,
+    tree_criterion,
 )
 
 RANDOM_SEED = 1009
@@ -150,8 +151,7 @@ def _sweep_tree(level: Level, start: int, stop: int) -> tuple:
     failures = []
     for k, g, connected, _ in _iter_lanes(level, start, stop, failures):
         # each index bit is one edge, so the edge count is the popcount of the index
-        tree = connected == 1 and k.bit_count() == level.n + 1
-        if tree != oracle_is_tree(g):
+        if tree_criterion(level, k.bit_count(), connected == 1) != oracle_is_tree(g):
             x = monomial_from_index(level, k)
             failures.append(f"tree criterion disagrees with search on {x}")
     return stop - start, failures, []

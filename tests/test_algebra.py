@@ -44,7 +44,6 @@ class TestLevel:
         assert L0.exponent_bound(1) == 1
 
     def test_counts(self):
-        assert L2.generator_count == 3
         assert L2.vertex_count == 4
         assert not UNTRUNCATED.truncated
         assert L2.truncated
@@ -184,6 +183,12 @@ class TestParse:
             parse_monomial("[1,2,3]", L1)
         with pytest.raises(ParseError, match="bad exponent"):
             parse_monomial("[1,x,0]", L2)
+
+    @pytest.mark.parametrize("text", ["[\u00b2,0,0]", "[\u0661,0,0]", "xi\u0661^\u0663"])
+    def test_non_ascii_digits_rejected(self, text):
+        # str.isdigit and \d accept superscript and Arabic-Indic digits; the grammar does not
+        with pytest.raises(ParseError):
+            parse_monomial(text, L2)
 
     def test_round_trip_exhaustive_small(self):
         for level in (L0, L1, L2):

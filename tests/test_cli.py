@@ -109,6 +109,11 @@ class TestAnalyze:
         assert code == 2 and out == ""
         assert err.startswith("error: ")
 
+    def test_non_ascii_digit_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, ["analyze", "[\u00b2,0,0]", "-n", "2"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: bad exponent") and err.count("\n") == 1
+
     def test_level_cap_exits_two(self, capsys, monkeypatch):
         monkeypatch.setenv("STEENGRAPH_MAX_N", "2")
         code, _, err = run_cli(capsys, ["analyze", "xi1", "-n", "3"])
@@ -139,9 +144,13 @@ class TestReportBytes:
             return real(x, directed=directed)
 
         monkeypatch.setattr(connectivity, "adjacency_matrix", counting)
-        # 4 edges, not n+1 = 3, so the tree criterion builds no table of its own
         rep = cli.build_report(parse_monomial("xi1^6 xi2 xi3", Level(2)))
         assert rep["connected"] and not rep["unilateral"]
+        assert sorted(calls) == [False, True]
+        # n+1 = 3 edges: the tree criterion reads the connectedness already at hand
+        calls.clear()
+        rep = cli.build_report(parse_monomial("xi1^7", Level(2)))
+        assert rep["connected"] and rep["tree"] and rep["unilateral"]
         assert sorted(calls) == [False, True]
 
 

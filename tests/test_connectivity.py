@@ -13,9 +13,9 @@ from steengraph.algebra import (
     parse_monomial,
     random_monomials,
 )
+from steengraph.cli import build_report
 from steengraph.connectivity import (
     BLOCK_BITS,
-    WalkCountTable,
     _field_width,
     block_width,
     connection_numbers,
@@ -100,13 +100,17 @@ class TestWorkedExamples:
 
 
 class TestWalkCountTable:
-    def test_requires_complete_pair_set(self):
-        with pytest.raises(ValueError):
-            WalkCountTable(L1, {(0, 1): 1})
-
     def test_records_shape(self):
-        c = connection_numbers(Monomial.one(L0))
-        assert c.as_records() == [{"p": 0, "q": 1, "value": 0}]
+        assert build_report(Monomial.one(L0))["C"] == [{"p": 0, "q": 1, "value": 0}]
+
+    def test_keys_are_the_pairs_in_order(self):
+        # report bytes list C and U in the table's key order
+        for n in range(13):
+            level = Level(n)
+            pairs = list(itertools.combinations(range(n + 2), 2))
+            for x in (top_class(level), Monomial.one(level)):
+                for table in (connection_numbers, unilateral_numbers):
+                    assert list(table(x)) == pairs, (n, x, table.__name__)
 
 
 class TestWalkCountIdentity:
@@ -146,10 +150,10 @@ class TestDefinitionAgainstMatrixRoute:
     def test_tables_match_literal_enumeration(self):
         for level in (L0, L1, L2):
             for x in enumerate_monomials(level):
-                assert connection_numbers(x).values == walk_table_by_enumeration(
+                assert connection_numbers(x) == walk_table_by_enumeration(
                     x, directed=False
                 )
-                assert unilateral_numbers(x).values == walk_table_by_enumeration(
+                assert unilateral_numbers(x) == walk_table_by_enumeration(
                     x, directed=True
                 )
 
@@ -197,7 +201,7 @@ class TestPackedRowsAtAnalyzeLevels:
                 for directed, table in ((False, connection_numbers), (True, unilateral_numbers)):
                     total = power_sum_by_products(adjacency_matrix(x, directed=directed))
                     expected = {(p, q): total[p][q] for p in range(m) for q in range(p + 1, m)}
-                    assert table(x).values == expected, (x, directed)
+                    assert table(x) == expected, (x, directed)
 
     def test_largest_entry_fits_its_field(self):
         # the complete graph has the most walks; its diagonal (closed walks) is
