@@ -10,7 +10,9 @@ so a monomial of A*(n) is an exponent vector (r_1, ..., r_(n+1)) with
 exponent is the structural key: the bit 2^j of r_i stands for the factor
 xi_i^(2^j), and that factor corresponds to the edge {2^j, 2^(i+j)} of the
 graph on vertices {2^0, ..., 2^(n+1)} associated to the monomial.  All
-edge-level queries (edge_bit, dyadic_bits) read those bits directly.
+edge-level queries (edge_bit, dyadic_bits) read those bits directly.  That
+shape is stated once, in Level.widths = (n+1, ..., 1), the profile function
+of A*(n); every module reads its counts and ranges from the level.
 
 One layout, `Packing`, lays those bits out in an int.  Without guard bits
 it is the enumeration index, one bit per edge; with a guard bit above each
@@ -61,6 +63,11 @@ class Level:
     At level n the generators are xi_1, ..., xi_(n+1) and the exponent of
     xi_i is bounded by 2^(n+2-i) - 1.  Level(None) is the untruncated
     algebra, with generators xi_i for every i >= 1 and no exponent bound.
+
+    `widths` states the shape of A*(n) once, as its profile function:
+    xi_i^(2^j) exists exactly when j < widths[i-1], and it is the edge
+    (j, i+j) on the `vertex_count` vertices 0..len(widths).  Every other
+    module reads the shape from these two.
     """
 
     __slots__ = ("n", "widths")
@@ -86,15 +93,25 @@ class Level:
 
     @property
     def vertex_count(self) -> int:
-        """Number of graph vertices, n+2 (vertex p stands for 2^p)."""
+        """Number of graph vertices, n+2 (vertex p is 2^p); hot loops read len(widths) + 1."""
         self._require_truncated()
-        return self.n + 2
+        return len(self.widths) + 1
+
+    def check_vertex(self, p: int) -> None:
+        """Refuse a vertex index p outside 0..n+1, the one vertex-range check."""
+        if not 0 <= p < self.vertex_count:
+            raise ValueError(f"vertex index {p} out of range 0..{len(self.widths)}")
+
+    def generator_powers(self) -> list:
+        """(i, j) of every factor xi_i^(2^j) of A*(n), that is j < widths[i-1], by i then j."""
+        self._require_truncated()
+        return [(i, j) for i, w in enumerate(self.widths, start=1) for j in range(w)]
 
     def exponent_bound(self, i: int) -> int:
         """Largest legal exponent of xi_i, namely 2^(n+2-i) - 1."""
         self._require_truncated()
-        if not 1 <= i <= self.n + 1:
-            raise ValueError(f"generator index {i} out of range 1..{self.n + 1}")
+        if not 1 <= i <= len(self.widths):
+            raise ValueError(f"generator index {i} out of range 1..{len(self.widths)}")
         return (1 << self.widths[i - 1]) - 1
 
     def first_breach(self, exponents) -> Optional[int]:
@@ -111,9 +128,7 @@ class Level:
         return next((i for i, (r, w) in enumerate(pairs, start=1) if r >> w), None)
 
     def generator_valid(self, i: int) -> bool:
-        if i < 1:
-            return False
-        return self.n is None or i <= self.n + 1
+        return i >= 1 and (self.n is None or i <= len(self.widths))
 
     def _require_truncated(self):
         if self.n is None:
@@ -162,10 +177,10 @@ class Monomial:
         if i is not None:
             if not level.truncated:
                 raise ValueError("negative exponent")
-            if i > level.n + 1:
+            if i > len(level.widths):
                 raise ValueError(
                     f"monomial has {len(exps)} exponents but level n={level.n} "
-                    f"admits generators xi_1..xi_{level.n + 1}"
+                    f"admits generators xi_1..xi_{len(level.widths)}"
                 )
             raise ValueError(
                 f"exponent {exps[i - 1]} of xi{i} outside 0..{level.exponent_bound(i)}"
@@ -187,17 +202,17 @@ class Monomial:
 
     @classmethod
     def generator_power(cls, i: int, j: int, level: Level) -> "Monomial":
-        """The monomial xi_i^(2^j); valid at truncated level n only when i+j <= n+1."""
+        """The monomial xi_i^(2^j); it exists at a truncated level only when j < widths[i-1]."""
         if i < 1:
             raise ValueError(f"generator index must be >= 1, got {i}")
         if j < 0:
             raise ValueError(f"power index must be >= 0, got {j}")
-        if level.truncated and i + j > level.n + 1:
-            raise ValueError(
-                f"xi{i}^(2^{j}) does not exist at n={level.n} (need i+j <= {level.n + 1})"
-            )
         exps = [0] * i
         exps[i - 1] = 1 << j
+        if level.first_breach(exps) is not None:
+            raise ValueError(
+                f"xi{i}^(2^{j}) does not exist at n={level.n} (need i+j <= {len(level.widths)})"
+            )
         return cls(level, exps)
 
     def exponent(self, i: int) -> int:
@@ -233,8 +248,8 @@ class Monomial:
         """
         if p < 0 or p >= q:
             raise ValueError(f"need 0 <= p < q, got p={p}, q={q}")
-        if self.level.truncated and q > self.level.n + 1:
-            raise ValueError(f"vertex index {q} out of range 0..{self.level.n + 1}")
+        if self.level.truncated:
+            self.level.check_vertex(q)
         return (self.exponent(q - p) >> p) & 1
 
     def __mul__(self, other: "Monomial") -> "Polynomial":
@@ -291,9 +306,9 @@ class Monomial:
 
 
 def _stored_form(level: Level, exps: tuple) -> tuple:
-    """Exactly n+1 exponents at a truncated level, trailing zeros cut when untruncated."""
+    """One exponent per width at a truncated level, trailing zeros cut when untruncated."""
     if level.truncated:
-        width = level.n + 1
+        width = len(level.widths)
         return exps[:width] + (0,) * (width - len(exps))
     while exps and exps[-1] == 0:
         exps = exps[:-1]
@@ -468,8 +483,6 @@ def parse_monomial(text: str, level: Level) -> Monomial:
     their exponents.  Numbers are ASCII decimal digits only.
     """
     text = text.strip()
-    if not text:
-        raise ParseError("empty monomial text")
     if text.startswith("["):
         if not text.endswith("]"):
             raise ParseError(f"unterminated exponent list: {text!r}")
@@ -479,13 +492,16 @@ def parse_monomial(text: str, level: Level) -> Monomial:
             if not (s.isascii() and s.isdigit()):
                 raise ParseError(f"bad exponent {s!r} in {text!r}")
             exps.append(int(s))
-        if level.truncated and len(exps) != level.n + 1:
+        if level.truncated and len(exps) != len(level.widths):
             raise ParseError(
-                f"exponent list has {len(exps)} entries, expected {level.n + 1} at n={level.n}"
+                f"exponent list has {len(exps)} entries,"
+                f" expected {len(level.widths)} at n={level.n}"
             )
         return _monomial_with_bounds_check(level, exps)
 
     tokens = [t for t in re.split(r"[\s*]+", text) if t]
+    if not tokens:
+        raise ParseError(f"no factor in {text!r}" if text else "empty monomial text")
     if "1" in tokens:
         if len(tokens) > 1:
             raise ParseError("the unit monomial `1` must appear alone")
@@ -536,9 +552,9 @@ def index_bit(level: Level, p: int, q: int) -> int:
 
     Edge (p, q) is bit p of the field of r_(q-p) in the index packing.
     """
-    level._require_truncated()
-    if not 0 <= p < q <= level.n + 1:
-        raise ValueError(f"need 0 <= p < q <= {level.n + 1}, got p={p}, q={q}")
+    if not 0 <= p < q:
+        raise ValueError(f"need 0 <= p < q, got p={p}, q={q}")
+    level.check_vertex(q)
     return packing(level.widths, 0).offsets[q - p - 1] + p
 
 
@@ -607,7 +623,7 @@ def random_monomials(level: Level, count: int, seed: int) -> list:
     rng = random.Random(seed)
     out = []
     for _ in range(count):
-        exps = [rng.randint(0, level.exponent_bound(i)) for i in range(1, level.n + 2)]
+        exps = [rng.randint(0, (1 << w) - 1) for w in level.widths]
         out.append(Monomial(level, exps))
     return out
 

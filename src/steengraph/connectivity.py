@@ -63,12 +63,12 @@ def _field_width(m: int) -> int:
 
 def _table_from_matrix(x: Monomial, directed: bool) -> dict:
     a = adjacency_matrix(x, directed=directed)
-    m = x.level.n + 2
+    m = len(a)
     w = _field_width(m)
     neighbours = [[j for j, v in enumerate(row) if v] for row in a]
     ones = [sum(1 << j * w for j in nbrs) for nbrs in neighbours]
     s = ones
-    for _ in range(m - 2):  # S_1 = A, then n more steps to S_(n+1)
+    for _ in range(m - 2):  # S_1 = A, then m-2 more steps to S_(m-1)
         row_of = s.__getitem__
         s = [sum(map(row_of, nbrs), one) for nbrs, one in zip(neighbours, ones)]
     mask = (1 << w) - 1
@@ -147,7 +147,6 @@ def lane_verdicts(level: Level, base: int, width: int) -> Tuple[int, int]:
     every pair p < q in A | A^2 | ... | A^(n+1), for the undirected and
     the directed adjacency matrix, by the recurrence S_(k+1) = A | A S_k.
     """
-    level._require_truncated()
     lanes = 1 << width
     count = monomial_count(level)
     widest = block_width(level)
@@ -157,17 +156,16 @@ def lane_verdicts(level: Level, base: int, width: int) -> Tuple[int, int]:
         raise ValueError(f"block base {base} is not a multiple of {lanes} in 0..{count - 1}")
     full = (1 << lanes) - 1
     patterns = _lane_patterns()
-    m = level.n + 2
+    m = level.vertex_count
     up = [[0] * m for _ in range(m)]
     for p in range(m):
         for q in range(p + 1, m):
             b = index_bit(level, p, q)
             up[p][q] = patterns[b] & full if b < width else full * (base >> b & 1)
     both = [[up[p][q] | up[q][p] for q in range(m)] for p in range(m)]
-    top = level.n + 1
     return (
-        _every_pair(_boolean_power_sum(both, top), full),
-        _every_pair(_boolean_power_sum(up, top), full),
+        _every_pair(_boolean_power_sum(both, m - 1), full),
+        _every_pair(_boolean_power_sum(up, m - 1), full),
     )
 
 

@@ -11,13 +11,14 @@ The directed view orients every edge toward its larger endpoint, which
 makes the directed adjacency matrix strictly upper triangular.
 
 A WoodGraph is one int of neighbour masks, and the search oracles of
-connectivity.py and structure.py run on those masks.
+connectivity.py and structure.py run on those masks.  The vertex and edge
+ranges are read off the level's shape, stated once in Level.widths.
 """
 
 from functools import lru_cache
 from typing import Iterable, Tuple
 
-from .algebra import Level, Monomial
+from .algebra import Level, Monomial, monomial_count, monomial_from_index
 
 Edge = Tuple[int, int]
 
@@ -36,17 +37,16 @@ class WoodGraph:
     __slots__ = ("level", "rows")
 
     def __init__(self, level: Level, edges: Iterable[Edge] = ()):
-        level._require_truncated()
-        top = level.n + 1
+        m = level.vertex_count
         rows = 0
         for p, q in edges:
             if p > q:
                 p, q = q, p
             if p == q:
                 raise ValueError(f"loop at vertex {p} not allowed")
-            if p < 0 or q > top:
-                raise ValueError(f"edge ({p},{q}) outside vertex range 0..{top}")
-            rows |= 1 << (p * (top + 1) + q) | 1 << (q * (top + 1) + p)
+            if p < 0 or q >= m:
+                raise ValueError(f"edge ({p},{q}) outside vertex range 0..{m - 1}")
+            rows |= 1 << (p * m + q) | 1 << (q * m + p)
         self.level = level
         self.rows = rows
 
@@ -59,7 +59,7 @@ class WoodGraph:
 
     @property
     def vertex_count(self) -> int:
-        return self.level.n + 2
+        return len(self.level.widths) + 1
 
     @property
     def edge_count(self) -> int:
@@ -71,14 +71,14 @@ class WoodGraph:
         return frozenset(self.sorted_edges())
 
     def vertices(self) -> range:
-        return range(self.level.n + 2)
+        return range(self.vertex_count)
 
     def has_edge(self, p: int, q: int) -> bool:
-        m = self.level.n + 2
+        m = self.vertex_count
         return 0 <= p < m and 0 <= q < m and bool(self.rows >> (p * m + q) & 1)
 
     def sorted_edges(self) -> list:
-        m = self.level.n + 2
+        m = self.vertex_count
         return [(p, q) for p in range(m) for q in range(p + 1, m) if self.rows >> (p * m + q) & 1]
 
     def __eq__(self, other) -> bool:
@@ -107,7 +107,7 @@ def exponent_rows(level: Level, i: int, r: int) -> int:
     This is the search oracles' own edge rule.  The block kernel reads
     edges off the enumeration index (algebra.index_bit) instead.
     """
-    m = level.n + 2
+    m = level.vertex_count
     rows = 0
     while r:
         low = r & -r
@@ -124,9 +124,10 @@ def row_tables(level: Level) -> tuple:
     2^(n+1) + ... + 2 rows a level: the sweeps build them once, while
     to_graph, which must serve n=12, calls exponent_rows directly.
     """
+    level._require_truncated()
     return tuple(
-        tuple(exponent_rows(level, i, r) for r in range(level.exponent_bound(i) + 1))
-        for i in range(1, level.n + 2)
+        tuple(exponent_rows(level, i, r) for r in range(1 << w))
+        for i, w in enumerate(level.widths, start=1)
     )
 
 
@@ -141,7 +142,7 @@ def to_graph(x: Monomial) -> WoodGraph:
 
 def from_graph(g: WoodGraph) -> Monomial:
     """The monomial of a graph: edge (p, q) contributes 2^p to the exponent of xi_(q-p)."""
-    exps = [0] * (g.level.n + 1)
+    exps = [0] * len(g.level.widths)
     for p, q in g.edges:
         exps[q - p - 1] += 1 << p
     return Monomial(g.level, exps)
@@ -154,8 +155,7 @@ def adjacency_matrix(x: Monomial, directed: bool = False) -> tuple:
     zero diagonal.  Directed: entry (p, q) is the edge indicator only for
     p < q, so the matrix is strictly upper triangular.
     """
-    x.level._require_truncated()
-    m = x.level.n + 2
+    m = x.level.vertex_count
     rows = [[0] * m for _ in range(m)]
     for i, j in x.dyadic_bits():
         rows[j][i + j] = 1
@@ -165,9 +165,8 @@ def adjacency_matrix(x: Monomial, directed: bool = False) -> tuple:
 
 
 def top_class(level: Level) -> Monomial:
-    """The monomial with every exponent at its bound; its graph is complete."""
-    level._require_truncated()
-    return Monomial(level, [level.exponent_bound(i) for i in range(1, level.n + 2)])
+    """The last monomial in enumeration order: every exponent at its bound, a complete graph."""
+    return monomial_from_index(level, monomial_count(level) - 1)
 
 
 def export_dot(g: WoodGraph, directed: bool = False) -> str:

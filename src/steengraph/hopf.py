@@ -306,17 +306,9 @@ def directed_path_polynomial(j: int, i: int, level: Level) -> Polynomial:
     intermediate vertices, and at any level admitting xi_i^(2^j) none
     of them truncates away.
     """
-    if i < 1:
-        raise ValueError(f"generator index must be >= 1, got {i}")
-    if j < 0:
-        raise ValueError(f"power index must be >= 0, got {j}")
-    if level.truncated and i + j > level.n + 1:
-        raise ValueError(
-            f"edge {j} -> {i + j} out of range at n={level.n} (need i+j <= {level.n + 1})"
-        )
+    acc = [Monomial.generator_power(i, j, level)]  # the one-edge path; refuses an absent edge
     inner = range(j + 1, i + j)
-    acc = []
-    for size in range(i):
+    for size in range(1, i):
         for mids in itertools.combinations(inner, size):
             seq = (j,) + mids + (i + j,)
             exps = [0] * i
@@ -369,19 +361,15 @@ def truncate_tensor(tp: TensorPolynomial, level: Level) -> TensorPolynomial:
 def hopf_ideal_generators(level: Level) -> list:
     """Untruncated generators of the truncation ideal, the infinite tail cut at n+3.
 
-    The ideal is generated by xi_m^(2^(n+2-m)) for 1 <= m <= n+1
-    together with every xi_m for m >= n+2; generators beyond n+3 behave
-    identically to xi_(n+3) under the coproduct's triangular shape, so
-    two tail witnesses stand in for the rest.
+    The ideal is generated by xi_m^(2^w), the first power of each xi_m
+    past its width w = widths[m-1], together with every xi_m past the
+    last width, m >= n+2; generators beyond n+3 behave identically to
+    xi_(n+3) under the coproduct's triangular shape, so two tail
+    witnesses stand in for the rest.
     """
-    level._require_truncated()
-    n = level.n
-    gens = [
-        Monomial.generator_power(m, n + 2 - m, UNTRUNCATED) for m in range(1, n + 2)
-    ]
-    gens.append(Monomial.generator_power(n + 2, 0, UNTRUNCATED))
-    gens.append(Monomial.generator_power(n + 3, 0, UNTRUNCATED))
-    return gens
+    tail = level.vertex_count  # n+2, the first generator with no width
+    powers = [*enumerate(level.widths, start=1), (tail, 0), (tail + 1, 0)]
+    return [Monomial.generator_power(m, w, UNTRUNCATED) for m, w in powers]
 
 
 def hopf_ideal_violations(level: Level) -> list:

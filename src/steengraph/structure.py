@@ -4,7 +4,8 @@ The tree test combines connectedness with the edge count: a connected
 graph on n+2 vertices is a tree exactly when it has n+1 edges, and the
 edge count of a monomial graph is the total number of 1s across the
 binary expansions of its exponents.  tree_criterion states that rule
-once, for is_tree, the analyze report and the tree sweep.
+once, for is_tree, the analyze report and the tree sweep.  Vertex ranges
+and counts come from the level's shape, stated once in Level.widths.
 
 Two sufficient conditions for a Hamilton cycle are exposed side by
 side.  `paper_hamilton_condition` bounds every vertex degree below by
@@ -39,25 +40,23 @@ class DegreeProfile(NamedTuple):
 
 def degrees(x: Monomial, p: int) -> DegreeProfile:
     """Degree data of vertex p: arrows out go to larger vertices, arrows in come from smaller."""
-    level = x.level
-    level._require_truncated()
-    if not 0 <= p <= level.n + 1:
-        raise ValueError(f"vertex index {p} out of range 0..{level.n + 1}")
-    # edge (p, p+k) is bit p of r_k, edge (p-k, p) is bit p-k of r_k; r_k is exponents[k-1]
+    x.level.check_vertex(p)
+    # edge (p, p+k) is bit p of r_k, edge (p-k, p) is bit p-k of r_k; r_k is exponents[k-1],
+    # one exponent per generator, so vertex p+k exists for k <= len(exps) - p
     exps = x.exponents
-    out = sum(exps[k - 1] >> p & 1 for k in range(1, level.n + 2 - p))
+    out = sum(r >> p & 1 for r in exps[: len(exps) - p])
     inn = sum(exps[k - 1] >> (p - k) & 1 for k in range(1, p + 1))
     return DegreeProfile(p, out, inn, out + inn)
 
 
 def degree_table(x: Monomial) -> list:
     """Degree profiles of all n+2 vertices in index order."""
-    return [degrees(x, p) for p in range(x.level.n + 2)]
+    return list(_lazy_degrees(x))
 
 
 def tree_criterion(level: Level, edge_count: int, connected: bool) -> bool:
-    """The tree rule: a graph on the n+2 vertices of a level is a tree iff connected with n+1 edges."""
-    return connected and edge_count == level.n + 1
+    """The tree rule: a graph on a level's m vertices is a tree iff connected with m-1 edges."""
+    return connected and edge_count == len(level.widths)  # m-1; a sweep calls this per case
 
 
 def is_tree(x: Monomial) -> bool:
@@ -113,7 +112,7 @@ def degree_bound_holds(level: Level, profiles: Iterable[DegreeProfile], extra: i
 
 def _lazy_degrees(x: Monomial) -> Iterator[DegreeProfile]:
     # one profile at a time, so a bound that fails early stops the degree passes too
-    return (degrees(x, p) for p in range(x.level.n + 2))
+    return (degrees(x, p) for p in range(x.level.vertex_count))
 
 
 def paper_hamilton_condition(x: Monomial) -> bool:

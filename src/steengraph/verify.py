@@ -159,7 +159,7 @@ def _sweep_tree(level: Level, start: int, stop: int) -> tuple:
 
 def _sweep_dipath(level: Level, start: int, stop: int) -> tuple:
     failures = []
-    spine = tuple(range(level.n + 2))
+    spine = tuple(range(level.vertex_count))
     top = packing(level.widths, 0).offsets[0]  # r_1 is the highest field, so it needs no mask
     for k, g in _iter_graphs(level, start, stop):
         witness = oracle_hamilton_directed_path(g)
@@ -197,16 +197,10 @@ def _sweep_corollary(level: Level, start: int, stop: int) -> tuple:
     return stop - start, failures, findings
 
 
-def _generator_powers(level: Level):
-    for i in range(1, level.n + 2):
-        for j in range(level.n + 2 - i):
-            yield i, j
-
-
 def _check_antipode_paths(level: Level) -> tuple:
     failures = []
     cases = 0
-    for i, j in _generator_powers(level):
+    for i, j in level.generator_powers():
         cases += 1
         g = Monomial.generator_power(i, j, level)
         if antipode(g) != directed_path_polynomial(j, i, level):
@@ -238,7 +232,7 @@ def _antipode_recursion_holds() -> bool:
 def _check_hopf_axioms(level: Level) -> tuple:
     failures = []
     cases = 0
-    sample = [Monomial.generator_power(i, j, level) for i, j in _generator_powers(level)]
+    sample = [Monomial.generator_power(i, j, level) for i, j in level.generator_powers()]
     sample += random_monomials(level, RANDOM_SAMPLE_SIZE, RANDOM_SEED + level.n)
     for x in sample:
         cases += 1

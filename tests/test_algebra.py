@@ -68,11 +68,29 @@ class TestLevel:
         assert not L2.generator_valid(0)
         assert UNTRUNCATED.generator_valid(100)
 
+    @pytest.mark.parametrize("n", range(13))
+    def test_shape_matches_closed_forms(self, n):
+        level = Level(n)
+        pairs = level.generator_powers()
+        assert pairs == sorted(
+            (i, j) for i in range(1, n + 2) for j in range(n + 1) if i + j <= n + 1
+        )
+        assert len(pairs) == sum(level.widths) == (n + 1) * (n + 2) // 2
+        for p in range(n + 2):
+            level.check_vertex(p)
+        for p in (-1, n + 2):
+            with pytest.raises(ValueError, match="out of range"):
+                level.check_vertex(p)
+
     def test_untruncated_has_no_bounds(self):
         with pytest.raises(ValueError):
             UNTRUNCATED.exponent_bound(1)
         with pytest.raises(ValueError):
             UNTRUNCATED.vertex_count
+        with pytest.raises(ValueError):
+            UNTRUNCATED.generator_powers()
+        with pytest.raises(ValueError):
+            UNTRUNCATED.check_vertex(0)
 
 
 class TestMonomial:
@@ -183,6 +201,12 @@ class TestParse:
             parse_monomial("[1,2,3]", L1)
         with pytest.raises(ParseError, match="bad exponent"):
             parse_monomial("[1,x,0]", L2)
+
+    @pytest.mark.parametrize("text", ["*", " * * ", "**"])
+    def test_text_without_a_factor_rejected(self, text):
+        # the unit is `1`; a separator alone names no monomial
+        with pytest.raises(ParseError, match="no factor"):
+            parse_monomial(text, L2)
 
     @pytest.mark.parametrize("text", ["[\u00b2,0,0]", "[\u0661,0,0]", "xi\u0661^\u0663"])
     def test_non_ascii_digits_rejected(self, text):

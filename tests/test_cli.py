@@ -114,6 +114,12 @@ class TestAnalyze:
         assert code == 2 and out == ""
         assert err.startswith("error: bad exponent") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("text", ["*", " * * "])
+    def test_text_without_a_factor_exits_two(self, capsys, text):
+        code, out, err = run_cli(capsys, ["analyze", text, "-n", "1"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: no factor in ") and err.count("\n") == 1
+
     def test_level_cap_exits_two(self, capsys, monkeypatch):
         monkeypatch.setenv("STEENGRAPH_MAX_N", "2")
         code, _, err = run_cli(capsys, ["analyze", "xi1", "-n", "3"])
@@ -302,10 +308,12 @@ class TestHopf:
             "result": "xi2^1 + xi1^3",
         }
 
-    def test_out_of_range_exits_two(self, capsys):
-        code, _, err = run_cli(capsys, ["hopf", "coproduct", "--i", "3", "-n", "1"])
+    @pytest.mark.parametrize("action", ["coproduct", "antipode", "paths"])
+    def test_out_of_range_exits_two(self, capsys, action):
+        # every action refuses an absent xi_i^(2^j) with the one generator-power message
+        code, _, err = run_cli(capsys, ["hopf", action, "--i", "3", "-n", "1"])
         assert code == 2
-        assert err.startswith("error: ")
+        assert err == "error: xi3^(2^0) does not exist at n=1 (need i+j <= 2)\n"
 
     @pytest.mark.parametrize("action", ["antipode", "paths", "coproduct"])
     def test_untruncated_request_must_fit_the_level_cap(self, capsys, action):
