@@ -70,7 +70,7 @@ class Level:
     module reads the shape from these two.
     """
 
-    __slots__ = ("n", "widths")
+    __slots__ = ("n", "widths", "_vertices")
 
     def __init__(self, n: Optional[int] = None):
         if n is not None:
@@ -86,6 +86,7 @@ class Level:
         self.n = n
         # bits of r_1, ..., r_(n+1): r_i < 2^(n+2-i), the one statement of the bound
         self.widths = () if n is None else tuple(range(n + 1, 0, -1))
+        self._vertices = None if n is None else len(self.widths) + 1
 
     @property
     def truncated(self) -> bool:
@@ -93,9 +94,10 @@ class Level:
 
     @property
     def vertex_count(self) -> int:
-        """Number of graph vertices, n+2 (vertex p is 2^p); hot loops read len(widths) + 1."""
-        self._require_truncated()
-        return len(self.widths) + 1
+        """Number of graph vertices, len(widths) + 1 (vertex p is 2^p), counted in __init__."""
+        if self._vertices is None:
+            self._require_truncated()
+        return self._vertices
 
     def check_vertex(self, p: int) -> None:
         """Refuse a vertex index p outside 0..n+1, the one vertex-range check."""
@@ -207,12 +209,13 @@ class Monomial:
             raise ValueError(f"generator index must be >= 1, got {i}")
         if j < 0:
             raise ValueError(f"power index must be >= 0, got {j}")
-        exps = [0] * i
-        exps[i - 1] = 1 << j
-        if level.first_breach(exps) is not None:
+        # refuse from the shape before i and j size any allocation
+        if level.truncated and not (i <= len(level.widths) and j < level.widths[i - 1]):
             raise ValueError(
                 f"xi{i}^(2^{j}) does not exist at n={level.n} (need i+j <= {len(level.widths)})"
             )
+        exps = [0] * i
+        exps[i - 1] = 1 << j
         return cls(level, exps)
 
     def exponent(self, i: int) -> int:

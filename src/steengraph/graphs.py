@@ -18,7 +18,7 @@ ranges are read off the level's shape, stated once in Level.widths.
 from functools import lru_cache
 from typing import Iterable, Tuple
 
-from .algebra import Level, Monomial, monomial_count, monomial_from_index
+from .algebra import Level, Monomial
 
 Edge = Tuple[int, int]
 
@@ -59,7 +59,7 @@ class WoodGraph:
 
     @property
     def vertex_count(self) -> int:
-        return len(self.level.widths) + 1
+        return self.level.vertex_count
 
     @property
     def edge_count(self) -> int:
@@ -165,8 +165,9 @@ def adjacency_matrix(x: Monomial, directed: bool = False) -> tuple:
 
 
 def top_class(level: Level) -> Monomial:
-    """The last monomial in enumeration order: every exponent at its bound, a complete graph."""
-    return monomial_from_index(level, monomial_count(level) - 1)
+    """The monomial with every exponent at its bound; its graph is complete."""
+    level._require_truncated()
+    return Monomial(level, [(1 << w) - 1 for w in level.widths])
 
 
 def export_dot(g: WoodGraph, directed: bool = False) -> str:

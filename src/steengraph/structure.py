@@ -56,7 +56,7 @@ def degree_table(x: Monomial) -> list:
 
 def tree_criterion(level: Level, edge_count: int, connected: bool) -> bool:
     """The tree rule: a graph on a level's m vertices is a tree iff connected with m-1 edges."""
-    return connected and edge_count == len(level.widths)  # m-1; a sweep calls this per case
+    return connected and edge_count == level.vertex_count - 1
 
 
 def is_tree(x: Monomial) -> bool:

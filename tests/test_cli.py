@@ -315,6 +315,14 @@ class TestHopf:
         assert code == 2
         assert err == "error: xi3^(2^0) does not exist at n=1 (need i+j <= 2)\n"
 
+    @pytest.mark.parametrize("action", ["coproduct", "antipode", "paths"])
+    @pytest.mark.parametrize("i, j", [(10**10, 0), (1, 10**11)])
+    def test_huge_absent_power_is_refused_before_any_allocation(self, capsys, action, i, j):
+        # sizes of 10^10 would mean gigabytes of exponents; the shape refuses them first
+        code, out, err = run_cli(capsys, ["hopf", action, "--i", str(i), "--j", str(j), "-n", "1"])
+        assert code == 2 and out == ""
+        assert err == f"error: xi{i}^(2^{j}) does not exist at n=1 (need i+j <= 2)\n"
+
     @pytest.mark.parametrize("action", ["antipode", "paths", "coproduct"])
     def test_untruncated_request_must_fit_the_level_cap(self, capsys, action):
         # without -n, xi_i^(2^j) must exist in A*(12), the default cap: i + j - 1 <= 12
