@@ -2,7 +2,6 @@
 
 from .algebra import (
     UNTRUNCATED,
-    DyadicBit,
     Level,
     Monomial,
     ParseError,
@@ -20,7 +19,6 @@ from .algebra import (
 
 __all__ = [
     "UNTRUNCATED",
-    "DyadicBit",
     "Level",
     "Monomial",
     "ParseError",

@@ -10,9 +10,10 @@ so a monomial of A*(n) is an exponent vector (r_1, ..., r_(n+1)) with
 exponent is the structural key: the bit 2^j of r_i stands for the factor
 xi_i^(2^j), and that factor corresponds to the edge {2^j, 2^(i+j)} of the
 graph on vertices {2^0, ..., 2^(n+1)} associated to the monomial.  All
-edge-level queries (edge_bit, dyadic_bits) read those bits directly.  That
-shape is stated once, in Level.widths = (n+1, ..., 1), the profile function
-of A*(n); every module reads its counts and ranges from the level.
+edge-level queries read those bits directly: edge_bit one bit, dyadic_bits
+every set bit as a plain pair (i, j), the edge j -> i+j.  That shape is
+stated once, in Level.widths = (n+1, ..., 1), the profile function of
+A*(n); every module reads its counts and ranges from the level.
 
 One layout, `Packing`, lays those bits out in an int.  Without guard bits
 it is the enumeration index, one bit per edge; with a guard bit above each
@@ -149,13 +150,6 @@ class Level:
 UNTRUNCATED = Level()
 
 
-class DyadicBit(NamedTuple):
-    """The factor xi_generator^(2^power); its edge runs from power to generator+power."""
-
-    generator: int
-    power: int
-
-
 def alpha(m: int) -> int:
     """Number of 1s in the binary expansion of m (the edge count a single exponent contributes)."""
     if m < 0:
@@ -235,12 +229,12 @@ class Monomial:
         """Total number of dyadic bits, i.e. edges of the associated graph."""
         return sum(r.bit_count() for r in self.exponents)
 
-    def dyadic_bits(self) -> Iterator[DyadicBit]:
-        """Factors xi_i^(2^j) of this monomial, ordered by (i, j)."""
+    def dyadic_bits(self) -> Iterator[tuple]:
+        """Pairs (i, j), one for each factor xi_i^(2^j) of this monomial, ordered by (i, j)."""
         for i, r in enumerate(self.exponents, start=1):
             while r:
                 low = r & -r
-                yield DyadicBit(i, low.bit_length() - 1)
+                yield i, low.bit_length() - 1
                 r ^= low
 
     def edge_bit(self, p: int, q: int) -> int:

@@ -70,7 +70,7 @@ def build_report(x: Monomial) -> dict:
     oracle_connected = oracle_is_connected(g)
     unilateral = all(u.values())
     oracle_unilateral = oracle_is_unilateral(g)
-    tree = tree_criterion(x.level, g.edge_count, connected)
+    tree = tree_criterion(x.level, x.edge_count, connected)
     oracle_tree = oracle_is_tree(g)
     cycle = oracle_hamilton_cycle(g)
     dipath = has_hamilton_directed_path(x)
@@ -128,7 +128,7 @@ def render_analysis_text(rep: dict) -> str:
     lines = []
     lines.append(
         f"monomial {rep['monomial']} at n={rep['n']}"
-        f" ({rep['n'] + 2} vertices, {len(rep['edges'])} edges)"
+        f" ({len(rep['degrees'])} vertices, {len(rep['edges'])} edges)"
     )
     if rep["edges"]:
         lines.append("edges: " + " ".join(f"{{{a},{b}}}" for a, b in rep["edges"]))

@@ -24,15 +24,18 @@ each level, one in every 2^(n+1).
 Both tables follow S_1 = A, S_(k+1) = A + A S_k, with row p of S_k
 packed into one int: entry (p, q) is the field of w bits at bit q*w.
 Row p of A S_k is the sum of the rows S_k[j] at the neighbours j of p,
-so one step is one big-int add per neighbour.  No field carries into the
-next: an entry counts walks of length at most m-1 = n+1 in a graph on m
-vertices, each vertex of degree at most m-1, so it is below m^m, and
-w = (m^m).bit_length().  Every partial sum of a row adds nonnegative
-fields, each at most its final entry.  Only the fields of the pairs
-p < q are unpacked, into a dict {(p, q): count} whose keys run in
-(p, q) order, the order of a report's C and U records.  The route is the
-same for both orientations, and analyze builds each table once and reads
-its verdicts off it.
+so one step is one big-int add per neighbour.  The neighbour lists are
+read off the factors of x: each pair (i, j) of dyadic_bits is the arrow
+j -> i+j, plus i+j -> j when undirected.  No 0/1 matrix is built;
+graphs.adjacency_matrix is the tests' reference for these tables.  No
+field carries into the next: an entry counts walks of length at most
+m-1 = n+1 in a graph on m vertices, each vertex of degree at most m-1,
+so it is below m^m, and w = (m^m).bit_length().  Every partial sum of
+a row adds nonnegative fields, each at most its final entry.  Only the
+fields of the pairs p < q are unpacked, into a dict {(p, q): count}
+whose keys run in (p, q) order, the order of a report's C and U
+records.  The route is the same for both orientations, and analyze
+builds each table once and reads its verdicts off it.
 
 Exhaustive sweeps decide a whole block of monomials at once with
 lane_verdicts: the same recurrence over the Boolean semiring, S_(k+1) =
@@ -50,7 +53,7 @@ from functools import lru_cache
 from typing import Tuple
 
 from .algebra import Level, Monomial, index_bit, monomial_count
-from .graphs import WoodGraph, adjacency_matrix
+from .graphs import WoodGraph
 
 # A block holds at most 2^15 monomials, so a lane int is at most 4 KiB at any n.
 BLOCK_BITS = 15
@@ -61,11 +64,14 @@ def _field_width(m: int) -> int:
     return (m**m).bit_length()
 
 
-def _table_from_matrix(x: Monomial, directed: bool) -> dict:
-    a = adjacency_matrix(x, directed=directed)
-    m = len(a)
+def _walk_table(x: Monomial, directed: bool) -> dict:
+    m = x.level.vertex_count
     w = _field_width(m)
-    neighbours = [[j for j, v in enumerate(row) if v] for row in a]
+    neighbours = [[] for _ in range(m)]
+    for i, j in x.dyadic_bits():  # the factor xi_i^(2^j) is the edge j -> i+j
+        neighbours[j].append(i + j)
+        if not directed:
+            neighbours[i + j].append(j)
     ones = [sum(1 << j * w for j in nbrs) for nbrs in neighbours]
     s = ones
     for _ in range(m - 2):  # S_1 = A, then m-2 more steps to S_(m-1)
@@ -77,12 +83,12 @@ def _table_from_matrix(x: Monomial, directed: bool) -> dict:
 
 def connection_numbers(x: Monomial) -> dict:
     """{(p, q): walks of length <= n+1 from p to q} in the graph of x, for p < q in (p, q) order."""
-    return _table_from_matrix(x, directed=False)
+    return _walk_table(x, directed=False)
 
 
 def unilateral_numbers(x: Monomial) -> dict:
     """{(p, q): directed paths from p to q} in the digraph of x, for p < q in (p, q) order."""
-    return _table_from_matrix(x, directed=True)
+    return _walk_table(x, directed=True)
 
 
 def is_connected(x: Monomial) -> bool:

@@ -31,10 +31,11 @@ class WoodGraph:
     The graph is one int, `rows`: with m = n+2, bits p*m ... p*m+m-1 are
     the neighbour mask of vertex p, so edge (p, q) sets bit p*m+q and bit
     q*m+p.  Edges given to the constructor are unordered pairs; loops are
-    rejected and duplicate edges collapse.
+    rejected and duplicate edges collapse.  `vertex_count` is the level's,
+    kept on the graph so that the oracles read it as a plain attribute.
     """
 
-    __slots__ = ("level", "rows")
+    __slots__ = ("level", "rows", "vertex_count")
 
     def __init__(self, level: Level, edges: Iterable[Edge] = ()):
         m = level.vertex_count
@@ -47,19 +48,14 @@ class WoodGraph:
             if p < 0 or q >= m:
                 raise ValueError(f"edge ({p},{q}) outside vertex range 0..{m - 1}")
             rows |= 1 << (p * m + q) | 1 << (q * m + p)
-        self.level = level
-        self.rows = rows
+        self.level, self.rows, self.vertex_count = level, rows, m
 
     @classmethod
     def _unchecked(cls, level: Level, rows: int) -> "WoodGraph":
         """A graph from rows already symmetric, loop-free and within the level's vertices."""
         g = object.__new__(cls)
-        g.level, g.rows = level, rows
+        g.level, g.rows, g.vertex_count = level, rows, level.vertex_count
         return g
-
-    @property
-    def vertex_count(self) -> int:
-        return self.level.vertex_count
 
     @property
     def edge_count(self) -> int:

@@ -40,7 +40,7 @@ desk scale, so all maps descend to the finite algebras.
 import itertools
 import operator
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Optional, Tuple, Union
+from typing import Iterator, Optional, Tuple, Union
 
 from .algebra import (
     UNTRUNCATED,
@@ -94,32 +94,14 @@ class TensorPolynomial(F2Sum):
         return cls(level, ((u, u),))
 
 
-class Composition(NamedTuple):
-    """An ordered sequence of positive integers; the antipode sums over these."""
-
-    parts: Tuple[int, ...]
-
-    @property
-    def target(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
-    def prefix_sum(self, k: int) -> int:
-        """Sum of the first k-1 parts (so prefix_sum(1) = 0); the power offset of part k."""
-        return sum(self.parts[: k - 1])
-
-
-def compositions(total: int) -> Iterator[Composition]:
-    """All 2^(total-1) compositions of a positive integer, in cut-mask order."""
+def compositions(total: int) -> Iterator[Tuple[int, ...]]:
+    """The parts of all 2^(total-1) compositions of a positive integer, in cut-mask order."""
     if total < 1:
         raise ValueError(f"compositions need a positive total, got {total}")
     for mask in range(1 << (total - 1)):
         # bit pos of the mask cuts between positions pos and pos+1
         cuts = [0] + [pos + 1 for pos in range(total - 1) if mask >> pos & 1] + [total]
-        yield Composition(tuple(b - a for a, b in zip(cuts, cuts[1:])))
+        yield tuple(b - a for a, b in zip(cuts, cuts[1:]))
 
 
 def _packing_of(x: Monomial) -> Packing:
@@ -151,9 +133,9 @@ def _coproduct_terms(pk: Packing, i: int, j: int) -> tuple:
 def _antipode_terms(pk: Packing, i: int, j: int) -> tuple:
     """Packed antipode of xi_i^(2^j): Milnor's composition sum, each part shifted by j."""
     terms = []
-    for comp in compositions(i):
+    for parts in compositions(i):
         term, offset = 0, j
-        for part in comp.parts:
+        for part in parts:
             term |= pk.bit(part, offset)
             offset += part
         terms.append(term)

@@ -14,8 +14,10 @@ import pytest
 from jsonschema import Draft202012Validator
 
 import steengraph
-from steengraph import cli, connectivity
+from steengraph import cli, connectivity, graphs
 from steengraph.algebra import Level, parse_monomial, random_monomials
+from steengraph.graphs import WoodGraph
+from steengraph.verify import run_check
 
 
 @pytest.fixture(scope="module")
@@ -143,13 +145,13 @@ class TestReportBytes:
 
     def test_each_walk_table_is_built_once(self, monkeypatch):
         calls = []
-        real = connectivity.adjacency_matrix
+        real = connectivity._walk_table
 
-        def counting(x, directed=False):
+        def counting(x, directed):
             calls.append(directed)
-            return real(x, directed=directed)
+            return real(x, directed)
 
-        monkeypatch.setattr(connectivity, "adjacency_matrix", counting)
+        monkeypatch.setattr(connectivity, "_walk_table", counting)
         rep = cli.build_report(parse_monomial("xi1^6 xi2 xi3", Level(2)))
         assert rep["connected"] and not rep["unilateral"]
         assert sorted(calls) == [False, True]
@@ -158,6 +160,47 @@ class TestReportBytes:
         rep = cli.build_report(parse_monomial("xi1^7", Level(2)))
         assert rep["connected"] and rep["tree"] and rep["unilateral"]
         assert sorted(calls) == [False, True]
+
+
+class TestCriteriaReadTheMonomial:
+    # the criterion side of a report reads the factors of x, never the oracles' graph
+    CRITERIA = (
+        "connected",
+        "unilateral",
+        "tree",
+        "hamilton_dipath",
+        "paper_hamilton_condition",
+        "dirac_condition",
+        "C",
+        "U",
+        "degrees",
+    )
+
+    def test_criteria_ignore_a_damaged_oracle_graph(self, monkeypatch):
+        x = parse_monomial("xi1^7", Level(2))
+        before = cli.build_report(x)
+        real = cli.to_graph
+
+        def without_edge_0_1(y):
+            g = real(y)
+            return WoodGraph(g.level, [e for e in g.sorted_edges() if e != (0, 1)])
+
+        monkeypatch.setattr(cli, "to_graph", without_edge_0_1)
+        after = cli.build_report(x)
+        assert before["tree"] and not after["oracle_tree"]
+        assert {k: after[k] for k in self.CRITERIA} == {k: before[k] for k in self.CRITERIA}
+
+    def test_no_adjacency_matrix_on_any_path(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("adjacency_matrix is the tests' reference only")
+
+        monkeypatch.setattr(graphs, "adjacency_matrix", refuse)
+        monkeypatch.setattr(connectivity, "adjacency_matrix", refuse, raising=False)
+        for n in range(4, 13):
+            for x in random_monomials(Level(n), 5, seed=n):
+                assert cli.build_report(x)["oracles_agree"]
+        for name in ("main", "tree", "corollary-unilateral"):
+            assert run_check(name, 3).ok
 
 
 class TestVerify:
