@@ -325,6 +325,8 @@ def cmd_hopf(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise ValueError(f"--limit must be >= 0, got {args.limit}")
     level = Level(args.n)
     total = monomial_count(level)
     cap = effective_cap("main")
@@ -334,7 +336,7 @@ def cmd_enumerate(args) -> int:
             f"enumerate --json above n={cap} needs --limit K ({total} monomials at n={args.n};"
             f" set {ENV_MAX_N} to override)"
         )
-    listed = total if args.limit is None else max(0, min(args.limit, total))
+    listed = total if args.limit is None else min(args.limit, total)
     names = map(str, itertools.islice(enumerate_monomials(level), listed))
     if args.json:
         _emit_json(

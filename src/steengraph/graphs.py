@@ -15,14 +15,11 @@ connectivity.py and structure.py run on those masks.  The vertex and edge
 ranges are read off the level's shape, stated once in Level.widths.
 """
 
-from functools import lru_cache
 from typing import Iterable, Tuple
 
 from .algebra import Level, Monomial
 
 Edge = Tuple[int, int]
-
-ROW_TABLES_CACHED = 16  # one entry a level
 
 
 class WoodGraph:
@@ -113,12 +110,12 @@ def exponent_rows(level: Level, i: int, r: int) -> int:
     return rows
 
 
-@lru_cache(maxsize=ROW_TABLES_CACHED)
 def row_tables(level: Level) -> tuple:
     """Entry i-1 maps every exponent r of xi_i at this level to exponent_rows(level, i, r).
 
-    2^(n+1) + ... + 2 rows a level: the sweeps build them once, while
-    to_graph, which must serve n=12, calls exponent_rows directly.
+    2^(n+1) + ... + 2 rows a level: a sweep call builds them once, in well
+    under a millisecond at its caps, and keeps them no longer than the
+    call; to_graph, which must serve n=12, calls exponent_rows directly.
     """
     level._require_truncated()
     return tuple(

@@ -30,6 +30,9 @@ a monomial is one int with a guard bit above each exponent field, a
 product is one addition and a guard test, a tensor term a (x) b is
 `a << S | b`, and a rank-3 term is `(a << S | b) << S | c`.  `coproduct`
 and `antipode` unpack their results into the F2 sums of the API.
+Generator images are listed per call, the first time a call meets a
+dyadic bit; only `_level_antipodes`, the antipode slots of a level for
+`unilateral_via_antipode`, is kept across calls.
 
 Truncation interacts with everything here through the quotient map
 (truncate_monomial / truncate_polynomial / truncate_tensor): the
@@ -57,7 +60,7 @@ from .algebra import (
 )
 
 TensorTerm = Tuple[Monomial, Monomial]
-TABLES_CACHED = 64  # packings whose generator tables are kept: one a level, one a degree size
+TABLES_CACHED = 64  # levels whose antipode slots _level_antipodes keeps
 
 
 class TensorPolynomial(F2Sum):
@@ -142,63 +145,42 @@ def _antipode_terms(pk: Packing, i: int, j: int) -> tuple:
     return tuple(terms)
 
 
-class _GeneratorTable(dict):
-    """Packed xi_i^(2^j) -> its packed image under `terms`, filled on first use.
-
-    Untruncated packings have room for generator powers whose antipodes
-    are far too long to list in advance, and a monomial uses few of them.
-    """
-
-    def __init__(self, pk: Packing, terms):
-        super().__init__()
-        self.pk, self.terms = pk, terms
-
-    def __missing__(self, bit: int) -> tuple:
-        image = self[bit] = self.terms(self.pk, *self.pk.generator_power(bit))
-        return image
-
-
-@lru_cache(maxsize=TABLES_CACHED)
-def _coproduct_table(pk: Packing) -> _GeneratorTable:
-    return _GeneratorTable(pk, _coproduct_terms)
-
-
-@lru_cache(maxsize=TABLES_CACHED)
-def _antipode_table(pk: Packing) -> _GeneratorTable:
-    return _GeneratorTable(pk, _antipode_terms)
-
-
 class _Expansion(dict):
-    """Packed monomial -> its image under the algebra map that table gives on dyadic bits.
+    """Packed monomial -> its image under the algebra map that `terms` gives on dyadic bits.
 
-    The image of p is the image of p without its lowest bit times
-    table[that bit], summed over F2; a term whose sum sets a guard bit
-    lies in the ideal and dies.  Adding a fixed term is injective, so each
-    batch has no internal duplicates and xor-ing whole batches computes
-    the F2 sum.  Images are kept, so the monomials one check meets share
-    the work of their common bits; an instance serves one call.
+    A dyadic bit xi_i^(2^j) maps to terms(pk, i, j), whose terms fit the
+    packing (see _packing_of).  The image of any other p is the image of p
+    without its lowest bit times the image of that bit, summed over F2; a
+    term whose sum sets a guard bit lies in the ideal and dies.  Adding a
+    fixed term is injective, so each batch has no internal duplicates and
+    xor-ing whole batches computes the F2 sum.  An instance serves one
+    call: it lists each image the first time the call meets it, so the
+    monomials of one check share the work of their common bits.
     """
 
-    def __init__(self, table: dict, guard: int):
+    def __init__(self, pk: Packing, terms, guard: int):
         super().__init__({0: {0}})
-        self.table, self.guard = table, guard
+        self.pk, self.terms, self.guard = pk, terms, guard
 
     def __missing__(self, p: int) -> set:
         low = p & -p
-        rest, guard = self[p ^ low], self.guard
-        image = set()
-        for t in self.table[low]:
-            image ^= {u for s in rest if not (u := s + t) & guard}
+        if p == low:
+            image = set(self.terms(self.pk, *self.pk.generator_power(p)))
+        else:
+            rest, guard = self[p ^ low], self.guard
+            image = set()
+            for t in self[low]:
+                image ^= {u for s in rest if not (u := s + t) & guard}
         self[p] = image
         return image
 
 
 def _coproducts(pk: Packing) -> _Expansion:
-    return _Expansion(_coproduct_table(pk), pk.guard << pk.size | pk.guard)
+    return _Expansion(pk, _coproduct_terms, pk.guard << pk.size | pk.guard)
 
 
 def _antipodes(pk: Packing) -> _Expansion:
-    return _Expansion(_antipode_table(pk), pk.guard)
+    return _Expansion(pk, _antipode_terms, pk.guard)
 
 
 def _unpacked(level: Level, pk: Packing, packed: int) -> Monomial:
@@ -303,8 +285,8 @@ def directed_path_polynomial(j: int, i: int, level: Level) -> Polynomial:
 @lru_cache(maxsize=TABLES_CACHED)
 def _level_antipodes(pk: Packing) -> tuple:
     """The packed antipode of every generator power a level's packing holds."""
-    table = _antipode_table(pk)
-    return tuple(table[pk.bit(i, j)] for i, w in enumerate(pk.widths, start=1) for j in range(w))
+    fields = enumerate(pk.widths, start=1)
+    return tuple(_antipode_terms(pk, i, j) for i, w in fields for j in range(w))
 
 
 def unilateral_via_antipode(x: Monomial, edgewise: bool = True) -> bool:

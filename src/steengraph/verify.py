@@ -378,7 +378,9 @@ def run_check(name: str, n: int, jobs: int = 1) -> SweepResult:
 
 def run_all(n: int, jobs: int = 1) -> list:
     """Run every check whose cap admits n; capped-out checks are skipped with a note."""
-    _worker_count(jobs)  # refuse a bad --jobs even when every check is capped out
+    # refuse a bad --jobs or a level above its cap even when every check is capped out
+    _worker_count(jobs)
+    Level(n)
     results = []
     for name in CHECK_ORDER:
         if n > effective_cap(name):

@@ -248,6 +248,27 @@ class TestVerify:
         assert code == 2
         assert "STEENGRAPH_MAX_N" in err
 
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    def test_level_above_the_cap_exits_two(self, capsys, monkeypatch, fmt):
+        # every check is capped out above n=4, but the level itself must exist
+        monkeypatch.delenv("STEENGRAPH_MAX_N", raising=False)
+        for n in ("13", "1000000"):
+            code, out, err = run_cli(capsys, ["verify", "-n", n, *fmt])
+            assert code == 2 and out == ""
+            assert err == (
+                f"error: truncation parameter {n} exceeds the safety cap 12"
+                " (set STEENGRAPH_MAX_N to raise it)\n"
+            )
+        code, out, _ = run_cli(capsys, ["verify", "-n", "12", *fmt])
+        assert code == 0
+        if fmt:
+            checks = json.loads(out)["checks"]
+            assert [c["cases"] for c in checks] == [0] * 8
+            assert all(c["notes"][0].startswith("skipped: ") for c in checks)
+        else:
+            assert out.count("  note: skipped: capped at n <= ") == 8
+            assert out.endswith("result: PASS (8 checks)\n")
+
     def test_jobs_match_serial(self, capsys):
         _, serial, _ = run_cli(capsys, ["verify", "--theorem", "tree", "-n", "2", "--json"])
         _, pooled, _ = run_cli(
@@ -394,6 +415,18 @@ class TestEnumerate:
         code, out, _ = run_cli(capsys, ["enumerate", "-n", "2"])
         assert code == 0
         assert len(out.splitlines()) == 64
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    def test_negative_limit_exits_two(self, capsys, fmt):
+        code, out, err = run_cli(capsys, ["enumerate", "-n", "2", "--limit", "-1", *fmt])
+        assert code == 2 and out == ""
+        assert err == "error: --limit must be >= 0, got -1\n"
+        code, out, _ = run_cli(capsys, ["enumerate", "-n", "2", "--limit", "0", *fmt])
+        assert code == 0
+        if fmt:
+            assert json.loads(out)["listed"] == 0
+        else:
+            assert out == ""
 
     def test_json_above_the_sweep_cap_needs_a_limit(self, capsys, monkeypatch):
         monkeypatch.delenv("STEENGRAPH_MAX_N", raising=False)

@@ -4,8 +4,8 @@ import itertools
 
 import pytest
 
-from steengraph import graphs, verify
-from steengraph.algebra import Level, monomial_count, monomial_from_index
+from steengraph import algebra, cli, connectivity, graphs, hopf, structure, verify
+from steengraph.algebra import Level, monomial_count, monomial_from_index, random_monomials
 from steengraph.connectivity import block_width
 from steengraph.graphs import to_graph
 
@@ -95,11 +95,7 @@ def test_a_dropped_edge_in_the_oracle_rows_fails_main(monkeypatch):
     monkeypatch.setattr(
         graphs, "exponent_rows", lambda level, i, r: exponent_rows(level, i, r) & dropped
     )
-    graphs.row_tables.cache_clear()
-    try:
-        failures = verify.run_check("main", 3).failures
-    finally:
-        graphs.row_tables.cache_clear()
+    failures = verify.run_check("main", 3).failures
     assert failures
     assert all("disagrees with search" in w or "disagrees with closure" in w for w in failures)
 
@@ -155,3 +151,25 @@ def test_range_sweeps_build_no_graph_through_to_graph(monkeypatch, check):
     monkeypatch.setattr(verify, "to_graph", refused, raising=False)
     assert verify.CHECKS[check].range_runner is not None
     assert verify.run_check(check, 3).ok
+
+
+def test_only_the_measured_caches_outlive_a_call():
+    # A cache must pay for itself on a workload: a new one joins this list,
+    # and the README's caches paragraph gives its measured reason.
+    modules = (algebra, connectivity, graphs, hopf, structure, verify, cli)
+    caches = {
+        id(f): f for m in modules for f in vars(m).values() if hasattr(f, "cache_info")
+    }.values()
+    assert sorted(f"{f.__module__}.{f.__name__}" for f in caches) == [
+        "steengraph.algebra.packing",
+        "steengraph.connectivity._lane_patterns",
+        "steengraph.hopf._level_antipodes",
+        "steengraph.verify._antipode_recursion_holds",
+    ]
+    assert all(f.cache_info().maxsize is not None for f in caches)
+    assert all(r.ok for r in verify.run_all(3))
+    for x in random_monomials(Level(12), 3, seed=1):
+        cli.build_report(x)
+    for f in caches:
+        info = f.cache_info()
+        assert info.currsize <= info.maxsize, f
