@@ -16,7 +16,6 @@ Output is deterministic: identical invocations give identical bytes.
 
 import argparse
 import dataclasses
-import itertools
 import json
 import os
 import sys
@@ -337,7 +336,8 @@ def cmd_enumerate(args) -> int:
             f" set {ENV_MAX_N} to override)"
         )
     listed = total if args.limit is None else min(args.limit, total)
-    names = map(str, itertools.islice(enumerate_monomials(level), listed))
+    # a range, unlike islice, takes a stop above sys.maxsize: 2^66 names at n=10
+    names = (str(x) for _, x in zip(range(listed), enumerate_monomials(level)))
     if args.json:
         _emit_json(
             {

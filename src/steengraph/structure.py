@@ -141,27 +141,62 @@ def oracle_hamilton_cycle(g: WoodGraph) -> Optional[Tuple[int, ...]]:
     requiring the second vertex to be smaller than the last: the
     candidates after the last vertex are its unused neighbours, lowest
     first.
+
+    Two rules cut branches that cannot succeed; neither reorders the
+    candidates, so the first cycle found, the witness, is the one a plain
+    search finds.
+    - A state is the set of used vertices and the last one.  Each state
+      whose extension failed is remembered for the call, keyed by
+      `used * m + last`, and is not entered again.  The second vertex
+      enters a state's outcome only through the closing test
+      `seq[1] < last`, and second vertices are tried in increasing
+      order, so a state that failed for one second vertex fails for
+      every later one.  Each state is entered at most once: at most
+      2^(m-1)·m states (the Bellman / Held-Karp subset bound).
+    - Once the search leaves `last`, it is interior to the cycle.  Every
+      unused neighbour w of `last` then needs two cycle edges into the
+      vertices still open, the unused ones and 0.  A w short of two must
+      be the next vertex; two such w and no step can succeed.  Only the
+      neighbours of `last` lost an open vertex, so only they are checked.
     """
     m = g.vertex_count
     if m < 3:
         return None
-    masks = [g.rows >> p * m & ((1 << m) - 1) for p in range(m)]
+    everyone = (1 << m) - 1
+    masks = [g.rows >> p * m & everyone for p in range(m)]
     if any(mask.bit_count() < 2 for mask in masks):
         return None
     seq = [0]
+    dead = set()  # used * m + last of each state whose extension failed
 
     def extend(used: int) -> bool:
         last = seq[-1]
-        if len(seq) == m:
+        if used == everyone:
             return seq[1] < last and masks[last] & 1 == 1
         free = masks[last] & ~used
+        if free & (free - 1):  # the degree rule narrows a choice of two or more
+            open_ends = everyone & ~used | 1
+            forced = 0
+            rest = free
+            while rest:
+                w = rest & -rest
+                rest ^= w
+                if (masks[w.bit_length() - 1] & open_ends).bit_count() < 2:
+                    forced |= w
+            if forced:
+                free = forced if forced & (forced - 1) == 0 else 0
         while free:
             low = free & -free
             free ^= low
-            seq.append(low.bit_length() - 1)
+            nxt = low.bit_length() - 1
+            state = (used | low) * m + nxt
+            if state in dead:
+                continue
+            seq.append(nxt)
             if extend(used | low):
                 return True
             seq.pop()
+            dead.add(state)
         return False
 
     return tuple(seq) if extend(1) else None

@@ -162,6 +162,27 @@ class TestReportBytes:
         assert sorted(calls) == [False, True]
 
 
+class TestReportAtTheLevelCap:
+    # a graph with no Hamilton cycle at n=12: the six vertices 2, 8, ..., 2048 joined to each
+    # other and to the other eight, plus {1,4}; the digests are of the reports the unbounded
+    # Hamilton search gave, in over 20 s each
+    ARGV = ["analyze", "[4095,2731,1023,682,255,170,63,42,15,10,3,2,0]", "-n", "12"]
+    TEXT_DIGEST = "86c3356cd531e41151d8cd0a84894a7372057d7f2fa07b4bf52f03bda9aec515"
+    JSON_DIGEST = "ceb221036b2012942470b94e7cd5adbd12243d7b93b929be0bc9e26bfe4cc3d9"
+
+    def test_text_keeps_its_bytes(self, capsys):
+        code, out, err = run_cli(capsys, self.ARGV)
+        assert code == 0 and err == ""
+        assert "hamilton cycle: none found\n" in out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.TEXT_DIGEST
+
+    def test_json_keeps_its_bytes(self, capsys):
+        code, out, err = run_cli(capsys, [*self.ARGV, "--json"])
+        assert code == 0 and err == ""
+        assert json.loads(out)["hamilton_cycle_found"] is False
+        assert hashlib.sha256(out.encode()).hexdigest() == self.JSON_DIGEST
+
+
 class TestCriteriaReadTheMonomial:
     # the criterion side of a report reads the factors of x, never the oracles' graph
     CRITERIA = (
@@ -677,6 +698,19 @@ class TestClosedStdout:
         proc = self.start(["enumerate", "-n", "4"], subprocess.PIPE)
         try:
             assert proc.stdout.readline() == b"1\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 141
+            assert proc.stderr.read() == b""
+        finally:
+            proc.kill()
+            proc.stderr.close()
+
+    def test_reader_leaves_a_level_too_big_to_count_in_a_machine_word(self):
+        # 2^66 names at n=10, a count above sys.maxsize: the listing streams until the reader leaves
+        proc = self.start(["enumerate", "-n", "10"], subprocess.PIPE)
+        try:
+            assert proc.stdout.readline() == b"1\n"
+            assert proc.stdout.readline() == b"xi11^1\n"
             proc.stdout.close()
             assert proc.wait(timeout=60) == 141
             assert proc.stderr.read() == b""

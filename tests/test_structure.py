@@ -1,5 +1,8 @@
 """Degrees, trees, Hamilton cycles and directed paths."""
 
+import random
+import sys
+
 import pytest
 
 from steengraph import structure
@@ -303,3 +306,108 @@ class TestMaskOracles:
                 g = to_graph(x)
                 forest = g.edge_count == g.vertex_count - component_count(g)
                 assert oracle_is_acyclic(g) == forest, x
+
+
+def hamilton_cycle_by_plain_backtracking(g: WoodGraph):
+    """The Hamilton search as it was before its memo and degree rule, kept as a reference.
+
+    It walks every path from 0 over the neighbour masks, lowest neighbour
+    first, and closes when the second vertex is below the last, so it
+    finds the same witness as oracle_hamilton_cycle, without any bound on
+    the paths it walks.
+    """
+    m = g.vertex_count
+    if m < 3:
+        return None
+    masks = [g.rows >> p * m & ((1 << m) - 1) for p in range(m)]
+    if any(mask.bit_count() < 2 for mask in masks):
+        return None
+    seq = [0]
+
+    def extend(used: int) -> bool:
+        last = seq[-1]
+        if len(seq) == m:
+            return seq[1] < last and masks[last] & 1 == 1
+        free = masks[last] & ~used
+        while free:
+            low = free & -free
+            free ^= low
+            seq.append(low.bit_length() - 1)
+            if extend(used | low):
+                return True
+            seq.pop()
+        return False
+
+    return tuple(seq) if extend(1) else None
+
+
+def random_graph(level: Level, density: float, rng: random.Random) -> WoodGraph:
+    m = level.vertex_count
+    pairs = [(p, q) for p in range(m) for q in range(p + 1, m)]
+    return WoodGraph(level, [pq for pq in pairs if rng.random() < density])
+
+
+class TestHamiltonSearchKeepsItsWitness:
+    """The memo and the degree rule only cut branches that fail, so the witness is the old one."""
+
+    def test_every_graph_up_to_n4(self):
+        for level in (L0, L1, L2, L3, Level(4)):
+            for x in enumerate_monomials(level):
+                g = to_graph(x)
+                assert oracle_hamilton_cycle(g) == hamilton_cycle_by_plain_backtracking(g), x
+
+    # the degree rule fires most on sparse graphs, the memo on dense ones without a cycle
+    @pytest.mark.parametrize("density", [1 / 3, 2 / 3])
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_seeded_sample(self, n, density):
+        rng = random.Random(f"{n}/{density}")
+        for _ in range(40):
+            g = random_graph(Level(n), density, rng)
+            assert oracle_hamilton_cycle(g) == hamilton_cycle_by_plain_backtracking(g), g.sorted_edges()
+
+
+def extend_calls(g: WoodGraph, bound: int):
+    """The witness and the number of calls of the search's inner `extend`; fails past bound."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "extend":
+            calls += 1
+            if calls > bound:  # fail at once rather than after an unbounded search
+                raise AssertionError(f"more than {bound} calls of extend")
+
+    sys.setprofile(profile)
+    try:
+        witness = oracle_hamilton_cycle(g)
+    finally:
+        sys.setprofile(None)
+    return witness, calls
+
+
+class TestHamiltonSearchIsBounded:
+    """Each (used, last) state is entered once: at most 2^(m-1)·m states (Bellman / Held-Karp)."""
+
+    L12 = Level(12)
+    BOUND = 2 ** (L12.vertex_count - 1) * L12.vertex_count  # 114,688 at m = 14
+    HUBS = (1, 3, 5, 7, 9, 11)  # the vertices 2, 8, ..., 2048
+
+    def test_joined_hubs_with_one_more_edge(self):
+        # the six hubs are joined to each other and to the other eight vertices, plus {1,4}:
+        # a cycle needs two edges inside the eight, and there is one
+        x = parse_monomial("[4095,2731,1023,682,255,170,63,42,15,10,3,2,0]", self.L12)
+        g = to_graph(x)
+        others = [p for p in range(14) if p not in self.HUBS]
+        inside = [(p, q) for p in others for q in others if p < q and g.has_edge(p, q)]
+        assert inside == [(0, 2)]
+        witness, calls = extend_calls(g, self.BOUND)
+        assert witness is None and calls <= self.BOUND
+
+    def test_complete_bipartite_6_8(self):
+        # unbalanced sides: a cycle alternates sides, so none exists
+        g = WoodGraph(
+            self.L12,
+            [(p, q) for p in self.HUBS for q in range(14) if q not in self.HUBS],
+        )
+        witness, calls = extend_calls(g, self.BOUND)
+        assert witness is None and calls <= self.BOUND
