@@ -43,7 +43,8 @@ A | A S_k (positivity of a sum of nonnegative integers is the OR of
 their positivity), with each matrix entry a big int holding one bit, or
 lane, per monomial of the block.  It shares no code with the integer
 tables, which serve single monomials (analyze) and the sampled
-cross-checks of the sweeps.
+cross-checks of the sweeps.  edge_lanes builds the lane int of every
+edge of a block; structure.degree_bound_lanes starts from it too.
 
 The oracle_* functions decide the same questions by direct graph
 search, sharing no code with the matrix route.
@@ -142,16 +143,16 @@ def block_width(level: Level) -> int:
     return min(BLOCK_BITS, monomial_count(level).bit_length() - 1)
 
 
-def lane_verdicts(level: Level, base: int, width: int) -> Tuple[int, int]:
-    """Connectedness and unilaterality of the 2^width monomials with indices base, base+1, ...
+def edge_lanes(level: Level, base: int, width: int) -> Tuple[list, int]:
+    """Lane ints of the edges over the 2^width monomials with indices base, base+1, ...
 
-    Returns the lane masks (connected, unilateral): bit t of each is the
-    verdict for monomial_from_index(level, base + t).  base must be a
-    multiple of 2^width, and width at most block_width(level).  Edge (p, q) sits on index bit b = index_bit(p, q):
-    for b < width its lane int is a fixed pattern, above that it is all
-    ones or zero for the whole block.  The verdicts are the positivity of
-    every pair p < q in A | A^2 | ... | A^(n+1), for the undirected and
-    the directed adjacency matrix, by the recurrence S_(k+1) = A | A S_k.
+    Returns (up, full): up[p][q], for p < q, has bit t set exactly when
+    monomial_from_index(level, base + t) has edge (p, q); every other
+    entry is 0, and full has all 2^width lanes set.  base must be a
+    multiple of 2^width, and width at most block_width(level).  Edge
+    (p, q) sits on index bit b = index_bit(p, q): for b < width its lane
+    int is a fixed pattern, above that it is all ones or zero for the
+    whole block.
     """
     lanes = 1 << width
     count = monomial_count(level)
@@ -168,6 +169,21 @@ def lane_verdicts(level: Level, base: int, width: int) -> Tuple[int, int]:
         for q in range(p + 1, m):
             b = index_bit(level, p, q)
             up[p][q] = patterns[b] & full if b < width else full * (base >> b & 1)
+    return up, full
+
+
+def lane_verdicts(level: Level, base: int, width: int) -> Tuple[int, int]:
+    """Connectedness and unilaterality of the 2^width monomials with indices base, base+1, ...
+
+    Returns the lane masks (connected, unilateral): bit t of each is the
+    verdict for monomial_from_index(level, base + t), over the edge lanes
+    of edge_lanes, which states the rule for base and width.  The verdicts
+    are the positivity of every pair p < q in A | A^2 | ... | A^(n+1), for
+    the undirected and the directed adjacency matrix, by the recurrence
+    S_(k+1) = A | A S_k.
+    """
+    up, full = edge_lanes(level, base, width)
+    m = level.vertex_count
     both = [[up[p][q] | up[q][p] for q in range(m)] for p in range(m)]
     return (
         _every_pair(_boolean_power_sum(both, m - 1), full),

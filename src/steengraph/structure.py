@@ -15,6 +15,13 @@ verifier reports which one is actually sound on these graphs; the
 brute-force searchers here are the arbiters.  Both comparisons are
 done in integers (2*degree against n, resp. n+2).
 
+Exhaustive sweeps decide both bounds for a block of 2^width monomials at
+once with degree_bound_lanes.  It reads the index bits, through the
+edge lane ints of connectivity.edge_lanes, not the oracle's rows: each
+vertex counts its edges up to the bound with an "at least j" chain of
+lane ints, and the vertices' chains are ANDed.  The sweeps cross-check
+it against the per-monomial conditions on three indices a block.
+
 The directed-path question is far more rigid: because every edge
 points toward its larger endpoint, a spanning directed path must visit
 the vertices in increasing order, so it exists exactly when all the
@@ -25,7 +32,7 @@ is 2^(n+1) - 1.
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import Level, Monomial
-from .connectivity import is_connected, oracle_is_connected
+from .connectivity import edge_lanes, is_connected, oracle_is_connected
 from .graphs import WoodGraph
 
 
@@ -108,6 +115,34 @@ def degree_bound_holds(level: Level, profiles: Iterable[DegreeProfile], extra: i
     if level.n == 0:
         return False
     return all(2 * d.degree >= level.n + extra for d in profiles)
+
+
+def degree_bound_lanes(level: Level, base: int, width: int, extra: int) -> int:
+    """Lanes where 2*degree >= n + extra at every vertex, over a block of 2^width indices.
+
+    Bit t is degree_bound_holds for monomial_from_index(level, base + t);
+    base and width follow the rule of connectivity.edge_lanes.  Each vertex
+    runs an "at least k" chain over its edge lanes, k = ceil((n + extra)/2):
+    after an edge e, at_least[j] |= at_least[j-1] & e.  The bound holds
+    where every vertex's chain reaches k; never at n = 0.
+    """
+    up, full = edge_lanes(level, base, width)
+    if level.n == 0:
+        return 0
+    k = -(-(level.n + extra) // 2)
+    m = level.vertex_count
+    holds = full
+    for p in range(m):
+        at_least = [full] + [0] * k
+        for q in range(m):
+            e = up[p][q] | up[q][p]
+            if e:
+                for j in range(k, 0, -1):
+                    at_least[j] |= at_least[j - 1] & e
+        holds &= at_least[k]
+        if not holds:
+            break
+    return holds
 
 
 def _lazy_degrees(x: Monomial) -> Iterator[DegreeProfile]:

@@ -9,8 +9,16 @@ because deciding whether that threshold holds is exactly the question
 the sweep answers.
 
 Every range sweep walks (index, graph) pairs, the graph ORed from the
-per-generator row tables; it decodes a Monomial only for a criterion
-that reads one, a sampled cross-check of the block kernel, or a failure.
+per-generator row tables.  main and tree read their criteria off the
+lanes of connectivity.lane_verdicts, dipath off the index bits of r_1,
+and dirac and paper-hamilton off the lanes of
+structure.degree_bound_lanes.  Of these, all but dipath decode a
+Monomial for the first, middle and last index of each block, which are
+cross-checked against the per-monomial route; beyond that, all five
+decode one only for the text of a failure or a finding.  The degree
+sweeps build a graph, and search it for a Hamilton cycle, only where the
+bound holds.  corollary-unilateral decodes every case, because its
+antipode criterion reads the Monomial.
 
 Checks are capped by default at the largest n where the sweep is
 desk-scale (seconds); setting STEENGRAPH_MAX_N overrides the caps.
@@ -23,7 +31,7 @@ import itertools
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Callable, List, Optional
+from typing import Callable, Iterable, List, Optional
 
 from .algebra import (
     ENV_MAX_N,
@@ -56,6 +64,7 @@ from .hopf import (
     verify_hopf_ideal,
 )
 from .structure import (
+    degree_bound_lanes,
     dipath_criterion,
     dirac_condition,
     oracle_hamilton_cycle,
@@ -90,14 +99,14 @@ class CapExceeded(ValueError):
     """Requested n is above the configured cap for the selected check."""
 
 
-def _iter_graphs(level: Level, start: int, stop: int):
-    """(index, graph) for each index in range, the graph ORed from the per-generator row tables."""
+def _iter_graphs(level: Level, indices: Iterable[int]):
+    """(index, graph) for each of the indices, the graph ORed from the per-generator row tables."""
     pk = packing(level.widths, 0)
     fields = [
         (offset, (1 << width) - 1, table)
         for offset, width, table in zip(pk.offsets, pk.widths, row_tables(level))
     ]
-    for k in range(start, stop):
+    for k in indices:
         rows = 0
         for offset, mask, table in fields:
             rows |= table[k >> offset & mask]
@@ -118,7 +127,7 @@ def _iter_lanes(level: Level, start: int, stop: int, failures: list):
     """
     width = block_width(level)
     size = 1 << width
-    graphs = _iter_graphs(level, start, stop)
+    graphs = _iter_graphs(level, range(start, stop))
     for base in range(start - start % size, stop, size):
         lo, hi = max(start, base), min(stop, base + size)
         # byte t is bit t of the lane int: one pass over the int, not a shift of it per lane
@@ -161,7 +170,7 @@ def _sweep_dipath(level: Level, start: int, stop: int) -> tuple:
     failures = []
     spine = tuple(range(level.vertex_count))
     top = packing(level.widths, 0).offsets[0]  # r_1 is the highest field, so it needs no mask
-    for k, g in _iter_graphs(level, start, stop):
+    for k, g in _iter_graphs(level, range(start, stop)):
         witness = oracle_hamilton_directed_path(g)
         if dipath_criterion(level, k >> top) != (witness is not None):
             x = monomial_from_index(level, k)
@@ -172,15 +181,46 @@ def _sweep_dipath(level: Level, start: int, stop: int) -> tuple:
     return stop - start, failures, []
 
 
+def _iter_bound_holds(
+    level: Level, start: int, stop: int, extra: int, condition: Callable, failures: list
+):
+    """Each index in range, ascending, where degree_bound_lanes sets its lane.
+
+    Walks the aligned blocks as _iter_lanes does.  In each block the
+    first, middle and last index of the range are checked against the
+    per-monomial condition; a mismatch is appended to failures.  Those
+    three are the only monomials built.
+    """
+    width = block_width(level)
+    size = 1 << width
+    for base in range(start - start % size, stop, size):
+        lo, hi = max(start, base), min(stop, base + size)
+        lanes = degree_bound_lanes(level, base, width, extra)
+        for k in dict.fromkeys((lo, (lo + hi - 1) // 2, hi - 1)):
+            x = monomial_from_index(level, k)
+            if condition(x) != (lanes >> k - base & 1 == 1):
+                failures.append(f"degree lanes disagree with the degree profiles on {x}")
+        lanes = lanes >> lo - base & (1 << hi - lo) - 1
+        while lanes:
+            low = lanes & -lanes
+            lanes ^= low
+            yield lo + low.bit_length() - 1
+
+
 def _sweep_degree_bound(level: Level, start: int, stop: int, sound: bool) -> tuple:
     """Hamilton cycle search where a degree bound holds: (n+2)/2 is sound, n/2 is reported."""
-    condition, bound = (dirac_condition, "(n+2)/2") if sound else (paper_hamilton_condition, "n/2")
-    misses = []
-    for k, g in _iter_graphs(level, start, stop):
-        x = monomial_from_index(level, k)
-        if condition(x) and oracle_hamilton_cycle(g) is None:
+    condition, bound, extra = (
+        (dirac_condition, "(n+2)/2", 2) if sound else (paper_hamilton_condition, "n/2", 0)
+    )
+    failures = []
+    # a miss of the sound bound is a failure, in index order with the lane cross-checks
+    misses = failures if sound else []
+    holds = _iter_bound_holds(level, start, stop, extra, condition, failures)
+    for k, g in _iter_graphs(level, holds):
+        if oracle_hamilton_cycle(g) is None:
+            x = monomial_from_index(level, k)
             misses.append(f"degree bound {bound} holds but no Hamilton cycle: {x}")
-    return (stop - start, misses, []) if sound else (stop - start, [], misses)
+    return stop - start, failures, [] if sound else misses
 
 
 def _sweep_corollary(level: Level, start: int, stop: int) -> tuple:

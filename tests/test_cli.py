@@ -360,6 +360,20 @@ class TestVerifyBytes:
             digests.append(hashlib.sha256(out.encode()).hexdigest())
         assert tuple(digests) == self.DIGESTS[n]
 
+    # sha256 of `verify -n 4 --theorem paper-hamilton --json` under STEENGRAPH_MAX_N=4
+    PAPER_HAMILTON_4 = "662d84f53f2a9b24c94fc408fd7c391e367c731832b6f57f64aca5fe9a409a09"
+
+    def test_degree_sweeps_above_their_cap_keep_their_answer(self, capsys, monkeypatch):
+        monkeypatch.setenv("STEENGRAPH_MAX_N", "4")
+        dirac = run_check("dirac", 4)
+        assert (dirac.cases, dirac.failures, dirac.findings) == (32768, [], [])
+        argv = ["verify", "-n", "4", "--theorem", "paper-hamilton", "--json"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PAPER_HAMILTON_4
+        [check] = json.loads(out)["checks"]
+        assert (check["cases"], check["failures"], len(check["findings"])) == (32768, [], 1990)
+
 
 class TestHopf:
     def test_antipode_golden(self, capsys):

@@ -6,10 +6,19 @@ import sys
 import pytest
 
 from steengraph import structure
-from steengraph.algebra import Level, Monomial, alpha, enumerate_monomials, parse_monomial
-from steengraph.connectivity import is_connected
+from steengraph.algebra import (
+    Level,
+    Monomial,
+    alpha,
+    enumerate_monomials,
+    monomial_count,
+    monomial_from_index,
+    parse_monomial,
+)
+from steengraph.connectivity import BLOCK_BITS, block_width, is_connected
 from steengraph.graphs import WoodGraph, adjacency_matrix, to_graph, top_class
 from steengraph.structure import (
+    degree_bound_lanes,
     degree_table,
     degrees,
     dirac_condition,
@@ -168,6 +177,47 @@ class TestHamiltonConditions:
         seen.clear()
         assert condition(top_class(L3))
         assert seen == [0, 1, 2, 3, 4]
+
+
+BOUNDS = [(2, dirac_condition), (0, paper_hamilton_condition)]
+
+
+def assert_lanes_match_the_conditions(level, base, width, lanes_of=range):
+    for extra, condition in BOUNDS:
+        lanes = degree_bound_lanes(level, base, width, extra)
+        assert lanes >> (1 << width) == 0
+        for t in lanes_of(1 << width):
+            x = monomial_from_index(level, base + t)
+            assert lanes >> t & 1 == condition(x), (level, width, extra, base + t)
+
+
+class TestDegreeBoundLanes:
+    def test_every_lane_matches_the_conditions(self):
+        # every block width, down to single lanes, up to n=2 (none holds at n=0); the sweep's
+        # blocks at n=3 and 4
+        for n in range(5):
+            level = Level(n)
+            widths = range(block_width(level) + 1) if n <= 2 else [block_width(level)]
+            for width in widths:
+                for base in range(0, monomial_count(level), 1 << width):
+                    assert_lanes_match_the_conditions(level, base, width)
+
+    def test_seeded_blocks_match_the_conditions_at_n5(self):
+        level = Level(5)
+        rng = random.Random(5)
+        blocks = monomial_count(level) >> BLOCK_BITS
+        for block in rng.sample(range(blocks), 3):
+            assert_lanes_match_the_conditions(
+                level,
+                block << BLOCK_BITS,
+                BLOCK_BITS,
+                lambda size: rng.sample(range(size), 2000),
+            )
+
+    def test_blocks_are_bounded_and_aligned(self):
+        for level, base, width in ((L2, 0, 7), (L3, 4, 3), (L3, 1024, 3)):
+            with pytest.raises(ValueError):
+                degree_bound_lanes(level, base, width, 2)
 
 
 class TestHamiltonCycle:

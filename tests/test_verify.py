@@ -1,6 +1,7 @@
 """Sweep plumbing: the block lanes reach every verdict, and the cross-check watches the kernel."""
 
 import itertools
+from functools import partial
 
 import pytest
 
@@ -103,7 +104,7 @@ def test_a_dropped_edge_in_the_oracle_rows_fails_main(monkeypatch):
 def test_sweep_graphs_are_the_graphs_of_the_decoded_monomials():
     for n in range(5):
         level = Level(n)
-        swept = verify._iter_graphs(level, 0, monomial_count(level))
+        swept = verify._iter_graphs(level, range(monomial_count(level)))
         for k, g in swept:
             assert g == to_graph(monomial_from_index(level, k)), (n, k)
 
@@ -114,12 +115,85 @@ def test_graph_sweeps_build_monomials_only_for_the_cross_checks(monkeypatch):
     monkeypatch.setattr(
         verify, "monomial_from_index", lambda level, k: calls.append(k) or decode(level, k)
     )
+    monkeypatch.setenv("STEENGRAPH_MAX_N", "4")
     level = Level(4)
     blocks = -(-monomial_count(level) >> block_width(level))
-    for check, most in (("main", 3 * blocks), ("tree", 3 * blocks), ("dipath", 0)):
+    # a degree sweep also decodes the monomial of each miss, for its text: 1990 at n=4
+    for check, most in (
+        ("main", 3 * blocks),
+        ("tree", 3 * blocks),
+        ("dipath", 0),
+        ("dirac", 3 * blocks),
+        ("paper-hamilton", 3 * blocks + 1990),
+    ):
         calls.clear()
         assert verify.run_check(check, 4).ok
         assert len(calls) <= most, check
+
+
+@pytest.mark.parametrize("check", ["dirac", "paper-hamilton"])
+def test_a_flipped_degree_lane_is_a_failure(monkeypatch, check):
+    # index 511 is the middle of A*(3)'s one block, so the cross-check reads its lane
+    lanes = verify.degree_bound_lanes
+    monkeypatch.setattr(
+        verify,
+        "degree_bound_lanes",
+        lambda level, base, width, extra: lanes(level, base, width, extra) ^ 1 << 511 - base,
+    )
+    x = monomial_from_index(L3, 511)
+    failures = verify.run_check(check, 3).failures
+    assert f"degree lanes disagree with the degree profiles on {x}" in failures
+
+
+def degree_sweep_by_condition(level, start, stop, sound):
+    """The per-monomial route: decode each index, test its condition, search where it holds.
+
+    Returns the sweep's (cases, failures, findings) and the graphs searched, in index order.
+    """
+    if sound:
+        condition, bound = structure.dirac_condition, "(n+2)/2"
+    else:
+        condition, bound = structure.paper_hamilton_condition, "n/2"
+    monomials = (monomial_from_index(level, k) for k in range(start, stop))
+    held = [x for x in monomials if condition(x)]
+    misses = [
+        f"degree bound {bound} holds but no Hamilton cycle: {x}"
+        for x in held
+        if structure.oracle_hamilton_cycle(to_graph(x)) is None
+    ]
+    result = (stop - start, misses, []) if sound else (stop - start, [], misses)
+    return result, [to_graph(x) for x in held]
+
+
+@pytest.mark.parametrize("sound", [True, False])
+@pytest.mark.parametrize(
+    "n, cuts",
+    [
+        (3, [0, 1, 2, 300, 511, 1000, 1024]),
+        # across the boundary of blocks 62 and 63 of A*(5), where the n/2 bound has 6 misses
+        (5, [62 * 32768 + k for k in (29800, 30000, 32767, 32768 + 970, 32768 + 3100)]),
+    ],
+)
+def test_degree_sweeps_are_the_same_over_any_split(monkeypatch, n, cuts, sound):
+    searched = []
+    search = verify.oracle_hamilton_cycle
+    monkeypatch.setattr(verify, "oracle_hamilton_cycle", lambda g: searched.append(g) or search(g))
+    level = Level(n)
+    sweep = partial(verify._sweep_degree_bound, level, sound=sound)
+    cases, failures, findings = zip(*(sweep(a, b) for a, b in zip(cuts, cuts[1:])))
+    searched_in_parts = searched.copy()
+    searched.clear()
+    whole = sweep(cuts[0], cuts[-1])
+    assert whole == (sum(cases), sum(failures, []), sum(findings, []))
+    reference, held = degree_sweep_by_condition(level, cuts[0], cuts[-1], sound)
+    assert whole == reference
+    # every index where the bound holds is searched once, in index order
+    assert searched == searched_in_parts == held
+
+
+@pytest.mark.parametrize("check", ["dirac", "paper-hamilton"])
+def test_degree_sweeps_give_the_same_result_on_two_workers(check):
+    assert verify.run_check(check, 3, jobs=2) == verify.run_check(check, 3)
 
 
 def test_the_antipode_recursion_runs_once_a_process(monkeypatch):
