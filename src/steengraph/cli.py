@@ -329,10 +329,10 @@ def cmd_enumerate(args) -> int:
     level = Level(args.n)
     total = monomial_count(level)
     cap = effective_cap("main")
-    if args.json and args.limit is None and args.n > cap:
-        # one JSON document holds every name before any is printed
+    if args.limit is None and args.n > cap:
+        # the listing is as long as a sweep above its cap: 2^55 names at n=9
         raise CapExceeded(
-            f"enumerate --json above n={cap} needs --limit K ({total} monomials at n={args.n};"
+            f"enumerate above n={cap} needs --limit K ({total} monomials at n={args.n};"
             f" set {ENV_MAX_N} to override)"
         )
     listed = total if args.limit is None else min(args.limit, total)

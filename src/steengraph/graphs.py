@@ -10,14 +10,14 @@ connectedness questions depend on them.
 The directed view orients every edge toward its larger endpoint, which
 makes the directed adjacency matrix strictly upper triangular.
 
-A WoodGraph is one int of neighbour masks, and the search oracles of
-connectivity.py and structure.py run on those masks.  The vertex and edge
-ranges are read off the level's shape, stated once in Level.widths.
+A WoodGraph is one int of neighbour masks; sweeps OR it from index_rows,
+and the search oracles of connectivity.py and structure.py run on it.  The
+vertex and edge ranges are read off the level's shape, stated once in Level.widths.
 """
 
 from typing import Iterable, Tuple
 
-from .algebra import Level, Monomial
+from .algebra import Level, Monomial, packing
 
 Edge = Tuple[int, int]
 
@@ -110,18 +110,17 @@ def exponent_rows(level: Level, i: int, r: int) -> int:
     return rows
 
 
-def row_tables(level: Level) -> tuple:
-    """Entry i-1 maps every exponent r of xi_i at this level to exponent_rows(level, i, r).
+def index_rows(level: Level) -> list:
+    """Entry b is exponent_rows(level, i, 1 << j) for xi_i^(2^j), the edge of index bit b.
 
-    2^(n+1) + ... + 2 rows a level: a sweep call builds them once, in well
-    under a millisecond at its caps, and keeps them no longer than the
-    call; to_graph, which must serve n=12, calls exponent_rows directly.
+    exponent_rows is an OR over the bits of r, so an index's rows are the
+    OR of the entries of its set bits.  A sweep call builds the list and
+    keeps it no longer than the call; to_graph calls exponent_rows directly.
     """
     level._require_truncated()
-    return tuple(
-        tuple(exponent_rows(level, i, r) for r in range(1 << w))
-        for i, w in enumerate(level.widths, start=1)
-    )
+    pk = packing(level.widths, 0)
+    bits = (pk.generator_power(1 << b) for b in range(sum(level.widths)))
+    return [exponent_rows(level, i, 1 << j) for i, j in bits]
 
 
 def to_graph(x: Monomial) -> WoodGraph:

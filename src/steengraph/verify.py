@@ -8,17 +8,15 @@ threshold (`paper-hamilton`) instead *reports* its counterexamples,
 because deciding whether that threshold holds is exactly the question
 the sweep answers.
 
-Every range sweep walks (index, graph) pairs, the graph ORed from the
-per-generator row tables.  main and tree read their criteria off the
-lanes of connectivity.lane_verdicts, dipath off the index bits of r_1,
-and dirac and paper-hamilton off the lanes of
-structure.degree_bound_lanes.  Of these, all but dipath decode a
-Monomial for the first, middle and last index of each block, which are
-cross-checked against the per-monomial route; beyond that, all five
-decode one only for the text of a failure or a finding.  The degree
-sweeps build a graph, and search it for a Hamilton cycle, only where the
-bound holds.  corollary-unilateral decodes every case, because its
-antipode criterion reads the Monomial.
+Every range sweep walks (index, graph) pairs, each graph one lookup and
+one OR over graphs.index_rows.  main and tree read their criteria off the
+lanes of connectivity.lane_verdicts, dipath off the index bits of r_1, and
+dirac and paper-hamilton off the lanes of structure.degree_bound_lanes.
+All but dipath cross-check the first, middle and last index of each block
+against the per-monomial route; beyond that, all five decode a Monomial
+only for the text of a failure or a finding.  The degree sweeps search
+for a Hamilton cycle only where the bound holds.  corollary-unilateral
+decodes every case, because its antipode criterion reads the Monomial.
 
 Checks are capped by default at the largest n where the sweep is
 desk-scale (seconds); setting STEENGRAPH_MAX_N overrides the caps.
@@ -51,7 +49,7 @@ from .connectivity import (
     oracle_is_connected,
     oracle_is_unilateral,
 )
-from .graphs import WoodGraph, row_tables
+from .graphs import WoodGraph, index_rows
 from .hopf import (
     antipode,
     antipode_identity_holds,
@@ -100,17 +98,21 @@ class CapExceeded(ValueError):
 
 
 def _iter_graphs(level: Level, indices: Iterable[int]):
-    """(index, graph) for each of the indices, the graph ORed from the per-generator row tables."""
-    pk = packing(level.widths, 0)
-    fields = [
-        (offset, (1 << width) - 1, table)
-        for offset, width, table in zip(pk.offsets, pk.widths, row_tables(level))
-    ]
+    """(index, graph) for each of the indices: the OR of index_rows over the set bits of k.
+
+    A 256-entry table holds that OR for each low byte; the bits above it hold
+    distinct edges, whose rows are disjoint, summed again when k >> 8 changes.
+    """
+    rows = index_rows(level)
+    low = [0]
+    for r in rows[:8]:
+        low += [x | r for x in low]
+    above, high = 0, 0
     for k in indices:
-        rows = 0
-        for offset, mask, table in fields:
-            rows |= table[k >> offset & mask]
-        yield k, WoodGraph._unchecked(level, rows)
+        if k >> 8 != above:
+            above = k >> 8
+            high = sum(r for b, r in enumerate(rows[8:]) if above >> b & 1)
+        yield k, WoodGraph._unchecked(level, low[k & 255] | high)
 
 
 _LANE_BYTES = bytes.maketrans(b"01", b"\x00\x01")

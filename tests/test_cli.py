@@ -474,6 +474,15 @@ class TestEnumerate:
         assert (rep["count"], rep["listed"]) == (2 ** 21, 3)
         assert rep["monomials"] == ["1", "xi6^1", "xi5^1"]
 
+    def test_text_above_the_sweep_cap_needs_a_limit(self, capsys, monkeypatch):
+        monkeypatch.delenv("STEENGRAPH_MAX_N", raising=False)
+        code, out, err = run_cli(capsys, ["enumerate", "-n", "5"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "--limit" in err
+        code, out, _ = run_cli(capsys, ["enumerate", "-n", "5", "--limit", "3"])
+        assert code == 0
+        assert out == "1\nxi6^1\nxi5^1\n"
+
 
 class TestDot:
     def test_stdout_golden(self, capsys):
@@ -720,8 +729,9 @@ class TestClosedStdout:
             proc.stderr.close()
 
     def test_reader_leaves_a_level_too_big_to_count_in_a_machine_word(self):
-        # 2^66 names at n=10, a count above sys.maxsize: the listing streams until the reader leaves
-        proc = self.start(["enumerate", "-n", "10"], subprocess.PIPE)
+        # 2^66 names at n=10, a count and a limit above sys.maxsize: the listing streams
+        # until the reader leaves
+        proc = self.start(["enumerate", "-n", "10", "--limit", str(2 ** 66)], subprocess.PIPE)
         try:
             assert proc.stdout.readline() == b"1\n"
             assert proc.stdout.readline() == b"xi11^1\n"

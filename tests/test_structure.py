@@ -297,6 +297,25 @@ class TestHamiltonDirectedPath:
                     # increasing orientation forces the unique witness
                     assert generic == direct == spine
 
+    def test_spine_mask_matches_the_consecutive_edge_bits_exhaustive(self):
+        for n in range(5):
+            level = Level(n)
+            m = level.vertex_count
+            for x in enumerate_monomials(level):
+                g = to_graph(x)
+                every_step = all(g.has_edge(p, p + 1) for p in range(m - 1))
+                expected = tuple(range(m)) if every_step else None
+                assert oracle_hamilton_directed_path(g) == expected, x
+
+    @pytest.mark.parametrize("m", range(2, 15))
+    def test_complete_graph_and_each_missing_spine_edge(self, m):
+        level = Level(m - 2)
+        edges = [(p, q) for p in range(m) for q in range(p + 1, m)]
+        assert oracle_hamilton_directed_path(WoodGraph(level, edges)) == tuple(range(m))
+        for p in range(m - 1):
+            g = WoodGraph(level, [e for e in edges if e != (p, p + 1)])
+            assert oracle_hamilton_directed_path(g) is None, p
+
 
 class TestRendering:
     def test_cycle_labels(self):

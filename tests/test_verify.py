@@ -1,6 +1,7 @@
 """Sweep plumbing: the block lanes reach every verdict, and the cross-check watches the kernel."""
 
 import itertools
+import random
 from functools import partial
 
 import pytest
@@ -101,12 +102,45 @@ def test_a_dropped_edge_in_the_oracle_rows_fails_main(monkeypatch):
     assert all("disagrees with search" in w or "disagrees with closure" in w for w in failures)
 
 
+def test_a_dropped_edge_in_the_oracle_rows_fails_dipath(monkeypatch):
+    # without edge (0, 1), no graph has the full spine, though every r_1 = 15 asks for it
+    exponent_rows = graphs.exponent_rows
+    m = L3.vertex_count
+    dropped = ~(1 << 1 | 1 << m)
+    monkeypatch.setattr(
+        graphs, "exponent_rows", lambda level, i, r: exponent_rows(level, i, r) & dropped
+    )
+    failures = verify.run_check("dipath", 3).failures
+    assert len(failures) == 1 << sum(L3.widths[1:])
+    assert all("spanning-dipath criterion disagrees with search" in w for w in failures)
+
+
 def test_sweep_graphs_are_the_graphs_of_the_decoded_monomials():
     for n in range(5):
         level = Level(n)
         swept = verify._iter_graphs(level, range(monomial_count(level)))
         for k, g in swept:
             assert g == to_graph(monomial_from_index(level, k)), (n, k)
+
+
+def test_sweep_graphs_at_sparse_indices_are_the_graphs_of_the_decoded_monomials():
+    # A*(5) has 21 index bits, so the bits above the low byte change from run to run
+    level = Level(5)
+    boundary = 63 << block_width(level)  # the first index of block 63
+    sample = sorted(random.Random(5).sample(range(monomial_count(level)), 400))
+    failures = []
+    holds = list(
+        verify._iter_bound_holds(
+            level, boundary - 3000, boundary + 3000, 0, structure.paper_hamilton_condition, failures
+        )
+    )
+    assert not failures
+    for indices in (sample, holds):
+        assert len({k >> 8 for k in indices}) > 2
+        assert any(b - a > 1 for a, b in zip(indices, indices[1:]))
+        assert indices[0] < boundary <= indices[-1]
+        for k, g in verify._iter_graphs(level, indices):
+            assert g == to_graph(monomial_from_index(level, k)), k
 
 
 def test_graph_sweeps_build_monomials_only_for_the_cross_checks(monkeypatch):
