@@ -188,7 +188,7 @@ def render_verify_text(results: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _add_common(sp: argparse.ArgumentParser, need_n: bool):
+def _add_common(sp: argparse.ArgumentParser, need_n: bool, report: bool = True):
     sp.add_argument(
         "-n",
         type=int,
@@ -197,7 +197,8 @@ def _add_common(sp: argparse.ArgumentParser, need_n: bool):
         metavar="N",
         help="truncation level (generators xi_1..xi_(n+1))",
     )
-    sp.add_argument("--json", action="store_true", help="emit a JSON report")
+    if report:
+        sp.add_argument("--json", action="store_true", help="emit a JSON report")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -241,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("dot", help="Graphviz text for a monomial's graph")
     d.add_argument("monomial")
-    _add_common(d, need_n=True)
+    _add_common(d, need_n=True, report=False)  # dot always prints DOT
     d.add_argument("--dot", metavar="PATH", help="write here instead of stdout")
     d.add_argument("--directed", action="store_true", help="orient the edges")
     d.set_defaults(run=cmd_dot)

@@ -8,15 +8,17 @@ threshold (`paper-hamilton`) instead *reports* its counterexamples,
 because deciding whether that threshold holds is exactly the question
 the sweep answers.
 
-Every range sweep walks (index, graph) pairs, each graph one lookup and
-one OR over graphs.index_rows.  main and tree read their criteria off the
-lanes of connectivity.lane_verdicts, dipath off the index bits of r_1, and
-dirac and paper-hamilton off the lanes of structure.degree_bound_lanes.
-All but dipath cross-check the first, middle and last index of each block
-against the per-monomial route; beyond that, all five decode a Monomial
-only for the text of a failure or a finding.  The degree sweeps search
-for a Hamilton cycle only where the bound holds.  corollary-unilateral
-decodes every case, because its antipode criterion reads the Monomial.
+One block walker, _iter_lanes, reads the lanes of every lane sweep: main,
+tree and corollary-unilateral those of connectivity.lane_verdicts, dirac
+and paper-hamilton those of structure.degree_bound_lanes.  At the start of
+each block it cross-checks the first, middle and last index against the
+per-monomial route.  The sweeps that ask a graph oracle walk (index, graph)
+pairs beside it, each graph one lookup and one OR over graphs.index_rows;
+dipath walks only those, its criterion read off the index bits of r_1.
+Beyond the cross-checks, these sweeps decode a Monomial only for the text
+of a failure or a finding, and the degree sweeps search for a Hamilton
+cycle only where the bound holds.  corollary-unilateral builds no graph:
+its antipode criterion reads the Monomial of every case, against the lanes.
 
 Checks are capped by default at the largest n where the sweep is
 desk-scale (seconds); setting STEENGRAPH_MAX_N overrides the caps.
@@ -25,7 +27,6 @@ at most os.cpu_count() workers; results are aggregated in index order,
 so output is identical for any worker count.
 """
 
-import itertools
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -118,37 +119,50 @@ def _iter_graphs(level: Level, indices: Iterable[int]):
 _LANE_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _iter_lanes(level: Level, start: int, stop: int, failures: list):
-    """(index, graph, connected, unilateral) for each index in range, the verdicts as 0/1 lanes.
+def _iter_lanes(
+    level: Level, start: int, stop: int,
+    kernel: Callable, route: Callable, what: str, failures: list,
+):
+    """(index, lane, ...) for each index in range, each lane 0/1: bit index - base of a lane int.
 
-    Walks the aligned blocks of lane_verdicts that meet the range, so
-    any split of a level into ranges reads the same lanes.  In each
-    block the first, middle and last index of the range are checked
-    against the integer walk-count tables; a mismatch is appended to
-    failures.  Those three are the only monomials built.
+    kernel(level, base, width) gives a tuple of lane ints for each aligned
+    block of block_width(level) bits that meets the range, so any split of
+    a level into ranges reads the same lanes.  At the start of each block,
+    route(x), a tuple of bools, is compared with the lanes of the first,
+    middle and last index of the range; a mismatch appends f"{what} on {x}"
+    to failures.  Those three are the only monomials built.
     """
     width = block_width(level)
     size = 1 << width
-    graphs = _iter_graphs(level, range(start, stop))
     for base in range(start - start % size, stop, size):
         lo, hi = max(start, base), min(stop, base + size)
+        lanes = kernel(level, base, width)
+        for k in dict.fromkeys((lo, (lo + hi - 1) // 2, hi - 1)):
+            x = monomial_from_index(level, k)
+            if route(x) != tuple(v >> k - base & 1 for v in lanes):
+                failures.append(f"{what} on {x}")
         # byte t is bit t of the lane int: one pass over the int, not a shift of it per lane
-        connected, unilateral = (
-            format(lanes, f"0{size}b")[::-1].encode().translate(_LANE_BYTES)[lo - base:hi - base]
-            for lanes in lane_verdicts(level, base, width)
+        columns = (
+            format(v, f"0{size}b")[::-1].encode().translate(_LANE_BYTES)[lo - base:hi - base]
+            for v in lanes
         )
-        sampled = (lo, (lo + hi - 1) // 2, hi - 1)
-        for (k, g), c, u in zip(itertools.islice(graphs, hi - lo), connected, unilateral):
-            if k in sampled:
-                x = monomial_from_index(level, k)
-                if (c, u) != (is_connected(x), is_unilateral(x)):
-                    failures.append(f"block kernel disagrees with the walk-count tables on {x}")
-            yield k, g, c, u
+        yield from zip(range(lo, hi), *columns)
+
+
+def _iter_verdicts(level: Level, start: int, stop: int, failures: list):
+    """(index, connected, unilateral) for each index in range, off the lanes of lane_verdicts."""
+    return _iter_lanes(
+        level, start, stop, lane_verdicts,
+        lambda x: (is_connected(x), is_unilateral(x)),
+        "block kernel disagrees with the walk-count tables", failures,
+    )
 
 
 def _sweep_main(level: Level, start: int, stop: int) -> tuple:
     failures = []
-    for k, g, connected, unilateral in _iter_lanes(level, start, stop, failures):
+    verdicts = _iter_verdicts(level, start, stop, failures)
+    graphs = _iter_graphs(level, range(start, stop))
+    for (k, connected, unilateral), (_, g) in zip(verdicts, graphs):
         if connected != oracle_is_connected(g):
             x = monomial_from_index(level, k)
             failures.append(f"connectedness criterion disagrees with search on {x}")
@@ -160,7 +174,9 @@ def _sweep_main(level: Level, start: int, stop: int) -> tuple:
 
 def _sweep_tree(level: Level, start: int, stop: int) -> tuple:
     failures = []
-    for k, g, connected, _ in _iter_lanes(level, start, stop, failures):
+    verdicts = _iter_verdicts(level, start, stop, failures)
+    graphs = _iter_graphs(level, range(start, stop))
+    for (k, connected, _), (_, g) in zip(verdicts, graphs):
         # each index bit is one edge, so the edge count is the popcount of the index
         if tree_criterion(level, k.bit_count(), connected == 1) != oracle_is_tree(g):
             x = monomial_from_index(level, k)
@@ -183,32 +199,6 @@ def _sweep_dipath(level: Level, start: int, stop: int) -> tuple:
     return stop - start, failures, []
 
 
-def _iter_bound_holds(
-    level: Level, start: int, stop: int, extra: int, condition: Callable, failures: list
-):
-    """Each index in range, ascending, where degree_bound_lanes sets its lane.
-
-    Walks the aligned blocks as _iter_lanes does.  In each block the
-    first, middle and last index of the range are checked against the
-    per-monomial condition; a mismatch is appended to failures.  Those
-    three are the only monomials built.
-    """
-    width = block_width(level)
-    size = 1 << width
-    for base in range(start - start % size, stop, size):
-        lo, hi = max(start, base), min(stop, base + size)
-        lanes = degree_bound_lanes(level, base, width, extra)
-        for k in dict.fromkeys((lo, (lo + hi - 1) // 2, hi - 1)):
-            x = monomial_from_index(level, k)
-            if condition(x) != (lanes >> k - base & 1 == 1):
-                failures.append(f"degree lanes disagree with the degree profiles on {x}")
-        lanes = lanes >> lo - base & (1 << hi - lo) - 1
-        while lanes:
-            low = lanes & -lanes
-            lanes ^= low
-            yield lo + low.bit_length() - 1
-
-
 def _sweep_degree_bound(level: Level, start: int, stop: int, sound: bool) -> tuple:
     """Hamilton cycle search where a degree bound holds: (n+2)/2 is sound, n/2 is reported."""
     condition, bound, extra = (
@@ -217,8 +207,13 @@ def _sweep_degree_bound(level: Level, start: int, stop: int, sound: bool) -> tup
     failures = []
     # a miss of the sound bound is a failure, in index order with the lane cross-checks
     misses = failures if sound else []
-    holds = _iter_bound_holds(level, start, stop, extra, condition, failures)
-    for k, g in _iter_graphs(level, holds):
+    lanes = _iter_lanes(
+        level, start, stop,
+        lambda *block: (degree_bound_lanes(*block, extra),),
+        lambda x: (condition(x),),
+        "degree lanes disagree with the degree profiles", failures,
+    )
+    for k, g in _iter_graphs(level, (k for k, holds in lanes if holds)):
         if oracle_hamilton_cycle(g) is None:
             x = monomial_from_index(level, k)
             misses.append(f"degree bound {bound} holds but no Hamilton cycle: {x}")
@@ -229,7 +224,7 @@ def _sweep_corollary(level: Level, start: int, stop: int) -> tuple:
     failures = []
     findings = []
     report_integer_reading = level.n <= 2
-    for k, _, _, unilateral in _iter_lanes(level, start, stop, failures):
+    for k, _, unilateral in _iter_verdicts(level, start, stop, failures):
         x = monomial_from_index(level, k)
         walks = unilateral == 1
         if unilateral_via_antipode(x) != walks:

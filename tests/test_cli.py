@@ -504,6 +504,14 @@ class TestDot:
         assert code == 0 and out == ""
         assert target.read_text().startswith("graph {\n")
 
+    def test_json_is_a_usage_error(self, capsys):
+        # dot has no JSON report; it prints DOT or writes it to --dot
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["dot", "xi2", "-n", "2", "--json"])
+        captured = capsys.readouterr()
+        assert exit_.value.code == 2 and captured.out == ""
+        assert "unrecognized arguments: --json" in captured.err
+
     @pytest.mark.parametrize("command", ["analyze", "dot"])
     def test_unwritable_target_exits_two(self, capsys, tmp_path, command):
         target = tmp_path / "missing" / "x.dot"

@@ -438,17 +438,3 @@ class TestPackedKernel:
             failing = [x for x in enumerate_monomials(L2) if not coassociativity_holds(x)]
         assert parse_monomial("xi3", L2) in failing
         assert all(coassociativity_holds(x) for x in enumerate_monomials(L2))
-
-
-class TestCaches:
-    def test_every_cache_is_bounded_after_a_sweep(self):
-        from steengraph import hopf
-        from steengraph.verify import run_check
-
-        caches = [f for f in vars(hopf).values() if hasattr(f, "cache_info")]
-        assert caches
-        assert all(f.cache_info().maxsize is not None for f in caches)
-        assert run_check("hopf-axioms", 3).ok
-        for f in caches:
-            info = f.cache_info()
-            assert info.currsize <= info.maxsize, f

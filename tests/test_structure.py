@@ -362,12 +362,6 @@ def component_count(g: WoodGraph) -> int:
 
 
 class TestMaskOracles:
-    def test_hamilton_witnesses_match_the_adjacency_list_search(self):
-        for level in (L0, L1, L2, L3):
-            for x in enumerate_monomials(level):
-                g = to_graph(x)
-                assert oracle_hamilton_cycle(g) == hamilton_cycle_by_adjacency_lists(g), x
-
     def test_acyclic_exactly_for_forests(self):
         # a forest on m vertices with c components has m - c edges, and only a forest does
         for level in (L0, L1, L2, L3):
@@ -377,39 +371,6 @@ class TestMaskOracles:
                 assert oracle_is_acyclic(g) == forest, x
 
 
-def hamilton_cycle_by_plain_backtracking(g: WoodGraph):
-    """The Hamilton search as it was before its memo and degree rule, kept as a reference.
-
-    It walks every path from 0 over the neighbour masks, lowest neighbour
-    first, and closes when the second vertex is below the last, so it
-    finds the same witness as oracle_hamilton_cycle, without any bound on
-    the paths it walks.
-    """
-    m = g.vertex_count
-    if m < 3:
-        return None
-    masks = [g.rows >> p * m & ((1 << m) - 1) for p in range(m)]
-    if any(mask.bit_count() < 2 for mask in masks):
-        return None
-    seq = [0]
-
-    def extend(used: int) -> bool:
-        last = seq[-1]
-        if len(seq) == m:
-            return seq[1] < last and masks[last] & 1 == 1
-        free = masks[last] & ~used
-        while free:
-            low = free & -free
-            free ^= low
-            seq.append(low.bit_length() - 1)
-            if extend(used | low):
-                return True
-            seq.pop()
-        return False
-
-    return tuple(seq) if extend(1) else None
-
-
 def random_graph(level: Level, density: float, rng: random.Random) -> WoodGraph:
     m = level.vertex_count
     pairs = [(p, q) for p in range(m) for q in range(p + 1, m)]
@@ -417,13 +378,14 @@ def random_graph(level: Level, density: float, rng: random.Random) -> WoodGraph:
 
 
 class TestHamiltonSearchKeepsItsWitness:
-    """The memo and the degree rule only cut branches that fail, so the witness is the old one."""
+    """The memo and the degree rule only cut branches that fail, so the witness is the one the
+    plain search over adjacency lists (read through has_edge, not the masks) finds."""
 
     def test_every_graph_up_to_n4(self):
         for level in (L0, L1, L2, L3, Level(4)):
             for x in enumerate_monomials(level):
                 g = to_graph(x)
-                assert oracle_hamilton_cycle(g) == hamilton_cycle_by_plain_backtracking(g), x
+                assert oracle_hamilton_cycle(g) == hamilton_cycle_by_adjacency_lists(g), x
 
     # the degree rule fires most on sparse graphs, the memo on dense ones without a cycle
     @pytest.mark.parametrize("density", [1 / 3, 2 / 3])
@@ -432,7 +394,8 @@ class TestHamiltonSearchKeepsItsWitness:
         rng = random.Random(f"{n}/{density}")
         for _ in range(40):
             g = random_graph(Level(n), density, rng)
-            assert oracle_hamilton_cycle(g) == hamilton_cycle_by_plain_backtracking(g), g.sorted_edges()
+            witness = hamilton_cycle_by_adjacency_lists(g)
+            assert oracle_hamilton_cycle(g) == witness, g.sorted_edges()
 
 
 def extend_calls(g: WoodGraph, bound: int):

@@ -129,11 +129,13 @@ def test_sweep_graphs_at_sparse_indices_are_the_graphs_of_the_decoded_monomials(
     boundary = 63 << block_width(level)  # the first index of block 63
     sample = sorted(random.Random(5).sample(range(monomial_count(level)), 400))
     failures = []
-    holds = list(
-        verify._iter_bound_holds(
-            level, boundary - 3000, boundary + 3000, 0, structure.paper_hamilton_condition, failures
-        )
+    lanes = verify._iter_lanes(
+        level, boundary - 3000, boundary + 3000,
+        lambda *block: (verify.degree_bound_lanes(*block, 0),),
+        lambda x: (structure.paper_hamilton_condition(x),),
+        "degree lanes disagree with the degree profiles", failures,
     )
+    holds = [k for k, held in lanes if held]
     assert not failures
     for indices in (sample, holds):
         assert len({k >> 8 for k in indices}) > 2
@@ -223,6 +225,26 @@ def test_degree_sweeps_are_the_same_over_any_split(monkeypatch, n, cuts, sound):
     assert whole == reference
     # every index where the bound holds is searched once, in index order
     assert searched == searched_in_parts == held
+
+
+@pytest.mark.parametrize("check", ["main", "tree", "corollary-unilateral"])
+def test_verdict_sweeps_are_the_same_over_any_split(check):
+    sweep = partial(verify.CHECKS[check].range_runner, L3)
+    cuts = [0, 1, 2, 300, 511, 1000, 1024]
+    cases, failures, findings = zip(*(sweep(a, b) for a, b in zip(cuts, cuts[1:])))
+    whole = sweep(cuts[0], cuts[-1])
+    assert whole == (sum(cases), sum(failures, []), sum(findings, []))
+    result = verify.run_check(check, 3)
+    assert whole == (result.cases, result.failures, result.findings)
+
+
+def test_the_corollary_sweep_builds_no_graph(monkeypatch):
+    # its antipode criterion reads the monomial, and its walk criterion the lanes
+    def refused(level, indices):
+        raise AssertionError("the corollary-unilateral sweep built a graph")
+
+    monkeypatch.setattr(verify, "_iter_graphs", refused)
+    assert verify.run_check("corollary-unilateral", 3).ok
 
 
 @pytest.mark.parametrize("check", ["dirac", "paper-hamilton"])
