@@ -48,10 +48,13 @@ class WoodGraph:
         self.level, self.rows, self.vertex_count = level, rows, m
 
     @classmethod
-    def _unchecked(cls, level: Level, rows: int) -> "WoodGraph":
-        """A graph from rows already symmetric, loop-free and within the level's vertices."""
+    def _unchecked(cls, level: Level, rows: int, vertex_count: int) -> "WoodGraph":
+        """A graph from rows already symmetric, loop-free and within the level's vertices.
+
+        vertex_count is the level's, read once by a caller that builds many graphs.
+        """
         g = object.__new__(cls)
-        g.level, g.rows, g.vertex_count = level, rows, level.vertex_count
+        g.level, g.rows, g.vertex_count = level, rows, vertex_count
         return g
 
     @property
@@ -129,7 +132,7 @@ def to_graph(x: Monomial) -> WoodGraph:
     rows = 0
     for i, r in enumerate(x.exponents, start=1):
         rows |= exponent_rows(x.level, i, r)
-    return WoodGraph._unchecked(x.level, rows)
+    return WoodGraph._unchecked(x.level, rows, x.level.vertex_count)
 
 
 def from_graph(g: WoodGraph) -> Monomial:

@@ -30,9 +30,12 @@ a monomial is one int with a guard bit above each exponent field, a
 product is one addition and a guard test, a tensor term a (x) b is
 `a << S | b`, and a rank-3 term is `(a << S | b) << S | c`.  `coproduct`
 and `antipode` unpack their results into the F2 sums of the API.
-Generator images are listed per call, the first time a call meets a
-dyadic bit; only `_level_antipodes`, the antipode slots of a level for
-`unilateral_via_antipode`, is kept across calls.
+Images are listed per call, the first time a call meets a monomial: one
+call of `coproduct`, `antipode` or an axiom predicate builds its own
+expansions, and a caller that checks the axioms on many monomials of one
+level passes every predicate the one pair that `axiom_expansions` builds,
+dropped when that caller returns.  Only `_level_antipodes`, the antipode
+slots of a level for `unilateral_via_antipode`, is kept across calls.
 
 Truncation interacts with everything here through the quotient map
 (truncate_monomial / truncate_polynomial / truncate_tensor): the
@@ -146,31 +149,33 @@ def _antipode_terms(pk: Packing, i: int, j: int) -> tuple:
 
 
 class _Expansion(dict):
-    """Packed monomial -> its image under the algebra map that `terms` gives on dyadic bits.
+    """Packed monomial -> the terms of its image under the algebra map `terms` gives on dyadic bits.
 
     A dyadic bit xi_i^(2^j) maps to terms(pk, i, j), whose terms fit the
     packing (see _packing_of).  The image of any other p is the image of p
     without its lowest bit times the image of that bit, summed over F2; a
     term whose sum sets a guard bit lies in the ideal and dies.  Adding a
     fixed term is injective, so each batch has no internal duplicates and
-    xor-ing whole batches computes the F2 sum.  An instance serves one
-    call: it lists each image the first time the call meets it, so the
-    monomials of one check share the work of their common bits.
+    xor-ing whole batches computes the F2 sum.  An image is kept as a
+    tuple, smaller than a set, since the expansion may serve a whole
+    sample of monomials; the monomials it serves share the work of their
+    common bits, and it is dropped with the call that built it.
     """
 
     def __init__(self, pk: Packing, terms, guard: int):
-        super().__init__({0: {0}})
+        super().__init__({0: (0,)})
         self.pk, self.terms, self.guard = pk, terms, guard
 
-    def __missing__(self, p: int) -> set:
+    def __missing__(self, p: int) -> tuple:
         low = p & -p
         if p == low:
-            image = set(self.terms(self.pk, *self.pk.generator_power(p)))
+            image = self.terms(self.pk, *self.pk.generator_power(p))
         else:
             rest, guard = self[p ^ low], self.guard
-            image = set()
+            acc = set()
             for t in self[low]:
-                image ^= {u for s in rest if not (u := s + t) & guard}
+                acc ^= {u for s in rest if not (u := s + t) & guard}
+            image = tuple(acc)
         self[p] = image
         return image
 
@@ -181,6 +186,28 @@ def _coproducts(pk: Packing) -> _Expansion:
 
 def _antipodes(pk: Packing) -> _Expansion:
     return _Expansion(pk, _antipode_terms, pk.guard)
+
+
+def axiom_expansions(level: Level) -> tuple:
+    """A fresh (coproduct, antipode) expansion pair on a truncated level's packing.
+
+    Passed as `pair` to the axiom predicates of many monomials of the
+    level, it lists each image once for all of them; drop it when the
+    check is done.
+    """
+    level._require_truncated()
+    pk = packing(level.widths)
+    return _coproducts(pk), _antipodes(pk)
+
+
+def _expansions_for(x: Monomial, pair: Optional[tuple]) -> tuple:
+    """The pair to expand x with: `pair` if it is on x's packing, a fresh one when None."""
+    pk = _packing_of(x)
+    if pair is None:
+        return _coproducts(pk), _antipodes(pk)
+    if pair[0].pk != pk:
+        raise ValueError(f"the expansion pair is not on the packing of {x}")
+    return pair
 
 
 def _unpacked(level: Level, pk: Packing, packed: int) -> Monomial:
@@ -354,46 +381,70 @@ def verify_hopf_ideal(n: int) -> bool:
     return not hopf_ideal_violations(Level(n))
 
 
-def counit_laws_hold(x: Monomial) -> bool:
+def counit_laws_hold(x: Monomial, pair: Optional[tuple] = None) -> bool:
     """(counit (x) id) after coproduct gives back x, and likewise on the right."""
-    pk = _packing_of(x)
+    delta, _ = _expansions_for(x, pair)
+    pk = delta.pk
     p = pk.pack(x.exponents)
     low = (1 << pk.size) - 1
-    d = _coproducts(pk)[p]
+    d = delta[p]
     left = {t & low for t in d if not t >> pk.size}
     right = {t >> pk.size for t in d if not t & low}
     return left == {p} and right == {p}
 
 
-def coassociativity_holds(x: Monomial) -> bool:
+def coassociativity_holds(x: Monomial, pair: Optional[tuple] = None) -> bool:
     """Expanding the left or the right tensor factor again gives the same rank-3 sum.
 
-    A rank-3 term a1 (x) a2 (x) b packs as (a1 << S | a2) << S | b.  Both
-    sums are xor-ed into one set, which must end empty.  Each batch below
-    has no internal duplicates (the expanded factor is fixed within it),
-    so xor-ing whole batches computes the F2 sum.
+    With coproduct(x) the sum of its terms a (x) b, bilinearity groups both
+    rank-3 sums:
+
+        L = sum over b of (sum over a in A_b of coproduct(a)) (x) b
+        R = sum over a of a (x) (sum over b in B_a of coproduct(b))
+
+    where A_b holds the left factors beside b and B_a the right factors
+    beside a.  Each inner sum is the symmetric difference of the images of
+    its group, and an image repeats no term.  R is kept as a -> its set of
+    packed pairs v1 << S | v2.  Neither sum repeats a term, so L = R
+    exactly when each term u1 (x) u2 (x) b of L has u2 << S | b in R[u1]
+    and both sums have as many terms.
     """
-    pk = _packing_of(x)
-    size = pk.size
+    delta, _ = _expansions_for(x, pair)
+    size = delta.pk.size
     low = (1 << size) - 1
-    delta = _coproducts(pk)
-    both = set()
-    for t in delta[pk.pack(x.exponents)]:
+    lefts, rights = {}, {}
+    for t in delta[delta.pk.pack(x.exponents)]:
         a, b = t >> size, t & low
-        both ^= {u << size | b for u in delta[a]}
-        both ^= {a << 2 * size | u for u in delta[b]}
-    return not both
+        rights.setdefault(a, []).append(b)
+        lefts.setdefault(b, []).append(a)
+    right, count = {}, 0
+    for a, group in rights.items():
+        terms = right[a] = set(delta[group[0]])
+        for b in group[1:]:
+            terms.symmetric_difference_update(delta[b])
+        count += len(terms)
+    for b, group in lefts.items():
+        terms = delta[group[0]]  # a group of one is its own sum, with no set to build
+        if len(group) > 1:
+            terms = set(terms)
+            for a in group[1:]:
+                terms.symmetric_difference_update(delta[a])
+        count -= len(terms)
+        for u in terms:
+            if (u & low) << size | b not in right.get(u >> size, ()):
+                return False
+    return count == 0
 
 
-def antipode_identity_holds(x: Monomial) -> bool:
+def antipode_identity_holds(x: Monomial, pair: Optional[tuple] = None) -> bool:
     """Multiplying antipode into either coproduct factor collapses x to its counit."""
-    pk = _packing_of(x)
+    delta, chi = _expansions_for(x, pair)
+    pk = delta.pk
     low = (1 << pk.size) - 1
     guard = pk.guard
-    chi = _antipodes(pk)
     left = set()
     right = set()
-    for t in _coproducts(pk)[pk.pack(x.exponents)]:
+    for t in delta[pk.pack(x.exponents)]:
         a, b = t >> pk.size, t & low
         # multiplication by a fixed monomial is injective where it survives,
         # so each batch is duplicate-free and xor gives the F2 sum

@@ -10,11 +10,15 @@ the sweep answers.
 
 One block walker, _iter_lanes, reads the lanes of every lane sweep: main,
 tree and corollary-unilateral those of connectivity.lane_verdicts, dirac
-and paper-hamilton those of structure.degree_bound_lanes.  At the start of
-each block it cross-checks the first, middle and last index against the
-per-monomial route.  The sweeps that ask a graph oracle walk (index, graph)
-pairs beside it, each graph one lookup and one OR over graphs.index_rows;
-dipath walks only those, its criterion read off the index bits of r_1.
+and paper-hamilton those of structure.degree_bound_lanes.  It yields a
+block at a time, a range of indices and a column of 0/1 bytes per lane
+int; main, tree and the corollary zip them, and the degree sweeps keep
+the indices where the bound holds with itertools.compress.  At the start
+of each block it cross-checks the first, middle and last index against
+the per-monomial route.  The sweeps that ask a graph oracle walk (index,
+graph) pairs beside it, each graph one lookup and one OR over
+graphs.index_rows; dipath walks only those, its criterion read off the
+index bits of r_1.
 Beyond the cross-checks, these sweeps decode a Monomial only for the text
 of a failure or a finding, and the degree sweeps search for a Hamilton
 cycle only where the bound holds.  corollary-unilateral builds no graph:
@@ -30,6 +34,7 @@ so output is identical for any worker count.
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from itertools import chain, compress
 from typing import Callable, Iterable, List, Optional
 
 from .algebra import (
@@ -54,6 +59,7 @@ from .graphs import WoodGraph, index_rows
 from .hopf import (
     antipode,
     antipode_identity_holds,
+    axiom_expansions,
     coassociativity_holds,
     coproduct_generator,
     counit_laws_hold,
@@ -109,11 +115,12 @@ def _iter_graphs(level: Level, indices: Iterable[int]):
     for r in rows[:8]:
         low += [x | r for x in low]
     above, high = 0, 0
+    graph, m = WoodGraph._unchecked, level.vertex_count
     for k in indices:
         if k >> 8 != above:
             above = k >> 8
             high = sum(r for b, r in enumerate(rows[8:]) if above >> b & 1)
-        yield k, WoodGraph._unchecked(level, low[k & 255] | high)
+        yield k, graph(level, low[k & 255] | high, m)
 
 
 _LANE_BYTES = bytes.maketrans(b"01", b"\x00\x01")
@@ -123,14 +130,16 @@ def _iter_lanes(
     level: Level, start: int, stop: int,
     kernel: Callable, route: Callable, what: str, failures: list,
 ):
-    """(index, lane, ...) for each index in range, each lane 0/1: bit index - base of a lane int.
+    """(indices, column, ...) for each block: a range, then one bytes of 0/1 lanes per lane int.
 
     kernel(level, base, width) gives a tuple of lane ints for each aligned
     block of block_width(level) bits that meets the range, so any split of
-    a level into ranges reads the same lanes.  At the start of each block,
-    route(x), a tuple of bools, is compared with the lanes of the first,
-    middle and last index of the range; a mismatch appends f"{what} on {x}"
-    to failures.  Those three are the only monomials built.
+    a level into ranges reads the same lanes.  Byte k - lo of a column is
+    bit k - base of its lane int, for each index k of the block's part
+    lo..hi - 1 of the range.  At the start of each block, route(x), a tuple
+    of bools, is compared with the lanes of the first, middle and last
+    index of that part; a mismatch appends f"{what} on {x}" to failures.
+    Those three are the only monomials built.
     """
     width = block_width(level)
     size = 1 << width
@@ -142,15 +151,14 @@ def _iter_lanes(
             if route(x) != tuple(v >> k - base & 1 for v in lanes):
                 failures.append(f"{what} on {x}")
         # byte t is bit t of the lane int: one pass over the int, not a shift of it per lane
-        columns = (
+        yield range(lo, hi), *(
             format(v, f"0{size}b")[::-1].encode().translate(_LANE_BYTES)[lo - base:hi - base]
             for v in lanes
         )
-        yield from zip(range(lo, hi), *columns)
 
 
 def _iter_verdicts(level: Level, start: int, stop: int, failures: list):
-    """(index, connected, unilateral) for each index in range, off the lanes of lane_verdicts."""
+    """(indices, connected, unilateral) for each block of the range, off lane_verdicts."""
     return _iter_lanes(
         level, start, stop, lane_verdicts,
         lambda x: (is_connected(x), is_unilateral(x)),
@@ -162,13 +170,14 @@ def _sweep_main(level: Level, start: int, stop: int) -> tuple:
     failures = []
     verdicts = _iter_verdicts(level, start, stop, failures)
     graphs = _iter_graphs(level, range(start, stop))
-    for (k, connected, unilateral), (_, g) in zip(verdicts, graphs):
-        if connected != oracle_is_connected(g):
-            x = monomial_from_index(level, k)
-            failures.append(f"connectedness criterion disagrees with search on {x}")
-        if unilateral != oracle_is_unilateral(g):
-            x = monomial_from_index(level, k)
-            failures.append(f"unilaterality criterion disagrees with closure on {x}")
+    for indices, connected, unilateral in verdicts:
+        for k, c, u, (_, g) in zip(indices, connected, unilateral, graphs):
+            if c != oracle_is_connected(g):
+                x = monomial_from_index(level, k)
+                failures.append(f"connectedness criterion disagrees with search on {x}")
+            if u != oracle_is_unilateral(g):
+                x = monomial_from_index(level, k)
+                failures.append(f"unilaterality criterion disagrees with closure on {x}")
     return stop - start, failures, []
 
 
@@ -176,11 +185,12 @@ def _sweep_tree(level: Level, start: int, stop: int) -> tuple:
     failures = []
     verdicts = _iter_verdicts(level, start, stop, failures)
     graphs = _iter_graphs(level, range(start, stop))
-    for (k, connected, _), (_, g) in zip(verdicts, graphs):
-        # each index bit is one edge, so the edge count is the popcount of the index
-        if tree_criterion(level, k.bit_count(), connected == 1) != oracle_is_tree(g):
-            x = monomial_from_index(level, k)
-            failures.append(f"tree criterion disagrees with search on {x}")
+    for indices, connected, _ in verdicts:
+        for k, c, (_, g) in zip(indices, connected, graphs):
+            # each index bit is one edge, so the edge count is the popcount of the index
+            if tree_criterion(level, k.bit_count(), c == 1) != oracle_is_tree(g):
+                x = monomial_from_index(level, k)
+                failures.append(f"tree criterion disagrees with search on {x}")
     return stop - start, failures, []
 
 
@@ -213,7 +223,8 @@ def _sweep_degree_bound(level: Level, start: int, stop: int, sound: bool) -> tup
         lambda x: (condition(x),),
         "degree lanes disagree with the degree profiles", failures,
     )
-    for k, g in _iter_graphs(level, (k for k, holds in lanes if holds)):
+    holding = chain.from_iterable(compress(indices, holds) for indices, holds in lanes)
+    for k, g in _iter_graphs(level, holding):
         if oracle_hamilton_cycle(g) is None:
             x = monomial_from_index(level, k)
             misses.append(f"degree bound {bound} holds but no Hamilton cycle: {x}")
@@ -224,13 +235,14 @@ def _sweep_corollary(level: Level, start: int, stop: int) -> tuple:
     failures = []
     findings = []
     report_integer_reading = level.n <= 2
-    for k, _, unilateral in _iter_verdicts(level, start, stop, failures):
-        x = monomial_from_index(level, k)
-        walks = unilateral == 1
-        if unilateral_via_antipode(x) != walks:
-            failures.append(f"antipode divisibility test disagrees with walks on {x}")
-        if report_integer_reading and unilateral_via_antipode(x, edgewise=False) != walks:
-            findings.append(f"integer-exponent reading disagrees with walks on {x}")
+    for indices, _, unilateral in _iter_verdicts(level, start, stop, failures):
+        for k, u in zip(indices, unilateral):
+            x = monomial_from_index(level, k)
+            walks = u == 1
+            if unilateral_via_antipode(x) != walks:
+                failures.append(f"antipode divisibility test disagrees with walks on {x}")
+            if report_integer_reading and unilateral_via_antipode(x, edgewise=False) != walks:
+                findings.append(f"integer-exponent reading disagrees with walks on {x}")
     return stop - start, failures, findings
 
 
@@ -271,13 +283,15 @@ def _check_hopf_axioms(level: Level) -> tuple:
     cases = 0
     sample = [Monomial.generator_power(i, j, level) for i, j in level.generator_powers()]
     sample += random_monomials(level, RANDOM_SAMPLE_SIZE, RANDOM_SEED + level.n)
+    # one pair for the sample: each image is listed once for all its monomials
+    pair = axiom_expansions(level)
     for x in sample:
         cases += 1
-        if not counit_laws_hold(x):
+        if not counit_laws_hold(x, pair):
             failures.append(f"counit laws fail on {x}")
-        if not coassociativity_holds(x):
+        if not coassociativity_holds(x, pair):
             failures.append(f"coassociativity fails on {x}")
-        if not antipode_identity_holds(x):
+        if not antipode_identity_holds(x, pair):
             failures.append(f"antipode identity fails on {x}")
     cases += 2
     if not _antipode_recursion_holds():

@@ -1,5 +1,7 @@
 """Coproduct, counit, antipode, and their directed-path readings."""
 
+import collections
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from steengraph.algebra import (
     parse_monomial,
     random_monomials,
 )
+from steengraph import hopf, verify
 from steengraph.connectivity import is_unilateral
 from steengraph.graphs import top_class
 from steengraph.hopf import (
@@ -21,6 +24,7 @@ from steengraph.hopf import (
     antipode_generator,
     antipode_identity_holds,
     antipode_recursion_residual,
+    axiom_expansions,
     coassociativity_holds,
     compositions,
     coproduct,
@@ -424,17 +428,138 @@ class TestPackedKernel:
         assert counit_laws_hold(x) and antipode_identity_holds(x)
 
     def test_dropped_splitting_breaks_coassociativity(self, monkeypatch):
-        from steengraph import hopf
-
-        terms = hopf._coproduct_terms
-
-        def without_a_splitting(pk, i, j):
-            image = terms(pk, i, j)
-            # xi_2 loses xi1^2 (x) xi1, the one splitting of the edge 0 -> 2
-            return image[:2] if (i, j) == (2, 0) else image
-
         with monkeypatch.context() as patch:
-            patch.setattr(hopf, "_coproduct_terms", without_a_splitting)
+            drop_a_splitting(patch)
             failing = [x for x in enumerate_monomials(L2) if not coassociativity_holds(x)]
         assert parse_monomial("xi3", L2) in failing
         assert all(coassociativity_holds(x) for x in enumerate_monomials(L2))
+
+
+def coassociativity_by_flat_sum(x):
+    """The flat route: xor both rank-3 sums, term batch by term batch, into one set."""
+    pk = hopf._packing_of(x)
+    size = pk.size
+    low = (1 << size) - 1
+    delta = hopf._coproducts(pk)
+    both = set()
+    for t in delta[pk.pack(x.exponents)]:
+        a, b = t >> size, t & low
+        both ^= {u << size | b for u in delta[a]}
+        both ^= {a << 2 * size | u for u in delta[b]}
+    return not both
+
+
+def drop_a_splitting(patch):
+    """xi_2 loses xi1^2 (x) xi1, the one splitting of the edge 0 -> 2, at every packing."""
+    terms = hopf._coproduct_terms
+    patch.setattr(
+        hopf, "_coproduct_terms", lambda pk, i, j: terms(pk, i, j)[:2 if (i, j) == (2, 0) else None]
+    )
+
+
+def add_a_square(patch):
+    """xi_1 gains xi1 (x) xi1: for xi2 the right-hand sum then has a term the left lacks."""
+    terms = hopf._coproduct_terms
+
+    def with_a_square(pk, i, j):
+        image = terms(pk, i, j)
+        return image + (image[1] << pk.size | image[1],) if (i, j) == (1, 0) else image
+
+    patch.setattr(hopf, "_coproduct_terms", with_a_square)
+
+
+def axioms_sample(level):
+    """The monomials the hopf-axioms check of verify runs at a level."""
+    sample = [Monomial.generator_power(i, j, level) for i, j in level.generator_powers()]
+    return sample + random_monomials(
+        level, verify.RANDOM_SAMPLE_SIZE, verify.RANDOM_SEED + level.n
+    )
+
+
+class TestSharedExpansions:
+    """The grouped coassociativity check and the shared expansion pair against the flat route."""
+
+    @pytest.mark.parametrize("mutation", [None, drop_a_splitting, add_a_square])
+    def test_grouped_matches_flat_on_every_monomial_up_to_n2(self, monkeypatch, mutation):
+        verdicts = []
+        with monkeypatch.context() as patch:
+            if mutation:
+                mutation(patch)
+            for level in (L0, L1, L2):
+                pair = axiom_expansions(level)
+                for x in enumerate_monomials(level):
+                    flat = coassociativity_by_flat_sum(x)
+                    assert coassociativity_holds(x) == flat, x
+                    assert coassociativity_holds(x, pair) == flat, x
+                    verdicts.append(flat)
+        assert all(verdicts) == (mutation is None)
+        assert any(verdicts)
+
+    def test_a_term_only_the_right_hand_sum_has_breaks_coassociativity(self, monkeypatch):
+        # every term of the left-hand sum is in the right-hand one: only the counts differ
+        x = parse_monomial("xi2", L1)
+        with monkeypatch.context() as patch:
+            add_a_square(patch)
+            assert not coassociativity_by_flat_sum(x)
+            assert not coassociativity_holds(x)
+
+    @pytest.mark.parametrize("mutation", [None, drop_a_splitting])
+    def test_grouped_matches_flat_on_the_n3_axioms_sample(self, monkeypatch, mutation):
+        verdicts = []
+        with monkeypatch.context() as patch:
+            if mutation:
+                mutation(patch)
+            pair = axiom_expansions(L3)
+            for x in axioms_sample(L3):
+                flat = coassociativity_by_flat_sum(x)
+                assert coassociativity_holds(x, pair) == flat, x
+                assert coassociativity_holds(x) == flat, x
+                verdicts.append(flat)
+        assert all(verdicts) == (mutation is None)
+
+    @pytest.mark.parametrize("text", WIDE_UNTRUNCATED)
+    def test_grouped_matches_flat_on_wide_untruncated_exponents(self, monkeypatch, text):
+        x = parse_monomial(text, UNTRUNCATED)
+        assert coassociativity_holds(x) and coassociativity_by_flat_sum(x)
+        with monkeypatch.context() as patch:
+            drop_a_splitting(patch)
+            assert coassociativity_holds(x) == coassociativity_by_flat_sum(x)
+
+    def test_hopf_axioms_check_under_a_dropped_splitting_matches_the_reference(self, monkeypatch):
+        with monkeypatch.context() as patch:
+            drop_a_splitting(patch)
+            expected = []
+            for x in axioms_sample(L3):
+                if not counit_laws_hold(x):
+                    expected.append(f"counit laws fail on {x}")
+                if not coassociativity_by_flat_sum(x):
+                    expected.append(f"coassociativity fails on {x}")
+                if not antipode_identity_holds(x):
+                    expected.append(f"antipode identity fails on {x}")
+            if not verify_hopf_ideal(3):
+                expected.append("truncation ideal at n=3 fails a Hopf-ideal check")
+            result = verify.run_check("hopf-axioms", 3)
+        assert any(w.startswith("coassociativity fails") for w in expected)
+        assert result.failures == expected
+        assert result.cases == len(axioms_sample(L3)) + 2
+
+    def test_each_generator_image_is_listed_once_a_check(self, monkeypatch):
+        terms = hopf._coproduct_terms
+        listed = collections.Counter()
+
+        def counted(pk, i, j):
+            listed[pk, i, j] += 1
+            return terms(pk, i, j)
+
+        monkeypatch.setattr(hopf, "_coproduct_terms", counted)
+        assert verify.run_check("hopf-axioms", 3).ok
+        assert listed and max(listed.values()) == 1
+
+    def test_a_pair_on_another_packing_is_refused(self):
+        x = parse_monomial("xi1^3", L2)
+        for predicate in (counit_laws_hold, coassociativity_holds, antipode_identity_holds):
+            assert predicate(x, axiom_expansions(L2))
+            with pytest.raises(ValueError):
+                predicate(x, axiom_expansions(L3))
+        with pytest.raises(ValueError):
+            axiom_expansions(UNTRUNCATED)

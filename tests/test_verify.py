@@ -115,6 +115,40 @@ def test_a_dropped_edge_in_the_oracle_rows_fails_dipath(monkeypatch):
     assert all("spanning-dipath criterion disagrees with search" in w for w in failures)
 
 
+def test_the_walker_yields_one_range_and_its_columns_a_block():
+    # A*(5) has blocks of 2^block_width indices; this range starts and ends inside one
+    level = Level(5)
+    size = 1 << block_width(level)
+    start, stop = 3 * size - 700, 5 * size + 900
+    failures = []
+    blocks = list(verify._iter_lanes(
+        level, start, stop, verify.lane_verdicts,
+        lambda x: (connectivity.is_connected(x), connectivity.is_unilateral(x)),
+        "block kernel disagrees with the walk-count tables", failures,
+    ))
+    assert not failures
+    assert [(r.start, r.stop) for r, _, _ in blocks] == [
+        (start, 3 * size), (3 * size, 4 * size), (4 * size, 5 * size), (5 * size, stop)
+    ]
+    for indices, *columns in blocks:
+        base = indices.start - indices.start % size
+        lanes = verify.lane_verdicts(level, base, block_width(level))
+        for column, v in zip(columns, lanes):
+            assert list(column) == [v >> k - base & 1 for k in indices]
+
+
+def test_a_sweep_reads_the_vertex_count_once_not_once_a_graph(monkeypatch):
+    vertex_count = algebra.Level.vertex_count.fget
+    reads = []
+    counted = property(lambda level: reads.append(1) or vertex_count(level))
+    monkeypatch.setattr(algebra.Level, "vertex_count", counted)
+    level = Level(4)
+    graphs = list(verify._iter_graphs(level, range(monomial_count(level))))
+    assert len(graphs) == 1 << 15
+    # index_rows reads it once an index bit; the graphs share one read
+    assert len(reads) <= sum(level.widths) + 1
+
+
 def test_sweep_graphs_are_the_graphs_of_the_decoded_monomials():
     for n in range(5):
         level = Level(n)
@@ -135,7 +169,7 @@ def test_sweep_graphs_at_sparse_indices_are_the_graphs_of_the_decoded_monomials(
         lambda x: (structure.paper_hamilton_condition(x),),
         "degree lanes disagree with the degree profiles", failures,
     )
-    holds = [k for k, held in lanes if held]
+    holds = [k for indices, held in lanes for k in itertools.compress(indices, held)]
     assert not failures
     for indices in (sample, holds):
         assert len({k >> 8 for k in indices}) > 2
