@@ -47,7 +47,12 @@ cross-checks of the sweeps.  edge_lanes builds the lane int of every
 edge of a block; structure.degree_bound_lanes starts from it too.
 
 The oracle_* functions decide the same questions by direct graph
-search, sharing no code with the matrix route.
+search, sharing no code with the matrix route.  oracle_is_connected and
+oracle_is_unilateral search one WoodGraph.  oracle_connected_lanes and
+oracle_unilateral_lanes run the same searches on a whole block at once,
+one lane per monomial, over the lane ints of graphs.oracle_edge_lanes:
+those come from the oracles' own edge rule, graphs.index_rows, not from
+edge_lanes or index_bit.  Neither reads an edge count or a power sum.
 """
 
 from functools import lru_cache
@@ -143,16 +148,14 @@ def block_width(level: Level) -> int:
     return min(BLOCK_BITS, monomial_count(level).bit_length() - 1)
 
 
-def edge_lanes(level: Level, base: int, width: int) -> Tuple[list, int]:
-    """Lane ints of the edges over the 2^width monomials with indices base, base+1, ...
+def block_lanes(level: Level, base: int, width: int) -> Tuple[list, int]:
+    """Lane ints of the index bits over the 2^width indices base, base+1, ...
 
-    Returns (up, full): up[p][q], for p < q, has bit t set exactly when
-    monomial_from_index(level, base + t) has edge (p, q); every other
-    entry is 0, and full has all 2^width lanes set.  base must be a
-    multiple of 2^width, and width at most block_width(level).  Edge
-    (p, q) sits on index bit b = index_bit(p, q): for b < width its lane
-    int is a fixed pattern, above that it is all ones or zero for the
-    whole block.
+    Returns (bits, full): bits[b] has bit t set exactly when bit b of
+    base + t is set, and full has all 2^width lanes set.  base must be a
+    multiple of 2^width, and width at most block_width(level).  For
+    b < width, bits[b] is a fixed pattern; above that it is all ones or
+    zero for the whole block.
     """
     lanes = 1 << width
     count = monomial_count(level)
@@ -163,12 +166,28 @@ def edge_lanes(level: Level, base: int, width: int) -> Tuple[list, int]:
         raise ValueError(f"block base {base} is not a multiple of {lanes} in 0..{count - 1}")
     full = (1 << lanes) - 1
     patterns = _lane_patterns()
+    bits = [
+        patterns[b] & full if b < width else full * (base >> b & 1)
+        for b in range(count.bit_length() - 1)
+    ]
+    return bits, full
+
+
+def edge_lanes(level: Level, base: int, width: int) -> Tuple[list, int]:
+    """Lane ints of the edges over the 2^width monomials with indices base, base+1, ...
+
+    Returns (up, full): up[p][q], for p < q, has bit t set exactly when
+    monomial_from_index(level, base + t) has edge (p, q); every other
+    entry is 0, and full has all 2^width lanes set.  base and width follow
+    the rule of block_lanes.  Edge (p, q) is the lane of index bit
+    index_bit(p, q).
+    """
+    bits, full = block_lanes(level, base, width)
     m = level.vertex_count
     up = [[0] * m for _ in range(m)]
     for p in range(m):
         for q in range(p + 1, m):
-            b = index_bit(level, p, q)
-            up[p][q] = patterns[b] & full if b < width else full * (base >> b & 1)
+            up[p][q] = bits[index_bit(level, p, q)]
     return up, full
 
 
@@ -230,3 +249,54 @@ def oracle_is_unilateral(g: WoodGraph) -> bool:
             return False
         reach[p] = r
     return True
+
+
+def oracle_connected_lanes(adj: list, full: int) -> int:
+    """Lanes whose graph is connected: a flood fill from vertex 0 must reach every vertex.
+
+    adj[p][q] is the lane int of edge (p, q), on both triangles, and full
+    has every lane set (graphs.oracle_edge_lanes).  reach[q] holds the
+    lanes where the fill has reached q: reach[q] |= reach[p] & adj[p][q],
+    pass after pass until a pass changes nothing.
+    """
+    m = len(adj)
+    reach = [full] + [0] * (m - 1)
+    changed = True
+    while changed:
+        changed = False
+        for p, row in enumerate(adj):
+            from_p = reach[p]
+            for q, e in enumerate(row):
+                new = reach[q] | from_p & e
+                if new != reach[q]:
+                    reach[q] = new
+                    changed = True
+    for r in reach:
+        full &= r
+    return full
+
+
+def oracle_unilateral_lanes(adj: list, full: int) -> int:
+    """Lanes whose increasing orientation is unilateral: the closure of oracle_is_unilateral.
+
+    adj and full are as for oracle_connected_lanes; only the upper
+    triangle, the arrows p -> q with p < q, is read.  reach[p][v] holds the
+    lanes where p reaches v, built in reverse vertex order; each pair is
+    joined where p reaches q.  It stops once no lane is left.
+    """
+    m = len(adj)
+    reach = [None] * m
+    for p in range(m - 1, -1, -1):
+        row = [0] * m
+        row[p] = full
+        for q in range(p + 1, m):
+            e = adj[p][q]
+            if e:
+                for v in range(q, m):  # q reaches nothing below itself
+                    row[v] |= e & reach[q][v]
+        for v in row[p + 1:]:
+            full &= v
+        if not full:
+            return 0
+        reach[p] = row
+    return full

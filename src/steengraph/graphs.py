@@ -11,8 +11,11 @@ The directed view orients every edge toward its larger endpoint, which
 makes the directed adjacency matrix strictly upper triangular.
 
 A WoodGraph is one int of neighbour masks; sweeps OR it from index_rows,
-and the search oracles of connectivity.py and structure.py run on it.  The
-vertex and edge ranges are read off the level's shape, stated once in Level.widths.
+and the search oracles of connectivity.py and structure.py run on it.
+oracle_edge_lanes turns the same rows into one lane int per edge for a
+block of indices, one bit per monomial, and the block search oracles run
+on those.  The vertex and edge ranges are read off the level's shape,
+stated once in Level.widths.
 """
 
 from typing import Iterable, Tuple
@@ -124,6 +127,30 @@ def index_rows(level: Level) -> list:
     pk = packing(level.widths, 0)
     bits = (pk.generator_power(1 << b) for b in range(sum(level.widths)))
     return [exponent_rows(level, i, 1 << j) for i, j in bits]
+
+
+def oracle_edge_lanes(level: Level, base: int, width: int) -> Tuple[list, int]:
+    """The oracles' edge lane ints over the 2^width monomials with indices base, base+1, ...
+
+    Returns (adj, full): adj[p][q] has bit t set exactly when index_rows
+    puts edge (p, q) in the graph of index base + t, on both triangles,
+    and full has all 2^width lanes set.  base and width follow the rule of
+    connectivity.block_lanes, which gives the lane int of each index bit;
+    each lane is ORed into the entries of the rows of its bit.  The block
+    search oracles of connectivity.py and structure.py read these lanes.
+    """
+    from .connectivity import block_lanes  # connectivity imports this module
+
+    bits, full = block_lanes(level, base, width)
+    m = level.vertex_count
+    adj = [[0] * m for _ in range(m)]
+    for lane, rows in zip(bits, index_rows(level)):
+        while rows:
+            low = rows & -rows
+            p, q = divmod(low.bit_length() - 1, m)
+            adj[p][q] |= lane
+            rows ^= low
+    return adj, full
 
 
 def to_graph(x: Monomial) -> WoodGraph:

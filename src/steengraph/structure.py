@@ -4,8 +4,16 @@ The tree test combines connectedness with the edge count: a connected
 graph on n+2 vertices is a tree exactly when it has n+1 edges, and the
 edge count of a monomial graph is the total number of 1s across the
 binary expansions of its exponents.  tree_criterion states that rule
-once, for is_tree, the analyze report and the tree sweep.  Vertex ranges
-and counts come from the level's shape, stated once in Level.widths.
+once, for is_tree, the analyze report and the tree sweep; the sweep asks
+it once for each edge count and reads a block's edge counts off
+popcount_lanes.  Vertex ranges and counts come from the level's shape,
+stated once in Level.widths.
+
+The tree oracles use no edge count.  oracle_is_tree searches one graph;
+oracle_tree_lanes decides a block of graphs at once, one lane each, over
+the oracles' edge lanes of graphs.oracle_edge_lanes: a flood fill for
+connectedness, and leaf peeling for acyclicity.  oracle_dipath_lanes
+ANDs the spine edge lanes of the same block.
 
 Two sufficient conditions for a Hamilton cycle are exposed side by
 side.  `paper_hamilton_condition` bounds every vertex degree below by
@@ -32,7 +40,7 @@ is 2^(n+1) - 1.
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import Level, Monomial
-from .connectivity import edge_lanes, is_connected, oracle_is_connected
+from .connectivity import edge_lanes, is_connected, oracle_connected_lanes, oracle_is_connected
 from .graphs import WoodGraph
 
 
@@ -103,6 +111,48 @@ def oracle_is_tree(g: WoodGraph) -> bool:
     edge-count characterization stays independently testable.
     """
     return oracle_is_connected(g) and oracle_is_acyclic(g)
+
+
+def oracle_tree_lanes(adj: list, full: int) -> int:
+    """Lanes whose graph is a tree, by search alone: connected, and leaf peeling empties it.
+
+    adj and full are as for connectivity.oracle_connected_lanes.  live[p]
+    holds the lanes where vertex p survives: pass after pass, each vertex
+    keeps only the lanes where it has at least 2 live neighbours, until a
+    pass changes nothing.  What survives is the 2-core, which a forest
+    does not have.  Like oracle_is_tree, it reads no edge count.
+    """
+    live = [full] * len(adj)
+    changed = True
+    while changed:
+        changed = False
+        for p, row in enumerate(adj):
+            one = two = 0  # lanes with at least one, at least two live neighbours of p
+            for q, e in enumerate(row):
+                v = live[q] & e
+                two |= one & v
+                one |= v
+            kept = live[p] & two
+            if kept != live[p]:
+                live[p] = kept
+                changed = True
+    cyclic = 0
+    for v in live:
+        cyclic |= v
+    return oracle_connected_lanes(adj, full) & ~cyclic
+
+
+def popcount_lanes(width: int) -> list:
+    """Entry c has bit t set exactly when t has c set bits, for t < 2^width.
+
+    Built by the recurrence over width: t below 2^w has the popcounts it
+    has below 2^(w-1), and t + 2^(w-1) has one more.
+    """
+    counts = [1]
+    for w in range(width):
+        run = 1 << w
+        counts = [low | high << run for low, high in zip(counts + [0], [0] + counts)]
+    return counts
 
 
 def degree_bound_holds(level: Level, profiles: Iterable[DegreeProfile], extra: int) -> bool:
@@ -258,6 +308,16 @@ def oracle_hamilton_directed_path(g: WoodGraph) -> Optional[Tuple[int, ...]]:
     # edge {p, p+1} is bit p*(m+1) + 1, so the spine is a geometric series in 2^(m+1)
     spine = ((1 << (m - 1) * (m + 1)) - 1) // ((1 << m + 1) - 1) << 1
     return tuple(range(m)) if rows & spine == spine else None
+
+
+def oracle_dipath_lanes(adj: list, full: int) -> int:
+    """Lanes with a spanning directed path: the AND of the m-1 spine edge lanes adj[p][p+1].
+
+    adj and full are as for connectivity.oracle_connected_lanes.
+    """
+    for p in range(len(adj) - 1):
+        full &= adj[p][p + 1]
+    return full
 
 
 def format_cycle(seq: Sequence[int]) -> str:

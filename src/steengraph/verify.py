@@ -8,21 +8,29 @@ threshold (`paper-hamilton`) instead *reports* its counterexamples,
 because deciding whether that threshold holds is exactly the question
 the sweep answers.
 
-One block walker, _iter_lanes, reads the lanes of every lane sweep: main,
-tree and corollary-unilateral those of connectivity.lane_verdicts, dirac
-and paper-hamilton those of structure.degree_bound_lanes.  It yields a
-block at a time, a range of indices and a column of 0/1 bytes per lane
-int; main, tree and the corollary zip them, and the degree sweeps keep
-the indices where the bound holds with itertools.compress.  At the start
-of each block it cross-checks the first, middle and last index against
-the per-monomial route.  The sweeps that ask a graph oracle walk (index,
-graph) pairs beside it, each graph one lookup and one OR over
-graphs.index_rows; dipath walks only those, its criterion read off the
-index bits of r_1.
-Beyond the cross-checks, these sweeps decode a Monomial only for the text
-of a failure or a finding, and the degree sweeps search for a Hamilton
-cycle only where the bound holds.  corollary-unilateral builds no graph:
-its antipode criterion reads the Monomial of every case, against the lanes.
+One block walker, _iter_lanes, reads the lanes of every lane sweep, a
+block of up to 2^15 indices at a time: main, tree and corollary-unilateral
+read connectivity.lane_verdicts, dirac and paper-hamilton
+structure.degree_bound_lanes.  main, tree and dipath also read the lanes
+of the block search oracles (connectivity.oracle_connected_lanes and
+oracle_unilateral_lanes, structure.oracle_tree_lanes and
+oracle_dipath_lanes), which run on graphs.oracle_edge_lanes, the
+oracles' own edge rule.  The walker yields a range of indices and a
+column of 0/1 bytes per lane int.  main and tree compare each criterion
+column with its oracle column in one bytes compare, and name each index
+where they differ; dipath, whose criterion is asked once for each value
+of r_1, runs the per-graph spine oracle at every index where the spine
+lane is set; the degree sweeps keep the indices where the bound holds
+with itertools.compress, and search for a Hamilton cycle only there.
+At the start of each block the walker cross-checks the first, middle and
+last index against the per-monomial criteria, and for main and tree runs
+the per-graph oracles on the graphs of those indices against the oracle
+lanes.  Every graph a sweep searches comes from _iter_graphs: one lookup
+and one OR over graphs.index_rows.  Beyond the cross-checks, these sweeps
+decode a Monomial only for the text of a failure or a finding; dipath
+decodes none unless something fails.  corollary-unilateral builds no
+graph: its antipode criterion reads the Monomial of every case, against
+the lanes.
 
 Checks are capped by default at the largest n where the sweep is
 desk-scale (seconds); setting STEENGRAPH_MAX_N overrides the caps.
@@ -35,6 +43,7 @@ import os
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import chain, compress
+from math import prod
 from typing import Callable, Iterable, List, Optional
 
 from .algebra import (
@@ -52,10 +61,12 @@ from .connectivity import (
     is_connected,
     is_unilateral,
     lane_verdicts,
+    oracle_connected_lanes,
     oracle_is_connected,
     oracle_is_unilateral,
+    oracle_unilateral_lanes,
 )
-from .graphs import WoodGraph, index_rows
+from .graphs import WoodGraph, index_rows, oracle_edge_lanes
 from .hopf import (
     antipode,
     antipode_identity_holds,
@@ -72,15 +83,21 @@ from .structure import (
     degree_bound_lanes,
     dipath_criterion,
     dirac_condition,
+    is_tree,
+    oracle_dipath_lanes,
     oracle_hamilton_cycle,
     oracle_hamilton_directed_path,
     oracle_is_tree,
+    oracle_tree_lanes,
     paper_hamilton_condition,
+    popcount_lanes,
     tree_criterion,
 )
 
 RANDOM_SEED = 1009
 RANDOM_SAMPLE_SIZE = 50
+# coproduct terms the hopf-axioms sample may bound: 23,737 at n=3, 3,515,234 at n=4
+AXIOM_TERM_BUDGET = 1 << 20
 
 
 @dataclass
@@ -124,11 +141,14 @@ def _iter_graphs(level: Level, indices: Iterable[int]):
 
 
 _LANE_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+_TABLES = "block kernel disagrees with the walk-count tables"
+_ORACLE_LANES = "lane oracles disagree with the per-graph search"
 
 
 def _iter_lanes(
     level: Level, start: int, stop: int,
-    kernel: Callable, route: Callable, what: str, failures: list,
+    kernel: Callable, route: Optional[Callable], what: Optional[str], failures: list,
+    oracle: Optional[Callable] = None,
 ):
     """(indices, column, ...) for each block: a range, then one bytes of 0/1 lanes per lane int.
 
@@ -137,19 +157,35 @@ def _iter_lanes(
     a level into ranges reads the same lanes.  Byte k - lo of a column is
     bit k - base of its lane int, for each index k of the block's part
     lo..hi - 1 of the range.  At the start of each block, route(x), a tuple
-    of bools, is compared with the lanes of the first, middle and last
-    index of that part; a mismatch appends f"{what} on {x}" to failures.
-    Those three are the only monomials built.
+    of bools, is compared with the first lanes of the first, middle and
+    last index of that part; a mismatch appends f"{what} on {x}" to
+    failures.  Those three are the only monomials built.  oracle(g), when
+    given, is a tuple of bools for the graph g of the same index, from
+    _iter_graphs; it is compared with the lanes after route's, and a
+    mismatch appends f"{_ORACLE_LANES} on {x}".  With route None, nothing
+    is cross-checked.
     """
     width = block_width(level)
     size = 1 << width
-    for base in range(start - start % size, stop, size):
-        lo, hi = max(start, base), min(stop, base + size)
+    parts = [
+        (base, max(start, base), min(stop, base + size))
+        for base in range(start - start % size, stop, size)
+    ]
+    checked = [
+        tuple(dict.fromkeys((lo, (lo + hi - 1) // 2, hi - 1))) if route else ()
+        for _, lo, hi in parts
+    ]
+    graphs = _iter_graphs(level, chain.from_iterable(checked)) if oracle else None
+    for (base, lo, hi), ks in zip(parts, checked):
         lanes = kernel(level, base, width)
-        for k in dict.fromkeys((lo, (lo + hi - 1) // 2, hi - 1)):
+        for k in ks:
+            bits = tuple(v >> k - base & 1 for v in lanes)
             x = monomial_from_index(level, k)
-            if route(x) != tuple(v >> k - base & 1 for v in lanes):
+            verdicts = route(x)
+            if verdicts != bits[:len(verdicts)]:
                 failures.append(f"{what} on {x}")
+            if graphs is not None and oracle(next(graphs)[1]) != bits[len(verdicts):]:
+                failures.append(f"{_ORACLE_LANES} on {x}")
         # byte t is bit t of the lane int: one pass over the int, not a shift of it per lane
         yield range(lo, hi), *(
             format(v, f"0{size}b")[::-1].encode().translate(_LANE_BYTES)[lo - base:hi - base]
@@ -157,25 +193,34 @@ def _iter_lanes(
         )
 
 
-def _iter_verdicts(level: Level, start: int, stop: int, failures: list):
-    """(indices, connected, unilateral) for each block of the range, off lane_verdicts."""
-    return _iter_lanes(
-        level, start, stop, lane_verdicts,
-        lambda x: (is_connected(x), is_unilateral(x)),
-        "block kernel disagrees with the walk-count tables", failures,
+def _walk_criteria(x: Monomial) -> tuple:
+    return is_connected(x), is_unilateral(x)
+
+
+def _main_lanes(level: Level, base: int, width: int) -> tuple:
+    """The criterion lanes of lane_verdicts, then the oracles' connected and unilateral lanes."""
+    adj, full = oracle_edge_lanes(level, base, width)
+    return (
+        *lane_verdicts(level, base, width),
+        oracle_connected_lanes(adj, full),
+        oracle_unilateral_lanes(adj, full),
     )
 
 
 def _sweep_main(level: Level, start: int, stop: int) -> tuple:
     failures = []
-    verdicts = _iter_verdicts(level, start, stop, failures)
-    graphs = _iter_graphs(level, range(start, stop))
-    for indices, connected, unilateral in verdicts:
-        for k, c, u, (_, g) in zip(indices, connected, unilateral, graphs):
-            if c != oracle_is_connected(g):
+    lanes = _iter_lanes(
+        level, start, stop, _main_lanes, _walk_criteria, _TABLES, failures,
+        oracle=lambda g: (oracle_is_connected(g), oracle_is_unilateral(g)),
+    )
+    for indices, connected, unilateral, searched, closed in lanes:
+        if connected == searched and unilateral == closed:
+            continue
+        for k, c, u, s, r in zip(indices, connected, unilateral, searched, closed):
+            if c != s:
                 x = monomial_from_index(level, k)
                 failures.append(f"connectedness criterion disagrees with search on {x}")
-            if u != oracle_is_unilateral(g):
+            if u != r:
                 x = monomial_from_index(level, k)
                 failures.append(f"unilaterality criterion disagrees with closure on {x}")
     return stop - start, failures, []
@@ -183,14 +228,31 @@ def _sweep_main(level: Level, start: int, stop: int) -> tuple:
 
 def _sweep_tree(level: Level, start: int, stop: int) -> tuple:
     failures = []
-    verdicts = _iter_verdicts(level, start, stop, failures)
-    graphs = _iter_graphs(level, range(start, stop))
-    for indices, connected, _ in verdicts:
-        for k, c, (_, g) in zip(indices, connected, graphs):
-            # each index bit is one edge, so the edge count is the popcount of the index
-            if tree_criterion(level, k.bit_count(), c == 1) != oracle_is_tree(g):
-                x = monomial_from_index(level, k)
-                failures.append(f"tree criterion disagrees with search on {x}")
+    # each index bit is one edge, so an index's edge count is its popcount: the block's high
+    # bits add `high` edges, and counts[c] holds the low bits of popcount c
+    counts = popcount_lanes(block_width(level))
+    trees = [tree_criterion(level, e, True) for e in range(sum(level.widths) + 1)]
+
+    def kernel(level: Level, base: int, width: int) -> tuple:
+        connected, unilateral = lane_verdicts(level, base, width)
+        high = (base >> width).bit_count()
+        sized = 0
+        for c, mask in enumerate(counts):
+            if trees[high + c]:
+                sized |= mask
+        adj, full = oracle_edge_lanes(level, base, width)
+        return connected, unilateral, connected & sized, oracle_tree_lanes(adj, full)
+
+    lanes = _iter_lanes(
+        level, start, stop, kernel, lambda x: (*_walk_criteria(x), is_tree(x)), _TABLES,
+        failures, oracle=lambda g: (oracle_is_tree(g),),
+    )
+    for indices, _, _, criterion, searched in lanes:
+        if criterion != searched:
+            for k, c, s in zip(indices, criterion, searched):
+                if c != s:
+                    x = monomial_from_index(level, k)
+                    failures.append(f"tree criterion disagrees with search on {x}")
     return stop - start, failures, []
 
 
@@ -198,14 +260,34 @@ def _sweep_dipath(level: Level, start: int, stop: int) -> tuple:
     failures = []
     spine = tuple(range(level.vertex_count))
     top = packing(level.widths, 0).offsets[0]  # r_1 is the highest field, so it needs no mask
-    for k, g in _iter_graphs(level, range(start, stop)):
-        witness = oracle_hamilton_directed_path(g)
-        if dipath_criterion(level, k >> top) != (witness is not None):
-            x = monomial_from_index(level, k)
-            failures.append(f"spanning-dipath criterion disagrees with search on {x}")
-        elif witness is not None and witness != spine:
-            x = monomial_from_index(level, k)
-            failures.append(f"dipath witness for {x} is {witness}, not the full spine")
+
+    def kernel(level: Level, base: int, width: int) -> tuple:
+        # the criterion once for each value of r_1 in the block, over its run of indices
+        end = base + (1 << width)
+        criterion = 0
+        for r1 in range(base >> top, (end - 1 >> top) + 1):
+            if dipath_criterion(level, r1):
+                lo, hi = max(r1 << top, base), min(r1 + 1 << top, end)
+                criterion |= ((1 << hi - lo) - 1) << lo - base
+        holds = oracle_dipath_lanes(*oracle_edge_lanes(level, base, width))
+        return criterion, holds, criterion | holds
+
+    # a monomial is built only to name a failure
+    for indices, criterion, holds, either in _iter_lanes(
+        level, start, stop, kernel, None, None, failures
+    ):
+        for k, g in _iter_graphs(level, compress(indices, either)):
+            t = k - indices.start
+            if criterion[t] != holds[t]:
+                x = monomial_from_index(level, k)
+                failures.append(f"spanning-dipath criterion disagrees with search on {x}")
+            if holds[t]:
+                witness = oracle_hamilton_directed_path(g)
+                if witness is None:
+                    failures.append(f"{_ORACLE_LANES} on {monomial_from_index(level, k)}")
+                elif witness != spine:
+                    x = monomial_from_index(level, k)
+                    failures.append(f"dipath witness for {x} is {witness}, not the full spine")
     return stop - start, failures, []
 
 
@@ -235,7 +317,8 @@ def _sweep_corollary(level: Level, start: int, stop: int) -> tuple:
     failures = []
     findings = []
     report_integer_reading = level.n <= 2
-    for indices, _, unilateral in _iter_verdicts(level, start, stop, failures):
+    lanes = _iter_lanes(level, start, stop, lane_verdicts, _walk_criteria, _TABLES, failures)
+    for indices, _, unilateral in lanes:
         for k, u in zip(indices, unilateral):
             x = monomial_from_index(level, k)
             walks = u == 1
@@ -283,6 +366,13 @@ def _check_hopf_axioms(level: Level) -> tuple:
     cases = 0
     sample = [Monomial.generator_power(i, j, level) for i, j in level.generator_powers()]
     sample += random_monomials(level, RANDOM_SAMPLE_SIZE, RANDOM_SEED + level.n)
+    # xi_i^(2^j) has i+1 coproduct terms, so their product over the dyadic bits bounds |Δx|
+    terms = sum(prod(i + 1 for i, _ in x.dyadic_bits()) for x in sample)
+    if terms > AXIOM_TERM_BUDGET:
+        raise CapExceeded(
+            f"check 'hopf-axioms' at n={level.n} bounds its coproducts by {terms} terms,"
+            f" over its budget of {AXIOM_TERM_BUDGET}"
+        )
     # one pair for the sample: each image is listed once for all its monomials
     pair = axiom_expansions(level)
     for x in sample:
@@ -428,7 +518,7 @@ def run_check(name: str, n: int, jobs: int = 1) -> SweepResult:
 
 
 def run_all(n: int, jobs: int = 1) -> list:
-    """Run every check whose cap admits n; capped-out checks are skipped with a note."""
+    """Run every check whose cap admits n; a check capped out or over budget is skipped, noted."""
     # refuse a bad --jobs or a level above its cap even when every check is capped out
     _worker_count(jobs)
     Level(n)
@@ -439,5 +529,8 @@ def run_all(n: int, jobs: int = 1) -> list:
             r.notes.append(f"skipped: capped at n <= {effective_cap(name)}")
             results.append(r)
             continue
-        results.append(run_check(name, n, jobs=jobs))
+        try:
+            results.append(run_check(name, n, jobs=jobs))
+        except CapExceeded as exc:
+            results.append(SweepResult(name, n, 0, notes=[f"skipped: {exc}"]))
     return results

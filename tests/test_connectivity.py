@@ -1,9 +1,11 @@
 """Walk counts vs literal enumeration, criteria vs search oracles."""
 
 import itertools
+import random
 
 import pytest
 
+from steengraph import algebra, connectivity
 from steengraph.algebra import (
     Level,
     Monomial,
@@ -17,16 +19,19 @@ from steengraph.cli import build_report
 from steengraph.connectivity import (
     BLOCK_BITS,
     _field_width,
+    _lane_patterns,
     block_width,
     connection_numbers,
     is_connected,
     is_unilateral,
     lane_verdicts,
+    oracle_connected_lanes,
     oracle_is_connected,
     oracle_is_unilateral,
+    oracle_unilateral_lanes,
     unilateral_numbers,
 )
-from steengraph.graphs import WoodGraph, adjacency_matrix, to_graph, top_class
+from steengraph.graphs import WoodGraph, adjacency_matrix, oracle_edge_lanes, to_graph, top_class
 
 L0, L1, L2, L3 = Level(0), Level(1), Level(2), Level(3)
 
@@ -348,3 +353,67 @@ class TestCensus:
             assert connected == self.CONNECTED[n], n
             assert unilateral == self.UNILATERAL[n] == 2 ** (n * (n + 1) // 2), n
             assert trees == self.TREES[n] == (n + 2) ** n, n
+
+
+def assert_lane_oracles_match_the_searches(level, base, width, lanes_of=range):
+    adj, full = oracle_edge_lanes(level, base, width)
+    connected = oracle_connected_lanes(adj, full)
+    unilateral = oracle_unilateral_lanes(adj, full)
+    assert connected >> (1 << width) == 0 == unilateral >> (1 << width)
+    for t in lanes_of(1 << width):
+        g = to_graph(monomial_from_index(level, base + t))
+        lanes = (connected >> t & 1, unilateral >> t & 1)
+        assert lanes == (oracle_is_connected(g), oracle_is_unilateral(g)), (level, base + t)
+
+
+class TestLaneOracles:
+    def test_lane_patterns_are_the_index_bits(self):
+        # bit t of entry b is bit b of t, by a plain loop over every lane
+        patterns = _lane_patterns()
+        assert len(patterns) == BLOCK_BITS
+        for b, lane in enumerate(patterns):
+            assert lane == sum(1 << t for t in range(1 << BLOCK_BITS) if t >> b & 1), b
+
+    def test_every_lane_matches_the_searches(self):
+        # every block width up to n=2, the sweep's blocks at n=3 and 4
+        for n in range(5):
+            level = Level(n)
+            widths = range(block_width(level) + 1) if n <= 2 else [block_width(level)]
+            for width in widths:
+                for base in range(0, monomial_count(level), 1 << width):
+                    assert_lane_oracles_match_the_searches(level, base, width)
+
+    def test_seeded_blocks_match_the_searches_at_n5(self):
+        level = Level(5)
+        rng = random.Random(11)
+        blocks = monomial_count(level) >> BLOCK_BITS
+        for block in rng.sample(range(blocks), 3):
+            assert_lane_oracles_match_the_searches(
+                level, block << BLOCK_BITS, BLOCK_BITS, lambda size: rng.sample(range(size), 2000)
+            )
+
+    def test_whole_level_counts_at_n5(self):
+        # the census of TestCensus one level up: A001187 and 2^(n(n+1)/2)
+        level = Level(5)
+        connected = unilateral = 0
+        for base in range(0, monomial_count(level), 1 << BLOCK_BITS):
+            adj, full = oracle_edge_lanes(level, base, BLOCK_BITS)
+            connected += oracle_connected_lanes(adj, full).bit_count()
+            unilateral += oracle_unilateral_lanes(adj, full).bit_count()
+        assert connected == 1866256
+        assert unilateral == 32768 == 2 ** 15
+
+    def test_the_edge_lanes_follow_the_oracle_rows_not_the_index_bits(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("the oracle edge lanes read the criterion's edge rule")
+
+        expected = oracle_edge_lanes(L3, 0, 10)
+        up, _ = connectivity.edge_lanes(L3, 0, 10)
+        monkeypatch.setattr(connectivity, "edge_lanes", refused)
+        monkeypatch.setattr(connectivity, "index_bit", refused)
+        monkeypatch.setattr(algebra, "index_bit", refused)
+        assert oracle_edge_lanes(L3, 0, 10) == expected
+        # the two edge rules agree, the oracles' one on both triangles
+        adj, _ = expected
+        assert all(adj[p][q] == adj[q][p] == up[p][q] for p in range(5) for q in range(p + 1, 5))
+        assert all(adj[p][p] == 0 for p in range(5))

@@ -16,7 +16,7 @@ from steengraph.algebra import (
     parse_monomial,
 )
 from steengraph.connectivity import BLOCK_BITS, block_width, is_connected
-from steengraph.graphs import WoodGraph, adjacency_matrix, to_graph, top_class
+from steengraph.graphs import WoodGraph, adjacency_matrix, oracle_edge_lanes, to_graph, top_class
 from steengraph.structure import (
     degree_bound_lanes,
     degree_table,
@@ -29,9 +29,12 @@ from steengraph.structure import (
     is_tree,
     oracle_hamilton_cycle,
     oracle_hamilton_directed_path,
+    oracle_dipath_lanes,
     oracle_is_acyclic,
     oracle_is_tree,
+    oracle_tree_lanes,
     paper_hamilton_condition,
+    popcount_lanes,
 )
 
 L0, L1, L2, L3 = Level(0), Level(1), Level(2), Level(3)
@@ -218,6 +221,57 @@ class TestDegreeBoundLanes:
         for level, base, width in ((L2, 0, 7), (L3, 4, 3), (L3, 1024, 3)):
             with pytest.raises(ValueError):
                 degree_bound_lanes(level, base, width, 2)
+
+
+def assert_lane_oracles_match_the_searches(level, base, width, lanes_of=range):
+    adj, full = oracle_edge_lanes(level, base, width)
+    trees = oracle_tree_lanes(adj, full)
+    dipaths = oracle_dipath_lanes(adj, full)
+    assert trees >> (1 << width) == 0 == dipaths >> (1 << width)
+    for t in lanes_of(1 << width):
+        g = to_graph(monomial_from_index(level, base + t))
+        lanes = (trees >> t & 1, dipaths >> t & 1)
+        expected = (oracle_is_tree(g), oracle_hamilton_directed_path(g) is not None)
+        assert lanes == expected, (level, base + t)
+
+
+class TestLaneOracles:
+    def test_every_lane_matches_the_searches(self):
+        # every block width up to n=2, the sweep's blocks at n=3 and 4
+        for n in range(5):
+            level = Level(n)
+            widths = range(block_width(level) + 1) if n <= 2 else [block_width(level)]
+            for width in widths:
+                for base in range(0, monomial_count(level), 1 << width):
+                    assert_lane_oracles_match_the_searches(level, base, width)
+
+    def test_seeded_blocks_match_the_searches_at_n5(self):
+        level = Level(5)
+        rng = random.Random(11)
+        blocks = monomial_count(level) >> BLOCK_BITS
+        # block 63 holds the indices with r_1 = 63, where every spine edge is present
+        for block in rng.sample(range(blocks - 1), 2) + [blocks - 1]:
+            assert_lane_oracles_match_the_searches(
+                level, block << BLOCK_BITS, BLOCK_BITS, lambda size: rng.sample(range(size), 2000)
+            )
+
+    def test_whole_level_counts_at_n5(self):
+        # labelled trees on 7 vertices (Cayley, 7^5) and spanning dipaths (2^15, every r_1 bit)
+        level = Level(5)
+        trees = dipaths = 0
+        for base in range(0, monomial_count(level), 1 << BLOCK_BITS):
+            adj, full = oracle_edge_lanes(level, base, BLOCK_BITS)
+            trees += oracle_tree_lanes(adj, full).bit_count()
+            dipaths += oracle_dipath_lanes(adj, full).bit_count()
+        assert trees == 16807 == 7**5
+        assert dipaths == 32768 == 2**15
+
+    def test_popcount_lanes_by_a_plain_loop(self):
+        for width in (0, 1, 5, BLOCK_BITS):
+            counts = popcount_lanes(width)
+            assert len(counts) == width + 1
+            for c, lane in enumerate(counts):
+                assert lane == sum(1 << t for t in range(1 << width) if t.bit_count() == c)
 
 
 class TestHamiltonCycle:

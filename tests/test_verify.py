@@ -63,14 +63,15 @@ def test_a_flipped_tree_lane_is_one_named_discrepancy(monkeypatch):
 
 
 def test_a_flipped_dipath_verdict_is_one_named_discrepancy(monkeypatch):
+    # the criterion is asked once for each value of r_1, the top 4 of A*(3)'s 10 index bits;
+    # r_1 = 12 is the 64 indices 768..831, none of which has a spanning dipath
     criterion = verify.dipath_criterion
-    calls = itertools.count()
     monkeypatch.setattr(
-        verify, "dipath_criterion", lambda level, r1: criterion(level, r1) ^ (next(calls) == 777)
+        verify, "dipath_criterion", lambda level, r1: criterion(level, r1) ^ (r1 == 12)
     )
-    x = monomial_from_index(L3, 777)
     assert verify.run_check("dipath", 3).failures == [
-        f"spanning-dipath criterion disagrees with search on {x}"
+        f"spanning-dipath criterion disagrees with search on {monomial_from_index(L3, k)}"
+        for k in range(768, 832)
     ]
 
 
@@ -337,3 +338,85 @@ def test_only_the_measured_caches_outlive_a_call():
     for f in caches:
         info = f.cache_info()
         assert info.currsize <= info.maxsize, f
+
+
+@pytest.mark.parametrize(
+    "check, oracle, text",
+    [
+        ("main", "oracle_connected_lanes", "connectedness criterion disagrees with search"),
+        ("main", "oracle_unilateral_lanes", "unilaterality criterion disagrees with closure"),
+        ("tree", "oracle_tree_lanes", "tree criterion disagrees with search"),
+    ],
+)
+@pytest.mark.parametrize("k", [777, 511])
+def test_a_flipped_oracle_lane_is_named(monkeypatch, check, oracle, text, k):
+    # 777 is no cross-checked index of A*(3)'s one block; 511 is its middle one, where the
+    # per-graph oracles run too
+    lanes = getattr(verify, oracle)
+    monkeypatch.setattr(verify, oracle, lambda adj, full: lanes(adj, full) ^ 1 << k)
+    x = monomial_from_index(L3, k)
+    crossed = [f"lane oracles disagree with the per-graph search on {x}"] if k == 511 else []
+    assert verify.run_check(check, 3).failures == crossed + [f"{text} on {x}"]
+
+
+def test_a_flipped_spine_lane_meets_the_per_graph_search(monkeypatch):
+    # 777 has r_1 = 12: with its spine lane set, the criterion disagrees, and the search finds no spine
+    lanes = verify.oracle_dipath_lanes
+    monkeypatch.setattr(verify, "oracle_dipath_lanes", lambda adj, full: lanes(adj, full) | 1 << 777)
+    x = monomial_from_index(L3, 777)
+    assert verify.run_check("dipath", 3).failures == [
+        f"spanning-dipath criterion disagrees with search on {x}",
+        f"lane oracles disagree with the per-graph search on {x}",
+    ]
+
+
+def test_the_per_graph_oracles_search_the_three_cross_checked_indices_a_block(monkeypatch):
+    searched = []
+    oracle = verify.oracle_is_tree
+    monkeypatch.setattr(verify, "oracle_is_tree", lambda g: searched.append(g) or oracle(g))
+    assert verify.run_check("tree", 3).ok
+    assert searched == [to_graph(monomial_from_index(L3, k)) for k in (0, 511, 1023)]
+    # a range over the parts of three blocks of A*(5)
+    level = Level(5)
+    size = 1 << block_width(level)
+    searched.clear()
+    assert verify._sweep_tree(level, size - 5, 2 * size + 9) == (size + 14, [], [])
+    assert searched == [
+        to_graph(monomial_from_index(level, k))
+        for k in (size - 5, size - 3, size - 1, size, size + size // 2 - 1, 2 * size - 1,
+                  2 * size, 2 * size + 4, 2 * size + 8)
+    ]
+
+
+def test_the_tree_sweep_reads_the_vertex_count_a_block_not_an_index(monkeypatch):
+    vertex_count = algebra.Level.vertex_count.fget
+    reads = []
+    counted = property(lambda level: reads.append(1) or vertex_count(level))
+    monkeypatch.setattr(algebra.Level, "vertex_count", counted)
+    level = Level(5)
+    size = 1 << block_width(level)
+    # three blocks of A*(5) hold about 87,000 connected indices and 780 trees
+    assert verify._sweep_tree(level, 0, 3 * size) == (3 * size, [], [])
+    assert len(reads) <= 100 * 3
+
+
+def test_hopf_axioms_over_the_term_budget_is_refused_before_expanding(monkeypatch, capsys):
+    # at n=4 the product bound over the sample's dyadic bits is 3,515,234 coproduct terms
+    def refused(level):
+        raise AssertionError("the axiom check expanded a sample over its budget")
+
+    monkeypatch.setattr(verify, "axiom_expansions", refused)
+    monkeypatch.setenv("STEENGRAPH_MAX_N", "4")
+    refusal = (
+        "check 'hopf-axioms' at n=4 bounds its coproducts by 3515234 terms,"
+        " over its budget of 1048576"
+    )
+    with pytest.raises(verify.CapExceeded) as caught:
+        verify.run_check("hopf-axioms", 4)
+    assert str(caught.value) == refusal
+    assert cli.main(["verify", "-n", "4", "--theorem", "hopf-axioms"]) == 2
+    assert capsys.readouterr().err == f"error: {refusal}\n"
+    monkeypatch.setattr(verify, "CHECK_ORDER", ["antipode-paths", "hopf-axioms"])
+    paths, axioms = verify.run_all(4)
+    assert paths.ok and paths.cases == 15
+    assert axioms == verify.SweepResult("hopf-axioms", 4, 0, notes=[f"skipped: {refusal}"])
