@@ -15,22 +15,20 @@ structure.degree_bound_lanes.  main, tree and dipath also read the lanes
 of the block search oracles (connectivity.oracle_connected_lanes and
 oracle_unilateral_lanes, structure.oracle_tree_lanes and
 oracle_dipath_lanes), which run on graphs.oracle_edge_lanes, the
-oracles' own edge rule.  The walker yields a range of indices and a
-column of 0/1 bytes per lane int.  main and tree compare each criterion
-column with its oracle column in one bytes compare, and name each index
-where they differ; dipath, whose criterion is asked once for each value
-of r_1, runs the per-graph spine oracle at every index where the spine
-lane is set; the degree sweeps keep the indices where the bound holds
-with itertools.compress, and search for a Hamilton cycle only there.
-At the start of each block the walker cross-checks the first, middle and
-last index against the per-monomial criteria, and for main and tree runs
-the per-graph oracles on the graphs of those indices against the oracle
-lanes.  Every graph a sweep searches comes from _iter_graphs: one lookup
-and one OR over graphs.index_rows.  Beyond the cross-checks, these sweeps
-decode a Monomial only for the text of a failure or a finding; dipath
-decodes none unless something fails.  corollary-unilateral builds no
-graph: its antipode criterion reads the Monomial of every case, against
-the lanes.
+oracles' own edge rule; the walker compares each of their criterion
+columns with its oracle column in one bytes compare, names each index
+where they differ, and runs the per-graph oracles on the first, middle
+and last index of each block against the oracle lanes.  It also
+cross-checks those three indices against the per-monomial criteria,
+where a sweep has them (dipath, whose criterion is asked once for each
+value of r_1, has none).  dipath then runs the per-graph spine search on
+every index where the spine lane is set; the degree sweeps keep the
+indices where the bound holds with itertools.compress, and search for a
+Hamilton cycle only there.  Every graph a sweep searches comes from
+_iter_graphs: one lookup and one OR over graphs.index_rows.  A sweep
+decodes a Monomial only for a per-monomial criterion or for the text of
+a failure or a finding.  corollary-unilateral builds no graph: its
+antipode criterion reads the Monomial of every case, against the lanes.
 
 Checks are capped by default at the largest n where the sweep is
 desk-scale (seconds); setting STEENGRAPH_MAX_N overrides the caps.
@@ -148,7 +146,7 @@ _ORACLE_LANES = "lane oracles disagree with the per-graph search"
 def _iter_lanes(
     level: Level, start: int, stop: int,
     kernel: Callable, route: Optional[Callable], what: Optional[str], failures: list,
-    oracle: Optional[Callable] = None,
+    oracle: Optional[Callable] = None, texts: tuple = (),
 ):
     """(indices, column, ...) for each block: a range, then one bytes of 0/1 lanes per lane int.
 
@@ -156,14 +154,15 @@ def _iter_lanes(
     block of block_width(level) bits that meets the range, so any split of
     a level into ranges reads the same lanes.  Byte k - lo of a column is
     bit k - base of its lane int, for each index k of the block's part
-    lo..hi - 1 of the range.  At the start of each block, route(x), a tuple
-    of bools, is compared with the first lanes of the first, middle and
-    last index of that part; a mismatch appends f"{what} on {x}" to
-    failures.  Those three are the only monomials built.  oracle(g), when
-    given, is a tuple of bools for the graph g of the same index, from
-    _iter_graphs; it is compared with the lanes after route's, and a
-    mismatch appends f"{_ORACLE_LANES} on {x}".  With route None, nothing
-    is cross-checked.
+    lo..hi - 1 of the range.  Before a block is yielded, the first, middle
+    and last index of its part are cross-checked: route(x), a tuple of
+    bools, against the first lanes, a mismatch appending f"{what} on {x}",
+    and oracle(g), a tuple of bools for the graph g of the index from
+    _iter_graphs, against the last len(texts) lanes, a mismatch appending
+    f"{_ORACLE_LANES} on {x}".  Then, the last 2 * len(texts) lanes being
+    criterion lanes and then their oracle lanes, each index where a pair
+    differs appends f"{text} on {x}", in index order.  A monomial x is
+    decoded only for route or to name a failure.
     """
     width = block_width(level)
     size = 1 << width
@@ -172,25 +171,33 @@ def _iter_lanes(
         for base in range(start - start % size, stop, size)
     ]
     checked = [
-        tuple(dict.fromkeys((lo, (lo + hi - 1) // 2, hi - 1))) if route else ()
+        tuple(dict.fromkeys((lo, (lo + hi - 1) // 2, hi - 1))) if route or oracle else ()
         for _, lo, hi in parts
     ]
     graphs = _iter_graphs(level, chain.from_iterable(checked)) if oracle else None
     for (base, lo, hi), ks in zip(parts, checked):
         lanes = kernel(level, base, width)
+        split = len(lanes) - len(texts)
         for k in ks:
             bits = tuple(v >> k - base & 1 for v in lanes)
-            x = monomial_from_index(level, k)
-            verdicts = route(x)
+            x = monomial_from_index(level, k) if route else None
+            verdicts = route(x) if route else ()
             if verdicts != bits[:len(verdicts)]:
                 failures.append(f"{what} on {x}")
-            if graphs is not None and oracle(next(graphs)[1]) != bits[len(verdicts):]:
-                failures.append(f"{_ORACLE_LANES} on {x}")
+            if graphs is not None and oracle(next(graphs)[1]) != bits[split:]:
+                failures.append(f"{_ORACLE_LANES} on {x or monomial_from_index(level, k)}")
         # byte t is bit t of the lane int: one pass over the int, not a shift of it per lane
-        yield range(lo, hi), *(
+        columns = [
             format(v, f"0{size}b")[::-1].encode().translate(_LANE_BYTES)[lo - base:hi - base]
             for v in lanes
-        )
+        ]
+        criteria, searched = columns[split - len(texts):split], columns[split:]
+        if criteria != searched:
+            for t, k in enumerate(range(lo, hi)):
+                for text, c, s in zip(texts, criteria, searched):
+                    if c[t] != s[t]:
+                        failures.append(f"{text} on {monomial_from_index(level, k)}")
+        yield range(lo, hi), *columns
 
 
 def _walk_criteria(x: Monomial) -> tuple:
@@ -209,20 +216,15 @@ def _main_lanes(level: Level, base: int, width: int) -> tuple:
 
 def _sweep_main(level: Level, start: int, stop: int) -> tuple:
     failures = []
-    lanes = _iter_lanes(
+    for _ in _iter_lanes(
         level, start, stop, _main_lanes, _walk_criteria, _TABLES, failures,
         oracle=lambda g: (oracle_is_connected(g), oracle_is_unilateral(g)),
-    )
-    for indices, connected, unilateral, searched, closed in lanes:
-        if connected == searched and unilateral == closed:
-            continue
-        for k, c, u, s, r in zip(indices, connected, unilateral, searched, closed):
-            if c != s:
-                x = monomial_from_index(level, k)
-                failures.append(f"connectedness criterion disagrees with search on {x}")
-            if u != r:
-                x = monomial_from_index(level, k)
-                failures.append(f"unilaterality criterion disagrees with closure on {x}")
+        texts=(
+            "connectedness criterion disagrees with search",
+            "unilaterality criterion disagrees with closure",
+        ),
+    ):
+        pass
     return stop - start, failures, []
 
 
@@ -243,16 +245,12 @@ def _sweep_tree(level: Level, start: int, stop: int) -> tuple:
         adj, full = oracle_edge_lanes(level, base, width)
         return connected, unilateral, connected & sized, oracle_tree_lanes(adj, full)
 
-    lanes = _iter_lanes(
+    for _ in _iter_lanes(
         level, start, stop, kernel, lambda x: (*_walk_criteria(x), is_tree(x)), _TABLES,
         failures, oracle=lambda g: (oracle_is_tree(g),),
-    )
-    for indices, _, _, criterion, searched in lanes:
-        if criterion != searched:
-            for k, c, s in zip(indices, criterion, searched):
-                if c != s:
-                    x = monomial_from_index(level, k)
-                    failures.append(f"tree criterion disagrees with search on {x}")
+        texts=("tree criterion disagrees with search",),
+    ):
+        pass
     return stop - start, failures, []
 
 
@@ -269,25 +267,22 @@ def _sweep_dipath(level: Level, start: int, stop: int) -> tuple:
             if dipath_criterion(level, r1):
                 lo, hi = max(r1 << top, base), min(r1 + 1 << top, end)
                 criterion |= ((1 << hi - lo) - 1) << lo - base
-        holds = oracle_dipath_lanes(*oracle_edge_lanes(level, base, width))
-        return criterion, holds, criterion | holds
+        return criterion, oracle_dipath_lanes(*oracle_edge_lanes(level, base, width))
 
-    # a monomial is built only to name a failure
-    for indices, criterion, holds, either in _iter_lanes(
-        level, start, stop, kernel, None, None, failures
-    ):
-        for k, g in _iter_graphs(level, compress(indices, either)):
-            t = k - indices.start
-            if criterion[t] != holds[t]:
-                x = monomial_from_index(level, k)
-                failures.append(f"spanning-dipath criterion disagrees with search on {x}")
-            if holds[t]:
-                witness = oracle_hamilton_directed_path(g)
-                if witness is None:
-                    failures.append(f"{_ORACLE_LANES} on {monomial_from_index(level, k)}")
-                elif witness != spine:
-                    x = monomial_from_index(level, k)
-                    failures.append(f"dipath witness for {x} is {witness}, not the full spine")
+    lanes = _iter_lanes(
+        level, start, stop, kernel, None, None, failures,
+        oracle=lambda g: (oracle_hamilton_directed_path(g) is not None,),
+        texts=("spanning-dipath criterion disagrees with search",),
+    )
+    # one graph table a call for every spine-lane index; a monomial is built only to name a failure
+    holding = chain.from_iterable(compress(indices, holds) for indices, _, holds in lanes)
+    for k, g in _iter_graphs(level, holding):
+        witness = oracle_hamilton_directed_path(g)
+        if witness is None:
+            failures.append(f"{_ORACLE_LANES} on {monomial_from_index(level, k)}")
+        elif witness != spine:
+            x = monomial_from_index(level, k)
+            failures.append(f"dipath witness for {x} is {witness}, not the full spine")
     return stop - start, failures, []
 
 

@@ -262,7 +262,7 @@ def test_degree_sweeps_are_the_same_over_any_split(monkeypatch, n, cuts, sound):
     assert searched == searched_in_parts == held
 
 
-@pytest.mark.parametrize("check", ["main", "tree", "corollary-unilateral"])
+@pytest.mark.parametrize("check", ["main", "tree", "dipath", "corollary-unilateral"])
 def test_verdict_sweeps_are_the_same_over_any_split(check):
     sweep = partial(verify.CHECKS[check].range_runner, L3)
     cuts = [0, 1, 2, 300, 511, 1000, 1024]
@@ -368,6 +368,33 @@ def test_a_flipped_spine_lane_meets_the_per_graph_search(monkeypatch):
         f"spanning-dipath criterion disagrees with search on {x}",
         f"lane oracles disagree with the per-graph search on {x}",
     ]
+
+
+def test_a_cleared_spine_lane_meets_the_cross_check(monkeypatch):
+    # 1023 is the last cross-checked index of A*(3)'s one block, and its graph has the spine
+    lanes = verify.oracle_dipath_lanes
+    monkeypatch.setattr(
+        verify, "oracle_dipath_lanes", lambda adj, full: lanes(adj, full) & ~(1 << 1023)
+    )
+    x = monomial_from_index(L3, 1023)
+    assert str(x) == "xi1^15*xi2^7*xi3^3*xi4^1"
+    assert verify.run_check("dipath", 3).failures == [
+        f"lane oracles disagree with the per-graph search on {x}",
+        f"spanning-dipath criterion disagrees with search on {x}",
+    ]
+
+
+def test_the_dipath_sweep_builds_its_graph_table_once_a_call_not_once_a_block(monkeypatch):
+    # one table for the cross-checked graphs, one for the spine-lane indices
+    iter_graphs = verify._iter_graphs
+    calls = []
+    monkeypatch.setattr(
+        verify, "_iter_graphs", lambda *args: calls.append(args) or iter_graphs(*args)
+    )
+    monkeypatch.setenv("STEENGRAPH_MAX_N", "5")
+    level = Level(5)
+    assert verify._sweep_dipath(level, 0, 8 << 15) == (8 << 15, [], [])
+    assert len(calls) <= 2
 
 
 def test_the_per_graph_oracles_search_the_three_cross_checked_indices_a_block(monkeypatch):
