@@ -15,9 +15,10 @@ every set bit as a plain pair (i, j), the edge j -> i+j.  That shape is
 stated once, in Level.widths = (n+1, ..., 1), the profile function of
 A*(n); every module reads its counts and ranges from the level.
 
-One layout, `Packing`, lays those bits out in an int.  Without guard bits
-it is the enumeration index, one bit per edge; with a guard bit above each
-exponent field, adding two packed monomials multiplies them (hopf.py).
+One layout, `Packing`, lays those bits out in an int, and a level carries
+it twice.  Without guard bits (`index_packing`) it is the enumeration
+index, one bit per edge; with a guard bit above each exponent field
+(`guarded_packing`), adding two packed monomials multiplies them (hopf.py).
 
 Polynomials are finite sets of monomials: coefficients live in F2, so a
 monomial is either present or absent and duplicates cancel pairwise.
@@ -39,12 +40,10 @@ import operator
 import os
 import random
 import re
-from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 ENV_MAX_N = "STEENGRAPH_MAX_N"
 DEFAULT_MAX_N = 12
-PACKINGS_CACHED = 64  # index and guarded packing a level, plus one a degree bit length untruncated
 
 
 def max_truncation() -> int:
@@ -68,10 +67,12 @@ class Level:
     `widths` states the shape of A*(n) once, as its profile function:
     xi_i^(2^j) exists exactly when j < widths[i-1], and it is the edge
     (j, i+j) on the `vertex_count` vertices 0..len(widths).  Every other
-    module reads the shape from these two.
+    module reads the shape from these two.  `index_packing` and
+    `guarded_packing` are packing(widths, 0) and packing(widths), built once
+    here; both are None untruncated.
     """
 
-    __slots__ = ("n", "widths", "_vertices")
+    __slots__ = ("n", "widths", "_vertices", "index_packing", "guarded_packing")
 
     def __init__(self, n: Optional[int] = None):
         if n is not None:
@@ -88,6 +89,8 @@ class Level:
         # bits of r_1, ..., r_(n+1): r_i < 2^(n+2-i), the one statement of the bound
         self.widths = () if n is None else tuple(range(n + 1, 0, -1))
         self._vertices = None if n is None else len(self.widths) + 1
+        self.index_packing = None if n is None else packing(self.widths, 0)
+        self.guarded_packing = None if n is None else packing(self.widths)
 
     @property
     def truncated(self) -> bool:
@@ -552,7 +555,7 @@ def index_bit(level: Level, p: int, q: int) -> int:
     if not 0 <= p < q:
         raise ValueError(f"need 0 <= p < q, got p={p}, q={q}")
     level.check_vertex(q)
-    return packing(level.widths, 0).offsets[q - p - 1] + p
+    return level.index_packing.offsets[q - p - 1] + p
 
 
 class Packing(NamedTuple):
@@ -589,7 +592,6 @@ class Packing(NamedTuple):
         return i, position - self.offsets[i - 1]
 
 
-@lru_cache(maxsize=PACKINGS_CACHED)
 def packing(widths: tuple, guards: int = 1) -> Packing:
     """Fields of the given widths, r_1 first, `guards` bits above each (0: the index layout)."""
     offsets = []
@@ -611,7 +613,7 @@ def monomial_from_index(level: Level, index: int) -> Monomial:
     if not 0 <= index < monomial_count(level):
         raise ValueError(f"index {index} out of range 0..{monomial_count(level) - 1}")
     # a masked field is within its width, so the exponents need no check
-    return Monomial._unchecked(level, packing(level.widths, 0).unpack(index))
+    return Monomial._unchecked(level, level.index_packing.unpack(index))
 
 
 def random_monomials(level: Level, count: int, seed: int) -> list:

@@ -20,7 +20,7 @@ stated once in Level.widths.
 
 from typing import Iterable, Tuple
 
-from .algebra import Level, Monomial, packing
+from .algebra import Level, Monomial
 
 Edge = Tuple[int, int]
 
@@ -124,7 +124,7 @@ def index_rows(level: Level) -> list:
     keeps it no longer than the call; to_graph calls exponent_rows directly.
     """
     level._require_truncated()
-    pk = packing(level.widths, 0)
+    pk = level.index_packing
     bits = (pk.generator_power(1 << b) for b in range(sum(level.widths)))
     return [exponent_rows(level, i, 1 << j) for i, j in bits]
 

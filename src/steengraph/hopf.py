@@ -34,8 +34,8 @@ Images are listed per call, the first time a call meets a monomial: one
 call of `coproduct`, `antipode` or an axiom predicate builds its own
 expansions, and a caller that checks the axioms on many monomials of one
 level passes every predicate the one pair that `axiom_expansions` builds,
-dropped when that caller returns.  Only `_level_antipodes`, the antipode
-slots of a level for `unilateral_via_antipode`, is kept across calls.
+dropped when that caller returns; `antipode_slots` serves
+`unilateral_via_antipode` the same way.
 
 Truncation interacts with everything here through the quotient map
 (truncate_monomial / truncate_polynomial / truncate_tensor): the
@@ -45,7 +45,6 @@ desk scale, so all maps descend to the finite algebras.
 
 import itertools
 import operator
-from functools import lru_cache
 from typing import Iterator, Optional, Tuple, Union
 
 from .algebra import (
@@ -63,7 +62,6 @@ from .algebra import (
 )
 
 TensorTerm = Tuple[Monomial, Monomial]
-TABLES_CACHED = 64  # levels whose antipode slots _level_antipodes keeps
 
 
 class TensorPolynomial(F2Sum):
@@ -122,7 +120,7 @@ def _packing_of(x: Monomial) -> Packing:
     fit as well.
     """
     if x.level.truncated:
-        return packing(x.level.widths)
+        return x.level.guarded_packing
     degree = sum(r * ((1 << i) - 1) for i, r in enumerate(x.exponents, start=1))
     d = degree.bit_length()
     return packing((d,) * d)
@@ -196,7 +194,7 @@ def axiom_expansions(level: Level) -> tuple:
     check is done.
     """
     level._require_truncated()
-    pk = packing(level.widths)
+    pk = level.guarded_packing
     return _coproducts(pk), _antipodes(pk)
 
 
@@ -262,23 +260,20 @@ def antipode_recursion_residual(i: int) -> Polynomial:
     """The untruncated sum over 0 <= k <= i of xi_(i-k)^(2^k) * antipode(xi_k).
 
     The antipode is the unique map making this vanish for every i >= 1
-    (with xi_0 = 1), so a zero residual certifies the closed form.
+    (with xi_0 = 1), so a zero residual certifies the closed form.  The
+    sum is taken on packed ints in the box of i fields of i bits: every
+    term has degree 2^i - 1, so each r_j < 2^i and no guard bit fires.
     """
     if i < 1:
         raise ValueError(f"recursion index must be >= 1, got {i}")
-    acc = Polynomial.zero(UNTRUNCATED)
-    for k in range(i + 1):
-        if k == i:
-            left = Polynomial.one(UNTRUNCATED)
-        else:
-            left = Monomial.generator_power(i - k, k, UNTRUNCATED).as_polynomial()
-        right = (
-            Polynomial.one(UNTRUNCATED)
-            if k == 0
-            else antipode_generator(k, UNTRUNCATED)
-        )
-        acc = acc + left * right
-    return acc
+    pk = packing((i,) * i)
+    chi = _antipodes(pk)
+    # k = 0 and k = i, then each k between: a fixed factor times a duplicate-free image
+    acc = {pk.bit(i, 0)} ^ set(chi[pk.bit(i, 0)])
+    for k in range(1, i):
+        left = pk.bit(i - k, k)
+        acc ^= {left + t for t in chi[pk.bit(k, 0)]}
+    return Polynomial(UNTRUNCATED, (_unpacked(UNTRUNCATED, pk, t) for t in acc))
 
 
 def verify_antipode_recursion(i_max: int) -> bool:
@@ -309,26 +304,30 @@ def directed_path_polynomial(j: int, i: int, level: Level) -> Polynomial:
     return Polynomial(level, acc)
 
 
-@lru_cache(maxsize=TABLES_CACHED)
-def _level_antipodes(pk: Packing) -> tuple:
-    """The packed antipode of every generator power a level's packing holds."""
-    fields = enumerate(pk.widths, start=1)
-    return tuple(_antipode_terms(pk, i, j) for i, w in fields for j in range(w))
+def antipode_slots(level: Level) -> tuple:
+    """The packed antipode of each generator power of a truncated level, by i then j."""
+    pk = level.guarded_packing
+    return tuple(_antipode_terms(pk, i, j) for i, j in level.generator_powers())
 
 
-def unilateral_via_antipode(x: Monomial, edgewise: bool = True) -> bool:
+def unilateral_via_antipode(
+    x: Monomial, edgewise: bool = True, slots: Optional[tuple] = None
+) -> bool:
     """Unilaterality read off the antipode: every edge slot must host a present path.
 
     For each valid generator power xi_i^(2^j), some term of its
     antipode (a directed path from j to i+j) must divide x.  Division
     is edgewise by default; the integer-exponent reading is kept
     selectable because the two genuinely differ and only one can match
-    the walk-count criterion.
+    the walk-count criterion.  A caller that tests many monomials of one
+    level passes the `antipode_slots` of that level; they are built
+    afresh when None.
     """
     level = x.level
     level._require_truncated()
-    pk = packing(level.widths)
-    slots = _level_antipodes(pk)
+    pk = level.guarded_packing
+    if slots is None:
+        slots = antipode_slots(level)
     if edgewise:
         m = pk.pack(x.exponents)
         return all(any(not t & ~m for t in terms) for terms in slots)

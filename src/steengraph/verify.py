@@ -39,7 +39,7 @@ so output is identical for any worker count.
 
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from itertools import chain, compress
 from math import prod
 from typing import Callable, Iterable, List, Optional
@@ -51,7 +51,6 @@ from .algebra import (
     max_truncation,
     monomial_count,
     monomial_from_index,
-    packing,
     random_monomials,
 )
 from .connectivity import (
@@ -68,6 +67,7 @@ from .graphs import WoodGraph, index_rows, oracle_edge_lanes
 from .hopf import (
     antipode,
     antipode_identity_holds,
+    antipode_slots,
     axiom_expansions,
     coassociativity_holds,
     coproduct_generator,
@@ -257,7 +257,7 @@ def _sweep_tree(level: Level, start: int, stop: int) -> tuple:
 def _sweep_dipath(level: Level, start: int, stop: int) -> tuple:
     failures = []
     spine = tuple(range(level.vertex_count))
-    top = packing(level.widths, 0).offsets[0]  # r_1 is the highest field, so it needs no mask
+    top = level.index_packing.offsets[0]  # r_1 is the highest field, so it needs no mask
 
     def kernel(level: Level, base: int, width: int) -> tuple:
         # the criterion once for each value of r_1 in the block, over its run of indices
@@ -312,14 +312,15 @@ def _sweep_corollary(level: Level, start: int, stop: int) -> tuple:
     failures = []
     findings = []
     report_integer_reading = level.n <= 2
+    slots = antipode_slots(level)
     lanes = _iter_lanes(level, start, stop, lane_verdicts, _walk_criteria, _TABLES, failures)
     for indices, _, unilateral in lanes:
         for k, u in zip(indices, unilateral):
             x = monomial_from_index(level, k)
             walks = u == 1
-            if unilateral_via_antipode(x) != walks:
+            if unilateral_via_antipode(x, True, slots) != walks:
                 failures.append(f"antipode divisibility test disagrees with walks on {x}")
-            if report_integer_reading and unilateral_via_antipode(x, edgewise=False) != walks:
+            if report_integer_reading and unilateral_via_antipode(x, False, slots) != walks:
                 findings.append(f"integer-exponent reading disagrees with walks on {x}")
     return stop - start, failures, findings
 
@@ -350,12 +351,6 @@ def _check_antipode_paths(level: Level) -> tuple:
     return cases, failures, []
 
 
-@lru_cache(maxsize=1)
-def _antipode_recursion_holds() -> bool:
-    """verify_antipode_recursion(8): untruncated, so the same at every level; run once a process."""
-    return verify_antipode_recursion(8)
-
-
 def _check_hopf_axioms(level: Level) -> tuple:
     failures = []
     cases = 0
@@ -379,7 +374,7 @@ def _check_hopf_axioms(level: Level) -> tuple:
         if not antipode_identity_holds(x, pair):
             failures.append(f"antipode identity fails on {x}")
     cases += 2
-    if not _antipode_recursion_holds():
+    if not verify_antipode_recursion(8):
         failures.append("antipode recursion residual is nonzero below i=9")
     if not verify_hopf_ideal(level.n):
         failures.append(f"truncation ideal at n={level.n} fails a Hopf-ideal check")

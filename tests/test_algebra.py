@@ -82,6 +82,16 @@ class TestLevel:
             with pytest.raises(ValueError, match="out of range"):
                 level.check_vertex(p)
 
+    @pytest.mark.parametrize("n", range(13))
+    def test_a_level_carries_its_two_packings(self, n):
+        level = Level(n)
+        assert level.index_packing == packing(level.widths, 0)
+        assert level.guarded_packing == packing(level.widths)
+
+    def test_untruncated_has_no_packings(self):
+        assert UNTRUNCATED.index_packing is None
+        assert UNTRUNCATED.guarded_packing is None
+
     def test_untruncated_has_no_bounds(self):
         with pytest.raises(ValueError):
             UNTRUNCATED.exponent_bound(1)

@@ -15,7 +15,7 @@ from steengraph.algebra import (
     parse_monomial,
     random_monomials,
 )
-from steengraph import hopf, verify
+from steengraph import algebra, hopf, verify
 from steengraph.connectivity import is_unilateral
 from steengraph.graphs import top_class
 from steengraph.hopf import (
@@ -24,6 +24,7 @@ from steengraph.hopf import (
     antipode_generator,
     antipode_identity_holds,
     antipode_recursion_residual,
+    antipode_slots,
     axiom_expansions,
     coassociativity_holds,
     compositions,
@@ -312,6 +313,14 @@ class TestUnilateralViaAntipode:
             for x in enumerate_monomials(level):
                 assert unilateral_via_antipode(x) == is_unilateral(x), x
 
+    def test_passed_slots_match_the_built_ones(self):
+        for level in (L0, L1, L2, L3):
+            slots = antipode_slots(level)
+            for x in enumerate_monomials(level):
+                for edgewise in (True, False):
+                    expected = unilateral_via_antipode(x, edgewise)
+                    assert unilateral_via_antipode(x, edgewise, slots) == expected, x
+
     def test_integer_reading_differs_somewhere(self):
         # the bit-subset reading is the sound one; plain exponent
         # comparison accepts this non-unilateral monomial
@@ -563,3 +572,51 @@ class TestSharedExpansions:
                 predicate(x, axiom_expansions(L3))
         with pytest.raises(ValueError):
             axiom_expansions(UNTRUNCATED)
+
+
+def residual_by_polynomials(i):
+    """The F2Sum route: the recursion summed as Polynomials, a Monomial product a term."""
+    acc = Polynomial.zero(UNTRUNCATED)
+    for k in range(i + 1):
+        if k == i:
+            left = Polynomial.one(UNTRUNCATED)
+        else:
+            left = Monomial.generator_power(i - k, k, UNTRUNCATED).as_polynomial()
+        right = (
+            Polynomial.one(UNTRUNCATED)
+            if k == 0
+            else antipode_generator(k, UNTRUNCATED)
+        )
+        acc = acc + left * right
+    return acc
+
+
+def drop_a_composition(patch):
+    """xi_i^(2^j) for i >= 3 loses its last composition term, the path of i single steps."""
+    terms = hopf._antipode_terms
+    patch.setattr(
+        hopf, "_antipode_terms", lambda pk, i, j: terms(pk, i, j)[:-1 if i >= 3 else None]
+    )
+
+
+class TestPackedRecursion:
+    """The recursion residual on packed ints against the sum of Polynomial products."""
+
+    @pytest.mark.parametrize("mutation", [None, drop_a_composition])
+    def test_packed_residual_matches_the_polynomial_sum(self, monkeypatch, mutation):
+        with monkeypatch.context() as patch:
+            if mutation:
+                mutation(patch)
+            residuals = [antipode_recursion_residual(i) for i in range(1, 9)]
+            assert residuals == [residual_by_polynomials(i) for i in range(1, 9)]
+        # under the mutation, at i = 4 the xi1^15 dropped from k = 3 and k = 4 cancels
+        nonzero = [] if mutation is None else [3, 5, 6, 7, 8]
+        assert [i for i, r in enumerate(residuals, start=1) if not r.is_zero] == nonzero
+
+    def test_no_check_multiplies_monomials(self, monkeypatch):
+        def refused(x, y):
+            raise AssertionError(f"monomial_product({x}, {y}) called by a check")
+
+        monkeypatch.setattr(algebra, "monomial_product", refused)
+        monkeypatch.setattr(hopf, "monomial_product", refused)
+        assert all(r.ok for r in verify.run_all(3))

@@ -282,23 +282,27 @@ def test_the_corollary_sweep_builds_no_graph(monkeypatch):
     assert verify.run_check("corollary-unilateral", 3).ok
 
 
+def test_the_corollary_sweep_builds_the_antipode_slots_once_a_call(monkeypatch):
+    slots = verify.antipode_slots
+    calls = []
+    monkeypatch.setattr(verify, "antipode_slots", lambda level: calls.append(level) or slots(level))
+    assert verify.run_check("corollary-unilateral", 3).ok
+    assert calls == [L3]
+
+
 @pytest.mark.parametrize("check", ["dirac", "paper-hamilton"])
 def test_degree_sweeps_give_the_same_result_on_two_workers(check):
     assert verify.run_check(check, 3, jobs=2) == verify.run_check(check, 3)
 
 
-def test_the_antipode_recursion_runs_once_a_process(monkeypatch):
+def test_the_antipode_recursion_runs_once_a_check(monkeypatch):
     recursion = verify.verify_antipode_recursion
     calls = []
     monkeypatch.setattr(
         verify, "verify_antipode_recursion", lambda top: calls.append(top) or recursion(top)
     )
-    verify._antipode_recursion_holds.cache_clear()
-    try:
-        results = [verify.run_check("hopf-axioms", n) for n in range(4)]
-    finally:
-        verify._antipode_recursion_holds.cache_clear()
-    assert calls == [8]
+    results = [verify.run_check("hopf-axioms", n) for n in range(4)]
+    assert calls == [8, 8, 8, 8]
     assert all(r.ok for r in results)
     # generator powers, 50 random monomials, and the recursion and ideal checks
     assert [r.cases for r in results] == [(n + 1) * (n + 2) // 2 + 52 for n in range(4)]
@@ -326,10 +330,7 @@ def test_only_the_measured_caches_outlive_a_call():
         id(f): f for m in modules for f in vars(m).values() if hasattr(f, "cache_info")
     }.values()
     assert sorted(f"{f.__module__}.{f.__name__}" for f in caches) == [
-        "steengraph.algebra.packing",
         "steengraph.connectivity._lane_patterns",
-        "steengraph.hopf._level_antipodes",
-        "steengraph.verify._antipode_recursion_holds",
     ]
     assert all(f.cache_info().maxsize is not None for f in caches)
     assert all(r.ok for r in verify.run_all(3))
