@@ -55,7 +55,6 @@ those come from the oracles' own edge rule, graphs.index_rows, not from
 edge_lanes or index_bit.  Neither reads an edge count or a power sum.
 """
 
-from functools import lru_cache
 from typing import Tuple
 
 from .algebra import Level, Monomial, index_bit, monomial_count
@@ -107,19 +106,6 @@ def is_unilateral(x: Monomial) -> bool:
     return all(unilateral_numbers(x).values())
 
 
-@lru_cache(maxsize=1)
-def _lane_patterns() -> tuple:
-    """Entry b has bit t set exactly when bit b of t is set, for t < 2^BLOCK_BITS."""
-    lanes = 1 << BLOCK_BITS
-    ones = (1 << lanes) - 1
-    patterns = []
-    for b in range(BLOCK_BITS):
-        run = 1 << b
-        # one 1 per period of 2*run lanes, widened to the upper run of each period
-        patterns.append(ones // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run))
-    return tuple(patterns)
-
-
 def _boolean_power_sum(a: list, top: int) -> list:
     # a | a^2 | ... | a^top over lane ints by S_(k+1) = a | a S_k: row p ORs in a[p][j] & S_k[j]
     s = a
@@ -154,7 +140,8 @@ def block_lanes(level: Level, base: int, width: int) -> Tuple[list, int]:
     Returns (bits, full): bits[b] has bit t set exactly when bit b of
     base + t is set, and full has all 2^width lanes set.  base must be a
     multiple of 2^width, and width at most block_width(level).  For
-    b < width, bits[b] is a fixed pattern; above that it is all ones or
+    b < width, bits[b] is the upper run of 2^b lanes of each period of
+    2^(b+1), built by doubling the period; above that it is all ones or
     zero for the whole block.
     """
     lanes = 1 << width
@@ -165,11 +152,15 @@ def block_lanes(level: Level, base: int, width: int) -> Tuple[list, int]:
     if base % lanes or not 0 <= base < count:
         raise ValueError(f"block base {base} is not a multiple of {lanes} in 0..{count - 1}")
     full = (1 << lanes) - 1
-    patterns = _lane_patterns()
-    bits = [
-        patterns[b] & full if b < width else full * (base >> b & 1)
-        for b in range(count.bit_length() - 1)
-    ]
+    bits = []
+    for b in range(width):
+        run = 1 << b
+        lane, period = (1 << run) - 1 << run, 2 * run
+        while period < lanes:
+            lane |= lane << period
+            period *= 2
+        bits.append(lane)
+    bits += [full * (base >> b & 1) for b in range(width, count.bit_length() - 1)]
     return bits, full
 
 

@@ -33,8 +33,11 @@ antipode criterion reads the Monomial of every case, against the lanes.
 Checks are capped by default at the largest n where the sweep is
 desk-scale (seconds); setting STEENGRAPH_MAX_N overrides the caps.
 Sweeps over the monomial stream can be split across a process pool of
-at most os.cpu_count() workers; results are aggregated in index order,
-so output is identical for any worker count.
+at most os.cpu_count() workers, in at most 4 runs of whole blocks a
+worker; a level of one block (every level up to n=4) runs in the
+calling process.  Each block cross-checks the same three indices
+however the level is split, and results are aggregated in index order,
+so output, failures included, is identical for any worker count.
 """
 
 import os
@@ -148,16 +151,15 @@ def _iter_lanes(
     kernel: Callable, route: Optional[Callable], what: Optional[str], failures: list,
     oracle: Optional[Callable] = None, texts: tuple = (),
 ):
-    """(indices, column, ...) for each block: a range, then one bytes of 0/1 lanes per lane int.
+    """(indices, column, ...) for each block: its range, then one bytes of 0/1 lanes per lane int.
 
-    kernel(level, base, width) gives a tuple of lane ints for each aligned
-    block of block_width(level) bits that meets the range, so any split of
-    a level into ranges reads the same lanes.  Byte k - lo of a column is
-    bit k - base of its lane int, for each index k of the block's part
-    lo..hi - 1 of the range.  Before a block is yielded, the first, middle
-    and last index of its part are cross-checked: route(x), a tuple of
-    bools, against the first lanes, a mismatch appending f"{what} on {x}",
-    and oracle(g), a tuple of bools for the graph g of the index from
+    start and stop must be multiples of the block size 1 << block_width(level),
+    or ValueError is raised; kernel(level, base, width) gives a tuple of lane
+    ints for each block base..base + size - 1 of the range, and byte t of a
+    column is bit t of its lane int.  Before a block is yielded, its first,
+    middle and last index are cross-checked: route(x), a tuple of bools,
+    against the first lanes, a mismatch appending f"{what} on {x}", and
+    oracle(g), a tuple of bools for the graph g of the index from
     _iter_graphs, against the last len(texts) lanes, a mismatch appending
     f"{_ORACLE_LANES} on {x}".  Then, the last 2 * len(texts) lanes being
     criterion lanes and then their oracle lanes, each index where a pair
@@ -166,38 +168,31 @@ def _iter_lanes(
     """
     width = block_width(level)
     size = 1 << width
-    parts = [
-        (base, max(start, base), min(stop, base + size))
-        for base in range(start - start % size, stop, size)
-    ]
-    checked = [
-        tuple(dict.fromkeys((lo, (lo + hi - 1) // 2, hi - 1))) if route or oracle else ()
-        for _, lo, hi in parts
-    ]
-    graphs = _iter_graphs(level, chain.from_iterable(checked)) if oracle else None
-    for (base, lo, hi), ks in zip(parts, checked):
+    if start % size or stop % size:
+        raise ValueError(f"range {start}..{stop} is not whole blocks of {size} indices")
+    bases = range(start, stop, size)
+    offsets = tuple(dict.fromkeys((0, (size - 1) // 2, size - 1))) if route or oracle else ()
+    graphs = _iter_graphs(level, (b + t for b in bases for t in offsets)) if oracle else None
+    for base in bases:
         lanes = kernel(level, base, width)
         split = len(lanes) - len(texts)
-        for k in ks:
-            bits = tuple(v >> k - base & 1 for v in lanes)
-            x = monomial_from_index(level, k) if route else None
+        for t in offsets:
+            bits = tuple(v >> t & 1 for v in lanes)
+            x = monomial_from_index(level, base + t) if route else None
             verdicts = route(x) if route else ()
             if verdicts != bits[:len(verdicts)]:
                 failures.append(f"{what} on {x}")
             if graphs is not None and oracle(next(graphs)[1]) != bits[split:]:
-                failures.append(f"{_ORACLE_LANES} on {x or monomial_from_index(level, k)}")
+                failures.append(f"{_ORACLE_LANES} on {x or monomial_from_index(level, base + t)}")
         # byte t is bit t of the lane int: one pass over the int, not a shift of it per lane
-        columns = [
-            format(v, f"0{size}b")[::-1].encode().translate(_LANE_BYTES)[lo - base:hi - base]
-            for v in lanes
-        ]
+        columns = [format(v, f"0{size}b")[::-1].encode().translate(_LANE_BYTES) for v in lanes]
         criteria, searched = columns[split - len(texts):split], columns[split:]
         if criteria != searched:
-            for t, k in enumerate(range(lo, hi)):
+            for t in range(size):
                 for text, c, s in zip(texts, criteria, searched):
                     if c[t] != s[t]:
-                        failures.append(f"{text} on {monomial_from_index(level, k)}")
-        yield range(lo, hi), *columns
+                        failures.append(f"{text} on {monomial_from_index(level, base + t)}")
+        yield range(base, base + size), *columns
 
 
 def _walk_criteria(x: Monomial) -> tuple:
@@ -478,12 +473,11 @@ def run_check(name: str, n: int, jobs: int = 1) -> SweepResult:
         cases, failures, findings = spec.whole_runner(level)
     else:
         total = monomial_count(level)
-        if jobs > 1 and total >= 4 * jobs:
-            chunk = -(-total // (4 * jobs))
-            ranges = [
-                (start, min(start + chunk, total))
-                for start in range(0, total, chunk)
-            ]
+        # runs of whole blocks, at most 4 a worker: a level of one block runs here
+        width = block_width(level)
+        chunk = -(-(total >> width) // (4 * jobs)) << width
+        ranges = [(start, min(start + chunk, total)) for start in range(0, total, chunk)]
+        if jobs > 1 and len(ranges) > 1:
             try:
                 with ProcessPoolExecutor(max_workers=jobs) as pool:
                     parts = list(

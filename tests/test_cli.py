@@ -599,8 +599,10 @@ class TestVerifyInputs:
             assert "--jobs must be >= 1" in err
         assert pool.sizes == []
 
-    def test_pool_capped_at_cpu_count(self, capsys, pool):
-        argv = ["verify", "--theorem", "tree", "-n", "2", "--json"]
+    def test_pool_capped_at_cpu_count(self, capsys, monkeypatch, pool):
+        # A*(5) has 64 blocks, so it splits; every lower level is one block
+        monkeypatch.setenv("STEENGRAPH_MAX_N", "5")
+        argv = ["verify", "--theorem", "tree", "-n", "5", "--json"]
         _, serial, _ = run_cli(capsys, argv)
         assert pool.sizes == []
         code, pooled, _ = run_cli(capsys, argv + ["--jobs", "64"])
@@ -608,6 +610,12 @@ class TestVerifyInputs:
         assert pool.sizes == [3]
         run_cli(capsys, argv + ["--jobs", "2"])
         assert pool.sizes == [3, 2]
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_a_one_block_level_starts_no_pool(self, capsys, pool, n):
+        argv = ["verify", "-n", str(n)]
+        assert run_cli(capsys, argv + ["--jobs", "2"]) == run_cli(capsys, argv)
+        assert pool.sizes == []
 
     @pytest.mark.parametrize(
         "argv",
@@ -623,14 +631,48 @@ class TestVerifyInputs:
         assert code == 2 and out == ""
         assert err == "error: STEENGRAPH_MAX_N must be an integer, got 'abc'\n"
 
-    def test_unaligned_chunks_read_the_same_lanes(self, pool):
-        from steengraph.verify import run_check
+    def test_chunks_are_whole_blocks(self, monkeypatch, pool):
+        from steengraph import verify
 
-        serial = run_check("main", 4)
-        # 32768 monomials in 12 chunks of 2731: no chunk starts on a block boundary
-        assert run_check("main", 4, jobs=3) == serial
+        monkeypatch.setenv("STEENGRAPH_MAX_N", "5")
+        ranges = []
+        worker = verify._run_range_worker
+        monkeypatch.setattr(
+            verify,
+            "_run_range_worker",
+            lambda name, n, a, b: ranges.append((a, b)) or worker(name, n, a, b),
+        )
+        serial = run_check("main", 5)
+        assert ranges == []
+        # 64 blocks in at most 4 runs a worker: 11 runs of 6 blocks, the last of 4
+        assert run_check("main", 5, jobs=3) == serial
         assert pool.sizes == [3]
-        assert serial.cases == 32768 and serial.failures == [] and serial.notes == []
+        assert len(ranges) == 11
+        assert [a for a, _ in ranges] == [0] + [b for _, b in ranges[:-1]]
+        assert ranges[-1][1] == 1 << 21
+        assert all(a % (1 << 15) == 0 == b % (1 << 15) for a, b in ranges)
+        assert serial.cases == 1 << 21 and serial.failures == [] and serial.notes == []
+
+    @pytest.mark.parametrize("n, k", [(4, 4096), (4, 16383), (5, 32768 + 16383)])
+    def test_pooled_runs_report_the_serial_failures(self, monkeypatch, pool, n, k):
+        # 4096 is no cross-checked index of A*(4)'s one block; 16383 is its middle one,
+        # and 32768 + 16383 the middle one of block 1 of A*(5)
+        from steengraph import verify
+        from steengraph.algebra import monomial_from_index
+
+        monkeypatch.setenv("STEENGRAPH_MAX_N", "5")
+        flipped = monomial_from_index(Level(n), k)
+        criteria = verify._walk_criteria
+
+        def flip(x):
+            connected, unilateral = criteria(x)
+            return connected ^ (x == flipped), unilateral
+
+        monkeypatch.setattr(verify, "_walk_criteria", flip)
+        serial = run_check("main", n)
+        assert run_check("main", n, jobs=2) == serial
+        text = f"block kernel disagrees with the walk-count tables on {flipped}"
+        assert serial.failures == ([] if k == 4096 else [text])
 
 
 class RefusingPool(RecordingPool):
@@ -646,7 +688,9 @@ class TestSerialFallback:
 
         monkeypatch.setattr(verify, "ProcessPoolExecutor", RefusingPool)
         monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
-        argv = ["verify", "--theorem", "tree", "-n", "2"]
+        monkeypatch.setenv("STEENGRAPH_MAX_N", "5")
+        # 64 blocks of A*(5) in 8 runs of 8 on 2 workers
+        argv = ["verify", "--theorem", "tree", "-n", "5"]
         _, serial, _ = run_cli(capsys, argv)
         code, fallback, _ = run_cli(capsys, argv + ["--jobs", "2"])
         assert code == 0

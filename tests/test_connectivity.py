@@ -19,7 +19,7 @@ from steengraph.cli import build_report
 from steengraph.connectivity import (
     BLOCK_BITS,
     _field_width,
-    _lane_patterns,
+    block_lanes,
     block_width,
     connection_numbers,
     is_connected,
@@ -369,8 +369,9 @@ def assert_lane_oracles_match_the_searches(level, base, width, lanes_of=range):
 class TestLaneOracles:
     def test_lane_patterns_are_the_index_bits(self):
         # bit t of entry b is bit b of t, by a plain loop over every lane
-        patterns = _lane_patterns()
+        patterns, full = block_lanes(Level(4), 0, BLOCK_BITS)
         assert len(patterns) == BLOCK_BITS
+        assert full == (1 << (1 << BLOCK_BITS)) - 1
         for b, lane in enumerate(patterns):
             assert lane == sum(1 << t for t in range(1 << BLOCK_BITS) if t >> b & 1), b
 

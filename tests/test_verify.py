@@ -117,10 +117,10 @@ def test_a_dropped_edge_in_the_oracle_rows_fails_dipath(monkeypatch):
 
 
 def test_the_walker_yields_one_range_and_its_columns_a_block():
-    # A*(5) has blocks of 2^block_width indices; this range starts and ends inside one
+    # A*(5) has blocks of 2^block_width indices; this range is blocks 3 and 4
     level = Level(5)
     size = 1 << block_width(level)
-    start, stop = 3 * size - 700, 5 * size + 900
+    start, stop = 3 * size, 5 * size
     failures = []
     blocks = list(verify._iter_lanes(
         level, start, stop, verify.lane_verdicts,
@@ -128,14 +128,21 @@ def test_the_walker_yields_one_range_and_its_columns_a_block():
         "block kernel disagrees with the walk-count tables", failures,
     ))
     assert not failures
-    assert [(r.start, r.stop) for r, _, _ in blocks] == [
-        (start, 3 * size), (3 * size, 4 * size), (4 * size, 5 * size), (5 * size, stop)
-    ]
+    assert [(r.start, r.stop) for r, _, _ in blocks] == [(start, 4 * size), (4 * size, stop)]
     for indices, *columns in blocks:
-        base = indices.start - indices.start % size
-        lanes = verify.lane_verdicts(level, base, block_width(level))
+        lanes = verify.lane_verdicts(level, indices.start, block_width(level))
         for column, v in zip(columns, lanes):
-            assert list(column) == [v >> k - base & 1 for k in indices]
+            assert list(column) == [v >> t & 1 for t in range(size)]
+
+
+@pytest.mark.parametrize("check", ["main", "tree", "dipath", "dirac", "paper-hamilton",
+                                   "corollary-unilateral"])
+def test_a_range_off_a_block_boundary_is_refused(check):
+    sweep = partial(verify.CHECKS[check].range_runner, Level(5))
+    size = 1 << block_width(Level(5))
+    for start, stop in ((size // 2, 2 * size), (size, 2 * size - 1), (0, size + 1)):
+        with pytest.raises(ValueError):
+            sweep(start, stop)
 
 
 def test_a_sweep_reads_the_vertex_count_once_not_once_a_graph(monkeypatch):
@@ -165,7 +172,7 @@ def test_sweep_graphs_at_sparse_indices_are_the_graphs_of_the_decoded_monomials(
     sample = sorted(random.Random(5).sample(range(monomial_count(level)), 400))
     failures = []
     lanes = verify._iter_lanes(
-        level, boundary - 3000, boundary + 3000,
+        level, 62 << block_width(level), 64 << block_width(level),
         lambda *block: (verify.degree_bound_lanes(*block, 0),),
         lambda x: (structure.paper_hamilton_condition(x),),
         "degree lanes disagree with the degree profiles", failures,
@@ -240,9 +247,9 @@ def degree_sweep_by_condition(level, start, stop, sound):
 @pytest.mark.parametrize(
     "n, cuts",
     [
-        (3, [0, 1, 2, 300, 511, 1000, 1024]),
-        # across the boundary of blocks 62 and 63 of A*(5), where the n/2 bound has 6 misses
-        (5, [62 * 32768 + k for k in (29800, 30000, 32767, 32768 + 970, 32768 + 3100)]),
+        (3, [0, 1024]),  # A*(3) is one block
+        # blocks 62 and 63 of A*(5), where the n/2 bound has 26 misses
+        (5, [62 * 32768, 63 * 32768, 64 * 32768]),
     ],
 )
 def test_degree_sweeps_are_the_same_over_any_split(monkeypatch, n, cuts, sound):
@@ -264,13 +271,14 @@ def test_degree_sweeps_are_the_same_over_any_split(monkeypatch, n, cuts, sound):
 
 @pytest.mark.parametrize("check", ["main", "tree", "dipath", "corollary-unilateral"])
 def test_verdict_sweeps_are_the_same_over_any_split(check):
-    sweep = partial(verify.CHECKS[check].range_runner, L3)
-    cuts = [0, 1, 2, 300, 511, 1000, 1024]
+    # blocks 62 and 63 of A*(5): r_1 is the block number, so only block 63 holds the
+    # unilateral monomials and the spanning dipaths
+    sweep = partial(verify.CHECKS[check].range_runner, Level(5))
+    cuts = [62 * 32768, 63 * 32768, 64 * 32768]
     cases, failures, findings = zip(*(sweep(a, b) for a, b in zip(cuts, cuts[1:])))
     whole = sweep(cuts[0], cuts[-1])
     assert whole == (sum(cases), sum(failures, []), sum(findings, []))
-    result = verify.run_check(check, 3)
-    assert whole == (result.cases, result.failures, result.findings)
+    assert whole == (2 * 32768, [], [])
 
 
 def test_the_corollary_sweep_builds_no_graph(monkeypatch):
@@ -329,9 +337,7 @@ def test_only_the_measured_caches_outlive_a_call():
     caches = {
         id(f): f for m in modules for f in vars(m).values() if hasattr(f, "cache_info")
     }.values()
-    assert sorted(f"{f.__module__}.{f.__name__}" for f in caches) == [
-        "steengraph.connectivity._lane_patterns",
-    ]
+    assert sorted(f"{f.__module__}.{f.__name__}" for f in caches) == []
     assert all(f.cache_info().maxsize is not None for f in caches)
     assert all(r.ok for r in verify.run_all(3))
     for x in random_monomials(Level(12), 3, seed=1):
@@ -404,15 +410,14 @@ def test_the_per_graph_oracles_search_the_three_cross_checked_indices_a_block(mo
     monkeypatch.setattr(verify, "oracle_is_tree", lambda g: searched.append(g) or oracle(g))
     assert verify.run_check("tree", 3).ok
     assert searched == [to_graph(monomial_from_index(L3, k)) for k in (0, 511, 1023)]
-    # a range over the parts of three blocks of A*(5)
+    # a range over blocks 1 and 2 of A*(5)
     level = Level(5)
     size = 1 << block_width(level)
     searched.clear()
-    assert verify._sweep_tree(level, size - 5, 2 * size + 9) == (size + 14, [], [])
+    assert verify._sweep_tree(level, size, 3 * size) == (2 * size, [], [])
     assert searched == [
-        to_graph(monomial_from_index(level, k))
-        for k in (size - 5, size - 3, size - 1, size, size + size // 2 - 1, 2 * size - 1,
-                  2 * size, 2 * size + 4, 2 * size + 8)
+        to_graph(monomial_from_index(level, base + t))
+        for base in (size, 2 * size) for t in (0, size // 2 - 1, size - 1)
     ]
 
 
