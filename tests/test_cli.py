@@ -808,3 +808,34 @@ class TestClosedStdout:
         finally:
             proc.kill()
             proc.stderr.close()
+
+
+def outcome(capsys, argv):
+    """Exit code, stdout and stderr of one `cli.main` call, argparse's own exits included."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exit_:
+        code = exit_.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_main_builds_its_parser_once_a_process(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_parser", None, raising=False)
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    argvs = (
+        ["verify", "-n", "1"],
+        ["analyze", "xi1", "-n", "1"],
+        ["enumerate", "-n", "1"],
+        ["--help"],
+        ["verify"],  # a usage error: -n is required
+    )
+    assert [outcome(capsys, argv)[0] for argv in argvs] == [0, 0, 0, 0, 2]
+    assert len(built) == 1
