@@ -12,6 +12,7 @@ Exit codes: 0 all good, 1 a sound claim disagreed with its oracle,
 141 stdout closed by its reader before the output ended (128 + SIGPIPE,
 as a shell reports a process that a broken pipe killed), nothing on stderr.
 Output is deterministic: identical invocations give identical bytes.
+`main` builds its parser at its first call and keeps it for the process.
 """
 
 import argparse
@@ -366,8 +367,14 @@ def cmd_dot(args) -> int:
     return 0
 
 
+_parser: Optional[argparse.ArgumentParser] = None  # built by the first `main` call
+
+
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         code = args.run(args)
         sys.stdout.flush()  # a reader that left early fails this flush, not the one at exit

@@ -821,7 +821,7 @@ def outcome(capsys, argv):
 
 
 def test_main_builds_its_parser_once_a_process(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_parser", None, raising=False)
+    monkeypatch.setattr(cli, "_parser", None)
     built = []
     build = cli.build_parser
 
@@ -839,3 +839,43 @@ def test_main_builds_its_parser_once_a_process(capsys, monkeypatch):
     )
     assert [outcome(capsys, argv)[0] for argv in argvs] == [0, 0, 0, 0, 2]
     assert len(built) == 1
+
+
+def kept_against_fresh(capsys, monkeypatch, argvs):
+    """Each call's outcome through one kept parser, then each through a parser of its own."""
+    monkeypatch.setattr(cli, "_parser", None)
+    kept = [outcome(capsys, argv) for argv in argvs]
+    fresh = []
+    for argv in argvs:
+        monkeypatch.setattr(cli, "_parser", cli.build_parser())
+        fresh.append(outcome(capsys, argv))
+    return kept, fresh
+
+
+def test_no_argument_state_carries_from_one_call_to_the_next(capsys, monkeypatch):
+    monkeypatch.delenv("STEENGRAPH_MAX_N", raising=False)
+    argvs = [
+        ["verify", "-n", "1", "--json"],
+        ["verify", "-n", "1"],
+        ["verify", "-n", "2", "--theorem", "main", "--jobs", "2"],
+        ["verify", "-n", "0"],
+        ["analyze", "xi1", "-n", "1", "--json"],
+        ["analyze", "xi1", "-n", "1"],
+    ]
+    kept, fresh = kept_against_fresh(capsys, monkeypatch, argvs)
+    assert kept == fresh
+    assert [code for code, _, _ in kept] == [0] * len(argvs)
+
+
+@pytest.mark.parametrize("columns", ["60", "120"])
+def test_help_and_usage_errors_keep_their_bytes(capsys, monkeypatch, columns):
+    # argparse words these differently across Python versions, so the fresh parser is the
+    # reference, not a digest
+    monkeypatch.setenv("COLUMNS", columns)
+    commands = [[], ["analyze"], ["verify"], ["hopf"], ["enumerate"], ["dot"]]
+    helps = [[*command, "--help"] for command in commands]
+    errors = [["verify"], ["verify", "-n", "x"], ["dot", "1", "-n", "0", "--json"], ["frobnicate"]]
+    kept, fresh = kept_against_fresh(capsys, monkeypatch, helps + errors)
+    assert kept == fresh
+    assert [code for code, _, _ in kept] == [0] * len(helps) + [2] * len(errors)
+    assert all(out.startswith("usage: steengraph") for _, out, _ in kept[: len(helps)])
