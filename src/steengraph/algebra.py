@@ -268,13 +268,6 @@ class Monomial:
         self._check_level(other)
         return Polynomial.from_terms(self.level, (self, other))
 
-    def frobenius(self, j: int = 1) -> "Polynomial":
-        """Raise to the 2^j power: every exponent doubles j times (F2 has no cross terms)."""
-        m = _frobenius_monomial(self, j)
-        if m is None:
-            return Polynomial.zero(self.level)
-        return Polynomial(self.level, (m,))
-
     def as_polynomial(self) -> "Polynomial":
         return Polynomial(self.level, (self,))
 
@@ -326,17 +319,6 @@ def monomial_product(x: Monomial, y: Monomial) -> Optional[Monomial]:
         return None
     if len(exps) != len(a):  # y was longer than x: only a mixed-level call needs the trim
         exps = _stored_form(x.level, exps)
-    return Monomial._unchecked(x.level, exps)
-
-
-def _frobenius_monomial(x: Monomial, j: int) -> Optional[Monomial]:
-    if j < 0:
-        raise ValueError(f"frobenius power must be >= 0, got {j}")
-    if j == 0:
-        return x
-    exps = tuple(r << j for r in x.exponents)
-    if x.level.first_breach(exps) is not None:
-        return None
     return Monomial._unchecked(x.level, exps)
 
 
@@ -462,10 +444,6 @@ class Polynomial(F2Sum):
         if isinstance(other, Monomial):
             other = other.as_polynomial()
         return super().__mul__(other)
-
-    def frobenius(self, j: int = 1) -> "Polynomial":
-        """Raise to the 2^j power termwise; truncation may kill terms."""
-        return self.map_terms(lambda t: _frobenius_monomial(t, j))
 
 
 class ParseError(ValueError):

@@ -137,7 +137,7 @@ def oracle_edge_lanes(level: Level, base: int, width: int) -> Tuple[list, int]:
     and full has all 2^width lanes set.  base and width follow the rule of
     connectivity.block_lanes, which gives the lane int of each index bit;
     each lane is ORed into the entries of the rows of its bit.  The block
-    search oracles of connectivity.py and structure.py read these lanes.
+    search oracles and the antipode lane of verify.py read these lanes.
     """
     from .connectivity import block_lanes  # connectivity imports this module
 
@@ -184,12 +184,6 @@ def adjacency_matrix(x: Monomial, directed: bool = False) -> tuple:
         if not directed:
             rows[i + j][j] = 1
     return tuple(map(tuple, rows))
-
-
-def top_class(level: Level) -> Monomial:
-    """The monomial with every exponent at its bound; its graph is complete."""
-    level._require_truncated()
-    return Monomial(level, [(1 << w) - 1 for w in level.widths])
 
 
 def export_dot(g: WoodGraph, directed: bool = False) -> str:

@@ -14,21 +14,23 @@ read connectivity.lane_verdicts, dirac and paper-hamilton
 structure.degree_bound_lanes.  main, tree and dipath also read the lanes
 of the block search oracles (connectivity.oracle_connected_lanes and
 oracle_unilateral_lanes, structure.oracle_tree_lanes and
-oracle_dipath_lanes), which run on graphs.oracle_edge_lanes, the
-oracles' own edge rule; the walker compares each of their criterion
-columns with its oracle column in one bytes compare, names each index
-where they differ, and runs the per-graph oracles on the first, middle
-and last index of each block against the oracle lanes.  It also
-cross-checks those three indices against the per-monomial criteria,
-where a sweep has them (dipath, whose criterion is asked once for each
-value of r_1, has none).  dipath then runs the per-graph spine search on
-every index where the spine lane is set; the degree sweeps keep the
-indices where the bound holds with itertools.compress, and search for a
-Hamilton cycle only there.  Every graph a sweep searches comes from
-_iter_graphs: one lookup and one OR over graphs.index_rows.  A sweep
-decodes a Monomial only for a per-monomial criterion or for the text of
-a failure or a finding.  corollary-unilateral builds no graph: its
-antipode criterion reads the Monomial of every case, against the lanes.
+oracle_dipath_lanes), and corollary-unilateral the lane of its antipode
+test: some term of each hopf.antipode_slots slot, a directed path,
+divides the monomial.  All of them run on graphs.oracle_edge_lanes, the
+oracles' own edge rule.  The walker compares each criterion column with
+its oracle column in one bytes compare, names each index where they
+differ, and runs the per-graph oracles on the first, middle and last
+index of each block against the oracle lanes.  It also cross-checks
+those three indices against the per-monomial criteria, where a sweep
+has them (dipath, whose criterion is asked once for each value of r_1,
+has none).  dipath then runs the per-graph spine search on every index
+where the spine lane is set; the degree sweeps keep the indices where
+the bound holds with itertools.compress, and search for a Hamilton cycle
+only there.  Every graph a sweep searches comes from _iter_graphs: one
+lookup and one OR over graphs.index_rows; corollary-unilateral builds
+none.  A sweep decodes a Monomial only for a per-monomial criterion, for
+the text of a failure or a finding, or for the integer-exponent reading
+of corollary-unilateral, which is asked of every monomial at n <= 2 only.
 
 Checks are capped by default at the largest n where the sweep is
 desk-scale (seconds); setting STEENGRAPH_MAX_N overrides the caps.
@@ -42,9 +44,10 @@ so output, failures included, is identical for any worker count.
 
 import os
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 from itertools import chain, compress
 from math import prod
+from operator import and_, or_
 from typing import Callable, Iterable, List, Optional
 
 from .algebra import (
@@ -99,6 +102,8 @@ RANDOM_SEED = 1009
 RANDOM_SAMPLE_SIZE = 50
 # coproduct terms the hopf-axioms sample may bound: 23,737 at n=3, 3,515,234 at n=4
 AXIOM_TERM_BUDGET = 1 << 20
+# the largest n where corollary-unilateral reports the integer-exponent divisibility reading
+INTEGER_READING_MAX_N = 2
 
 
 @dataclass
@@ -209,22 +214,28 @@ def _main_lanes(level: Level, base: int, width: int) -> tuple:
     )
 
 
-def _sweep_main(level: Level, start: int, stop: int) -> tuple:
+def _walk(
+    level: Level, start: int, stop: int, kernel: Callable, route: Callable, what: str, **checks
+) -> tuple:
+    """(cases, failures, []) of start..stop, every failure one that _iter_lanes found."""
     failures = []
-    for _ in _iter_lanes(
-        level, start, stop, _main_lanes, _walk_criteria, _TABLES, failures,
+    for _ in _iter_lanes(level, start, stop, kernel, route, what, failures, **checks):
+        pass
+    return stop - start, failures, []
+
+
+def _sweep_main(level: Level, start: int, stop: int) -> tuple:
+    return _walk(
+        level, start, stop, _main_lanes, _walk_criteria, _TABLES,
         oracle=lambda g: (oracle_is_connected(g), oracle_is_unilateral(g)),
         texts=(
             "connectedness criterion disagrees with search",
             "unilaterality criterion disagrees with closure",
         ),
-    ):
-        pass
-    return stop - start, failures, []
+    )
 
 
 def _sweep_tree(level: Level, start: int, stop: int) -> tuple:
-    failures = []
     # each index bit is one edge, so an index's edge count is its popcount: the block's high
     # bits add `high` edges, and counts[c] holds the low bits of popcount c
     counts = popcount_lanes(block_width(level))
@@ -240,13 +251,11 @@ def _sweep_tree(level: Level, start: int, stop: int) -> tuple:
         adj, full = oracle_edge_lanes(level, base, width)
         return connected, unilateral, connected & sized, oracle_tree_lanes(adj, full)
 
-    for _ in _iter_lanes(
+    return _walk(
         level, start, stop, kernel, lambda x: (*_walk_criteria(x), is_tree(x)), _TABLES,
-        failures, oracle=lambda g: (oracle_is_tree(g),),
+        oracle=lambda g: (oracle_is_tree(g),),
         texts=("tree criterion disagrees with search",),
-    ):
-        pass
-    return stop - start, failures, []
+    )
 
 
 def _sweep_dipath(level: Level, start: int, stop: int) -> tuple:
@@ -304,20 +313,33 @@ def _sweep_degree_bound(level: Level, start: int, stop: int, sound: bool) -> tup
 
 
 def _sweep_corollary(level: Level, start: int, stop: int) -> tuple:
-    failures = []
-    findings = []
-    report_integer_reading = level.n <= 2
     slots = antipode_slots(level)
-    lanes = _iter_lanes(level, start, stop, lane_verdicts, _walk_criteria, _TABLES, failures)
-    for indices, _, unilateral in lanes:
-        for k, u in zip(indices, unilateral):
-            x = monomial_from_index(level, k)
-            walks = u == 1
-            if unilateral_via_antipode(x, True, slots) != walks:
-                failures.append(f"antipode divisibility test disagrees with walks on {x}")
-            if report_integer_reading and unilateral_via_antipode(x, False, slots) != walks:
-                findings.append(f"integer-exponent reading disagrees with walks on {x}")
-    return stop - start, failures, findings
+    # each antipode term is a directed path: its dyadic bit xi_i^(2^j) is the edge (j, i+j)
+    pk = level.guarded_packing
+    paths = [
+        [[pk.generator_power(1 << b) for b in range(t.bit_length()) if t >> b & 1] for t in terms]
+        for terms in slots
+    ]
+
+    def kernel(level: Level, base: int, width: int) -> tuple:
+        # the AND over slots of the OR over terms of the AND over edges; each term is ANDed
+        # onto the slots before it, so few lanes reach the long slots
+        adj, lane = oracle_edge_lanes(level, base, width)
+        for terms in paths:
+            lane = reduce(or_, [reduce(and_, (adj[j][i + j] for i, j in t), lane) for t in terms])
+        return (*lane_verdicts(level, base, width), lane)
+
+    cases, failures, _ = _walk(
+        level, start, stop, kernel,
+        lambda x: (*_walk_criteria(x), unilateral_via_antipode(x, True, slots)), _TABLES,
+        texts=("antipode divisibility test disagrees with walks",),
+    )
+    findings = [] if level.n > INTEGER_READING_MAX_N else [
+        f"integer-exponent reading disagrees with walks on {x}"
+        for x in (monomial_from_index(level, k) for k in range(start, stop))
+        if unilateral_via_antipode(x, False, slots) != is_unilateral(x)
+    ]
+    return cases, failures, findings
 
 
 def _check_antipode_paths(level: Level) -> tuple:
@@ -384,10 +406,11 @@ def _paper_hamilton_note(n: int, findings: list) -> str:
 
 
 def _corollary_note(n: int, findings: list) -> str:
-    if n > 2:
-        return "integer-exponent divisibility reading reported only for n <= 2"
+    reading = "integer-exponent divisibility reading"
+    if n > INTEGER_READING_MAX_N:
+        return f"{reading} reported only for n <= {INTEGER_READING_MAX_N}"
     verdict = f"disagrees in {len(findings)} cases with" if findings else "agrees with"
-    return f"integer-exponent divisibility reading {verdict} the walk criterion"
+    return f"{reading} {verdict} the walk criterion"
 
 
 @dataclass(frozen=True)

@@ -265,21 +265,6 @@ class TestMultiplication:
         assert (x * y) * z.as_polynomial() == x.as_polynomial() * (y * z)
 
 
-class TestFrobenius:
-    def test_doubles_exponents(self):
-        x = parse_monomial("xi1^3 xi2", L3)
-        assert x.frobenius() == parse_monomial("xi1^6 xi2^2", L3).as_polynomial()
-
-    def test_truncation_kills(self):
-        assert parse_monomial("xi2^2", L2).frobenius().is_zero
-
-    def test_matches_repeated_squaring(self):
-        p = parse_monomial("xi1", UNTRUNCATED) + parse_monomial("xi2", UNTRUNCATED)
-        squared = p * p
-        assert p.frobenius(1) == squared
-        assert p.frobenius(2) == squared * squared
-
-
 class TestPolynomial:
     def test_f2_cancellation(self):
         x = parse_monomial("xi1", L2)
@@ -456,17 +441,6 @@ class TestBoundRule:
         else:
             assert monomial_product(x, y) is None
             assert (x * y).is_zero
-
-    @given(valid_pairs, st.integers(0, 4))
-    @settings(max_examples=200)
-    def test_frobenius_dies_exactly_when_the_shift_breaks_the_bound(self, case, j):
-        level, a, _ = case
-        expected = [r << j for r in a]
-        image = Monomial(level, a).frobenius(j)
-        if within_level(level, expected):
-            assert image == Monomial(level, expected).as_polynomial()
-        else:
-            assert image.is_zero
 
     @given(valid_pairs, st.integers(0, 5))
     @settings(max_examples=200)

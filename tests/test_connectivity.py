@@ -31,9 +31,14 @@ from steengraph.connectivity import (
     oracle_unilateral_lanes,
     unilateral_numbers,
 )
-from steengraph.graphs import WoodGraph, adjacency_matrix, oracle_edge_lanes, to_graph, top_class
+from steengraph.graphs import WoodGraph, adjacency_matrix, oracle_edge_lanes, to_graph
 
 L0, L1, L2, L3 = Level(0), Level(1), Level(2), Level(3)
+
+
+def top_class(level):
+    """The monomial of the last index, which has every edge bit set: its graph is complete."""
+    return monomial_from_index(level, monomial_count(level) - 1)
 
 
 def count_walks_by_enumeration(a, p, q, t):

@@ -10,6 +10,8 @@ from steengraph.algebra import (
     Monomial,
     alpha,
     enumerate_monomials,
+    monomial_count,
+    monomial_from_index,
     parse_monomial,
     random_monomials,
 )
@@ -19,10 +21,14 @@ from steengraph.graphs import (
     export_dot,
     from_graph,
     to_graph,
-    top_class,
 )
 
 L0, L1, L2, L3 = Level(0), Level(1), Level(2), Level(3)
+
+
+def top_class(level):
+    """The monomial of the last index, which has every edge bit set: its graph is complete."""
+    return monomial_from_index(level, monomial_count(level) - 1)
 
 
 class TestWoodGraph:

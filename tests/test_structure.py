@@ -16,7 +16,7 @@ from steengraph.algebra import (
     parse_monomial,
 )
 from steengraph.connectivity import BLOCK_BITS, block_width, is_connected
-from steengraph.graphs import WoodGraph, adjacency_matrix, oracle_edge_lanes, to_graph, top_class
+from steengraph.graphs import WoodGraph, adjacency_matrix, oracle_edge_lanes, to_graph
 from steengraph.structure import (
     degree_bound_lanes,
     degree_table,
@@ -38,6 +38,11 @@ from steengraph.structure import (
 )
 
 L0, L1, L2, L3 = Level(0), Level(1), Level(2), Level(3)
+
+
+def top_class(level):
+    """The monomial of the last index, which has every edge bit set: its graph is complete."""
+    return monomial_from_index(level, monomial_count(level) - 1)
 
 
 def spanning_dipath_by_generic_search(g: WoodGraph):

@@ -298,6 +298,42 @@ def test_the_corollary_sweep_builds_the_antipode_slots_once_a_call(monkeypatch):
     assert calls == [L3]
 
 
+def test_the_corollary_sweep_decodes_only_its_cross_checked_monomials(monkeypatch):
+    # its antipode test is a lane too, so A*(3), one block, decodes indices 0, 511 and 1023
+    decode = verify.monomial_from_index
+    calls = []
+    monkeypatch.setattr(
+        verify, "monomial_from_index", lambda level, k: calls.append(k) or decode(level, k)
+    )
+    assert verify.run_check("corollary-unilateral", 3).ok
+    assert calls == [0, 511, 1023]
+
+
+def test_a_fault_in_one_antipode_slot_is_named_in_index_order(monkeypatch):
+    # slot (2, 0) loses its spine term xi1 * xi1^2, the path 0-1-2, and keeps the edge (0, 2):
+    # of the 64 unilateral monomials of A*(3), which hold the spine, the 32 without (0, 2) fail
+    slots = verify.antipode_slots
+
+    def faulty(level):
+        pk = level.guarded_packing
+        spine = pk.bit(1, 0) | pk.bit(1, 1)
+        at = level.generator_powers().index((2, 0))
+        return tuple(
+            tuple(t for t in terms if t != spine) if s == at else terms
+            for s, terms in enumerate(slots(level))
+        )
+
+    monkeypatch.setattr(verify, "antipode_slots", faulty)
+    monomials = (monomial_from_index(L3, k) for k in range(monomial_count(L3)))
+    expected = [
+        f"antipode divisibility test disagrees with walks on {x}"
+        for x in monomials
+        if connectivity.oracle_is_unilateral(to_graph(x)) and not x.edge_bit(0, 2)
+    ]
+    assert len(expected) == 32
+    assert verify.run_check("corollary-unilateral", 3).failures == expected
+
+
 @pytest.mark.parametrize("check", ["dirac", "paper-hamilton"])
 def test_degree_sweeps_give_the_same_result_on_two_workers(check):
     assert verify.run_check(check, 3, jobs=2) == verify.run_check(check, 3)
