@@ -19,6 +19,8 @@ One layout, `Packing`, lays those bits out in an int, and a level carries
 it twice.  Without guard bits (`index_packing`) it is the enumeration
 index, one bit per edge; with a guard bit above each exponent field
 (`guarded_packing`), adding two packed monomials multiplies them (hopf.py).
+Sweeps read the index a block of up to 2^BLOCK_BITS indices at a time:
+block_lanes gives each index bit as one lane int, one bit per index.
 
 Polynomials are finite sets of monomials: coefficients live in F2, so a
 monomial is either present or absent and duplicates cancel pairwise.
@@ -40,10 +42,12 @@ import operator
 import os
 import random
 import re
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Tuple, Union
 
 ENV_MAX_N = "STEENGRAPH_MAX_N"
 DEFAULT_MAX_N = 12
+# A block holds at most 2^15 monomials, so a lane int is at most 4 KiB at any n.
+BLOCK_BITS = 15
 
 
 def max_truncation() -> int:
@@ -534,6 +538,41 @@ def index_bit(level: Level, p: int, q: int) -> int:
         raise ValueError(f"need 0 <= p < q, got p={p}, q={q}")
     level.check_vertex(q)
     return level.index_packing.offsets[q - p - 1] + p
+
+
+def block_width(level: Level) -> int:
+    """Index bits spanned by the widest block at this level: all of them, at most BLOCK_BITS."""
+    return min(BLOCK_BITS, monomial_count(level).bit_length() - 1)
+
+
+def block_lanes(level: Level, base: int, width: int) -> Tuple[list, int]:
+    """Lane ints of the index bits over the 2^width indices base, base+1, ...
+
+    Returns (bits, full): bits[b] has bit t set exactly when bit b of
+    base + t is set, and full has all 2^width lanes set.  base must be a
+    multiple of 2^width, and width at most block_width(level).  For
+    b < width, bits[b] is the upper run of 2^b lanes of each period of
+    2^(b+1), built by doubling the period; above that it is all ones or
+    zero for the whole block.
+    """
+    lanes = 1 << width
+    count = monomial_count(level)
+    widest = block_width(level)
+    if not 0 <= width <= widest:
+        raise ValueError(f"block width {width} outside 0..{widest} at n={level.n}")
+    if base % lanes or not 0 <= base < count:
+        raise ValueError(f"block base {base} is not a multiple of {lanes} in 0..{count - 1}")
+    full = (1 << lanes) - 1
+    bits = []
+    for b in range(width):
+        run = 1 << b
+        lane, period = (1 << run) - 1 << run, 2 * run
+        while period < lanes:
+            lane |= lane << period
+            period *= 2
+        bits.append(lane)
+    bits += [full * (base >> b & 1) for b in range(width, count.bit_length() - 1)]
+    return bits, full
 
 
 class Packing(NamedTuple):

@@ -57,11 +57,8 @@ edge_lanes or index_bit.  Neither reads an edge count or a power sum.
 
 from typing import Tuple
 
-from .algebra import Level, Monomial, index_bit, monomial_count
+from .algebra import Level, Monomial, block_lanes, index_bit
 from .graphs import WoodGraph
-
-# A block holds at most 2^15 monomials, so a lane int is at most 4 KiB at any n.
-BLOCK_BITS = 15
 
 
 def _field_width(m: int) -> int:
@@ -127,41 +124,6 @@ def _every_pair(s: list, full: int) -> int:
         for v in row[p + 1:]:
             full &= v
     return full
-
-
-def block_width(level: Level) -> int:
-    """Index bits spanned by the widest block at this level: all of them, at most BLOCK_BITS."""
-    return min(BLOCK_BITS, monomial_count(level).bit_length() - 1)
-
-
-def block_lanes(level: Level, base: int, width: int) -> Tuple[list, int]:
-    """Lane ints of the index bits over the 2^width indices base, base+1, ...
-
-    Returns (bits, full): bits[b] has bit t set exactly when bit b of
-    base + t is set, and full has all 2^width lanes set.  base must be a
-    multiple of 2^width, and width at most block_width(level).  For
-    b < width, bits[b] is the upper run of 2^b lanes of each period of
-    2^(b+1), built by doubling the period; above that it is all ones or
-    zero for the whole block.
-    """
-    lanes = 1 << width
-    count = monomial_count(level)
-    widest = block_width(level)
-    if not 0 <= width <= widest:
-        raise ValueError(f"block width {width} outside 0..{widest} at n={level.n}")
-    if base % lanes or not 0 <= base < count:
-        raise ValueError(f"block base {base} is not a multiple of {lanes} in 0..{count - 1}")
-    full = (1 << lanes) - 1
-    bits = []
-    for b in range(width):
-        run = 1 << b
-        lane, period = (1 << run) - 1 << run, 2 * run
-        while period < lanes:
-            lane |= lane << period
-            period *= 2
-        bits.append(lane)
-    bits += [full * (base >> b & 1) for b in range(width, count.bit_length() - 1)]
-    return bits, full
 
 
 def edge_lanes(level: Level, base: int, width: int) -> Tuple[list, int]:

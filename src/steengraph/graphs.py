@@ -20,7 +20,7 @@ stated once in Level.widths.
 
 from typing import Iterable, Tuple
 
-from .algebra import Level, Monomial
+from .algebra import Level, Monomial, block_lanes
 
 Edge = Tuple[int, int]
 
@@ -135,12 +135,10 @@ def oracle_edge_lanes(level: Level, base: int, width: int) -> Tuple[list, int]:
     Returns (adj, full): adj[p][q] has bit t set exactly when index_rows
     puts edge (p, q) in the graph of index base + t, on both triangles,
     and full has all 2^width lanes set.  base and width follow the rule of
-    connectivity.block_lanes, which gives the lane int of each index bit;
+    algebra.block_lanes, which gives the lane int of each index bit;
     each lane is ORed into the entries of the rows of its bit.  The block
     search oracles and the antipode lane of verify.py read these lanes.
     """
-    from .connectivity import block_lanes  # connectivity imports this module
-
     bits, full = block_lanes(level, base, width)
     m = level.vertex_count
     adj = [[0] * m for _ in range(m)]

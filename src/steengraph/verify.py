@@ -8,29 +8,28 @@ threshold (`paper-hamilton`) instead *reports* its counterexamples,
 because deciding whether that threshold holds is exactly the question
 the sweep answers.
 
-One block walker, _iter_lanes, reads the lanes of every lane sweep, a
-block of up to 2^15 indices at a time: main, tree and corollary-unilateral
-read connectivity.lane_verdicts, dirac and paper-hamilton
-structure.degree_bound_lanes.  main, tree and dipath also read the lanes
-of the block search oracles (connectivity.oracle_connected_lanes and
-oracle_unilateral_lanes, structure.oracle_tree_lanes and
+One block walker, _walk, runs every lane sweep, a block of up to 2^15
+indices at a time, and returns its result: main, tree and
+corollary-unilateral read connectivity.lane_verdicts, dirac and
+paper-hamilton structure.degree_bound_lanes.  main, tree and dipath also
+read the lanes of the block search oracles (connectivity.oracle_connected_lanes
+and oracle_unilateral_lanes, structure.oracle_tree_lanes and
 oracle_dipath_lanes), and corollary-unilateral the lane of its antipode
 test: some term of each hopf.antipode_slots slot, a directed path,
 divides the monomial.  All of them run on graphs.oracle_edge_lanes, the
-oracles' own edge rule.  The walker compares each criterion column with
-its oracle column in one bytes compare, names each index where they
-differ, and runs the per-graph oracles on the first, middle and last
-index of each block against the oracle lanes.  It also cross-checks
-those three indices against the per-monomial criteria, where a sweep
-has them (dipath, whose criterion is asked once for each value of r_1,
-has none).  dipath then runs the per-graph spine search on every index
-where the spine lane is set; the degree sweeps keep the indices where
-the bound holds with itertools.compress, and search for a Hamilton cycle
-only there.  Every graph a sweep searches comes from _iter_graphs: one
-lookup and one OR over graphs.index_rows; corollary-unilateral builds
-none.  A sweep decodes a Monomial only for a per-monomial criterion, for
-the text of a failure or a finding, or for the integer-exponent reading
-of corollary-unilateral, which is asked of every monomial at n <= 2 only.
+oracles' own edge rule.  For each block the walker cross-checks the first,
+middle and last index against the per-monomial criteria, each verdict
+under its own text, where a sweep has them (dipath, whose criterion is
+asked once for each value of r_1, has none), and against the per-graph
+oracles; compares each criterion lane with its oracle lane in one bytes
+compare and names each index where they differ; then runs a sweep's search
+on every index where its lane is set: dipath the spine search on the spine
+lane, the degree sweeps the Hamilton cycle search where the bound holds.
+One graph table a call, over graphs.index_rows, serves the cross-checks and
+the search; corollary-unilateral builds none.  A sweep decodes a Monomial
+only for a per-monomial criterion, for the text of a failure or a finding,
+or for the integer-exponent reading of corollary-unilateral, which is
+asked of every monomial at n <= 2 only.
 
 Checks are capped by default at the largest n where the sweep is
 desk-scale (seconds); setting STEENGRAPH_MAX_N overrides the caps.
@@ -45,22 +44,22 @@ so output, failures included, is identical for any worker count.
 import os
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from itertools import chain, compress
+from itertools import compress
 from math import prod
 from operator import and_, or_
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, List, Optional
 
 from .algebra import (
     ENV_MAX_N,
     Level,
     Monomial,
+    block_width,
     max_truncation,
     monomial_count,
     monomial_from_index,
     random_monomials,
 )
 from .connectivity import (
-    block_width,
     is_connected,
     is_unilateral,
     lane_verdicts,
@@ -127,8 +126,8 @@ class CapExceeded(ValueError):
     """Requested n is above the configured cap for the selected check."""
 
 
-def _iter_graphs(level: Level, indices: Iterable[int]):
-    """(index, graph) for each of the indices: the OR of index_rows over the set bits of k.
+def _index_graphs(level: Level) -> Callable:
+    """graph(k), the graph of index k: the OR of index_rows over the set bits of k.
 
     A 256-entry table holds that OR for each low byte; the bits above it hold
     distinct edges, whose rows are disjoint, summed again when k >> 8 changes.
@@ -138,12 +137,16 @@ def _iter_graphs(level: Level, indices: Iterable[int]):
     for r in rows[:8]:
         low += [x | r for x in low]
     above, high = 0, 0
-    graph, m = WoodGraph._unchecked, level.vertex_count
-    for k in indices:
+    new, m = WoodGraph._unchecked, level.vertex_count
+
+    def graph(k: int) -> WoodGraph:
+        nonlocal above, high
         if k >> 8 != above:
             above = k >> 8
             high = sum(r for b, r in enumerate(rows[8:]) if above >> b & 1)
-        yield k, graph(level, low[k & 255] | high, m)
+        return new(level, low[k & 255] | high, m)
+
+    return graph
 
 
 _LANE_BYTES = bytes.maketrans(b"01", b"\x00\x01")
@@ -151,43 +154,43 @@ _TABLES = "block kernel disagrees with the walk-count tables"
 _ORACLE_LANES = "lane oracles disagree with the per-graph search"
 
 
-def _iter_lanes(
-    level: Level, start: int, stop: int,
-    kernel: Callable, route: Optional[Callable], what: Optional[str], failures: list,
-    oracle: Optional[Callable] = None, texts: tuple = (),
-):
-    """(indices, column, ...) for each block: its range, then one bytes of 0/1 lanes per lane int.
+def _walk(
+    level: Level, start: int, stop: int, kernel: Callable,
+    route: Optional[Callable] = None, whats: tuple = (),
+    oracle: Optional[Callable] = None, texts: tuple = (), search: Optional[tuple] = None,
+) -> tuple:
+    """(cases, failures, findings) of start..stop, whole blocks of 1 << block_width(level).
 
-    start and stop must be multiples of the block size 1 << block_width(level),
-    or ValueError is raised; kernel(level, base, width) gives a tuple of lane
-    ints for each block base..base + size - 1 of the range, and byte t of a
-    column is bit t of its lane int.  Before a block is yielded, its first,
-    middle and last index are cross-checked: route(x), a tuple of bools,
-    against the first lanes, a mismatch appending f"{what} on {x}", and
-    oracle(g), a tuple of bools for the graph g of the index from
-    _iter_graphs, against the last len(texts) lanes, a mismatch appending
-    f"{_ORACLE_LANES} on {x}".  Then, the last 2 * len(texts) lanes being
-    criterion lanes and then their oracle lanes, each index where a pair
-    differs appends f"{text} on {x}", in index order.  A monomial x is
-    decoded only for route or to name a failure.
+    kernel(level, base, width) gives lane ints for a block, bit t for index
+    base + t; a range off block boundaries raises ValueError.  For each block:
+    route(x) is cross-checked on its first, middle and last index against the
+    first lanes, each verdict naming f"{what} on {x}" under its text in whats
+    (each text once an index), and oracle(g) against the last len(texts) lanes,
+    naming f"{_ORACLE_LANES} on {x}"; then the last 2 * len(texts) lanes,
+    criterion lanes and then their oracle lanes, are compared, each differing
+    index naming f"{text} on {x}"; then, for search = (lane, test, reported),
+    test(k, g) runs on each index k where that lane is set, and a text it
+    returns is a finding if reported, else a failure.  All is in index order;
+    one _index_graphs a call gives every g, and x is decoded only for route or
+    a text.
     """
     width = block_width(level)
     size = 1 << width
     if start % size or stop % size:
         raise ValueError(f"range {start}..{stop} is not whole blocks of {size} indices")
-    bases = range(start, stop, size)
     offsets = tuple(dict.fromkeys((0, (size - 1) // 2, size - 1))) if route or oracle else ()
-    graphs = _iter_graphs(level, (b + t for b in bases for t in offsets)) if oracle else None
-    for base in bases:
+    graph = _index_graphs(level) if oracle or search else None
+    failures, findings = [], []
+    for base in range(start, stop, size):
         lanes = kernel(level, base, width)
         split = len(lanes) - len(texts)
         for t in offsets:
             bits = tuple(v >> t & 1 for v in lanes)
             x = monomial_from_index(level, base + t) if route else None
-            verdicts = route(x) if route else ()
-            if verdicts != bits[:len(verdicts)]:
-                failures.append(f"{what} on {x}")
-            if graphs is not None and oracle(next(graphs)[1]) != bits[split:]:
+            if route:
+                differ = (w for w, v, b in zip(whats, route(x), bits) if v != b)
+                failures += [f"{what} on {x}" for what in dict.fromkeys(differ)]
+            if oracle and oracle(graph(base + t)) != bits[split:]:
                 failures.append(f"{_ORACLE_LANES} on {x or monomial_from_index(level, base + t)}")
         # byte t is bit t of the lane int: one pass over the int, not a shift of it per lane
         columns = [format(v, f"0{size}b")[::-1].encode().translate(_LANE_BYTES) for v in lanes]
@@ -197,7 +200,13 @@ def _iter_lanes(
                 for text, c, s in zip(texts, criteria, searched):
                     if c[t] != s[t]:
                         failures.append(f"{text} on {monomial_from_index(level, base + t)}")
-        yield range(base, base + size), *columns
+        if search:
+            lane, test, reported = search
+            for k in compress(range(base, base + size), columns[lane]):
+                text = test(k, graph(k))
+                if text:
+                    (findings if reported else failures).append(text)
+    return stop - start, failures, findings
 
 
 def _walk_criteria(x: Monomial) -> tuple:
@@ -214,19 +223,9 @@ def _main_lanes(level: Level, base: int, width: int) -> tuple:
     )
 
 
-def _walk(
-    level: Level, start: int, stop: int, kernel: Callable, route: Callable, what: str, **checks
-) -> tuple:
-    """(cases, failures, []) of start..stop, every failure one that _iter_lanes found."""
-    failures = []
-    for _ in _iter_lanes(level, start, stop, kernel, route, what, failures, **checks):
-        pass
-    return stop - start, failures, []
-
-
 def _sweep_main(level: Level, start: int, stop: int) -> tuple:
     return _walk(
-        level, start, stop, _main_lanes, _walk_criteria, _TABLES,
+        level, start, stop, _main_lanes, _walk_criteria, (_TABLES, _TABLES),
         oracle=lambda g: (oracle_is_connected(g), oracle_is_unilateral(g)),
         texts=(
             "connectedness criterion disagrees with search",
@@ -252,14 +251,13 @@ def _sweep_tree(level: Level, start: int, stop: int) -> tuple:
         return connected, unilateral, connected & sized, oracle_tree_lanes(adj, full)
 
     return _walk(
-        level, start, stop, kernel, lambda x: (*_walk_criteria(x), is_tree(x)), _TABLES,
+        level, start, stop, kernel, lambda x: (*_walk_criteria(x), is_tree(x)), (_TABLES,) * 3,
         oracle=lambda g: (oracle_is_tree(g),),
         texts=("tree criterion disagrees with search",),
     )
 
 
 def _sweep_dipath(level: Level, start: int, stop: int) -> tuple:
-    failures = []
     spine = tuple(range(level.vertex_count))
     top = level.index_packing.offsets[0]  # r_1 is the highest field, so it needs no mask
 
@@ -273,21 +271,20 @@ def _sweep_dipath(level: Level, start: int, stop: int) -> tuple:
                 criterion |= ((1 << hi - lo) - 1) << lo - base
         return criterion, oracle_dipath_lanes(*oracle_edge_lanes(level, base, width))
 
-    lanes = _iter_lanes(
-        level, start, stop, kernel, None, None, failures,
+    def witness(k: int, g: WoodGraph) -> Optional[str]:
+        path = oracle_hamilton_directed_path(g)
+        if path != spine:
+            x = monomial_from_index(level, k)
+            if path is None:
+                return f"{_ORACLE_LANES} on {x}"
+            return f"dipath witness for {x} is {path}, not the full spine"
+
+    return _walk(
+        level, start, stop, kernel,
         oracle=lambda g: (oracle_hamilton_directed_path(g) is not None,),
         texts=("spanning-dipath criterion disagrees with search",),
+        search=(1, witness, False),
     )
-    # one graph table a call for every spine-lane index; a monomial is built only to name a failure
-    holding = chain.from_iterable(compress(indices, holds) for indices, _, holds in lanes)
-    for k, g in _iter_graphs(level, holding):
-        witness = oracle_hamilton_directed_path(g)
-        if witness is None:
-            failures.append(f"{_ORACLE_LANES} on {monomial_from_index(level, k)}")
-        elif witness != spine:
-            x = monomial_from_index(level, k)
-            failures.append(f"dipath witness for {x} is {witness}, not the full spine")
-    return stop - start, failures, []
 
 
 def _sweep_degree_bound(level: Level, start: int, stop: int, sound: bool) -> tuple:
@@ -295,21 +292,19 @@ def _sweep_degree_bound(level: Level, start: int, stop: int, sound: bool) -> tup
     condition, bound, extra = (
         (dirac_condition, "(n+2)/2", 2) if sound else (paper_hamilton_condition, "n/2", 0)
     )
-    failures = []
-    # a miss of the sound bound is a failure, in index order with the lane cross-checks
-    misses = failures if sound else []
-    lanes = _iter_lanes(
-        level, start, stop,
-        lambda *block: (degree_bound_lanes(*block, extra),),
-        lambda x: (condition(x),),
-        "degree lanes disagree with the degree profiles", failures,
-    )
-    holding = chain.from_iterable(compress(indices, holds) for indices, holds in lanes)
-    for k, g in _iter_graphs(level, holding):
+
+    def cycle(k: int, g: WoodGraph) -> Optional[str]:
         if oracle_hamilton_cycle(g) is None:
             x = monomial_from_index(level, k)
-            misses.append(f"degree bound {bound} holds but no Hamilton cycle: {x}")
-    return stop - start, failures, [] if sound else misses
+            return f"degree bound {bound} holds but no Hamilton cycle: {x}"
+
+    # a miss of the sound bound is a failure, in index order with the lane cross-checks
+    return _walk(
+        level, start, stop,
+        lambda *block: (degree_bound_lanes(*block, extra),),
+        lambda x: (condition(x),), ("degree lanes disagree with the degree profiles",),
+        search=(0, cycle, not sound),
+    )
 
 
 def _sweep_corollary(level: Level, start: int, stop: int) -> tuple:
@@ -331,7 +326,8 @@ def _sweep_corollary(level: Level, start: int, stop: int) -> tuple:
 
     cases, failures, _ = _walk(
         level, start, stop, kernel,
-        lambda x: (*_walk_criteria(x), unilateral_via_antipode(x, True, slots)), _TABLES,
+        lambda x: (*_walk_criteria(x), unilateral_via_antipode(x, True, slots)),
+        (_TABLES, _TABLES, "antipode lane disagrees with the per-monomial antipode test"),
         texts=("antipode divisibility test disagrees with walks",),
     )
     findings = [] if level.n > INTEGER_READING_MAX_N else [

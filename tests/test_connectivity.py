@@ -7,8 +7,11 @@ import pytest
 
 from steengraph import algebra, connectivity
 from steengraph.algebra import (
+    BLOCK_BITS,
     Level,
     Monomial,
+    block_lanes,
+    block_width,
     enumerate_monomials,
     monomial_count,
     monomial_from_index,
@@ -17,10 +20,7 @@ from steengraph.algebra import (
 )
 from steengraph.cli import build_report
 from steengraph.connectivity import (
-    BLOCK_BITS,
     _field_width,
-    block_lanes,
-    block_width,
     connection_numbers,
     is_connected,
     is_unilateral,

@@ -7,15 +7,17 @@ import pytest
 
 from steengraph import structure
 from steengraph.algebra import (
+    BLOCK_BITS,
     Level,
     Monomial,
     alpha,
+    block_width,
     enumerate_monomials,
     monomial_count,
     monomial_from_index,
     parse_monomial,
 )
-from steengraph.connectivity import BLOCK_BITS, block_width, is_connected
+from steengraph.connectivity import is_connected
 from steengraph.graphs import WoodGraph, adjacency_matrix, oracle_edge_lanes, to_graph
 from steengraph.structure import (
     degree_bound_lanes,

@@ -1,14 +1,18 @@
 """Sweep plumbing: the block lanes reach every verdict, and the cross-check watches the kernel."""
 
-import itertools
 import random
 from functools import partial
 
 import pytest
 
 from steengraph import algebra, cli, connectivity, graphs, hopf, structure, verify
-from steengraph.algebra import Level, monomial_count, monomial_from_index, random_monomials
-from steengraph.connectivity import block_width
+from steengraph.algebra import (
+    Level,
+    block_width,
+    monomial_count,
+    monomial_from_index,
+    random_monomials,
+)
 from steengraph.graphs import to_graph
 
 L3 = Level(3)
@@ -116,23 +120,32 @@ def test_a_dropped_edge_in_the_oracle_rows_fails_dipath(monkeypatch):
     assert all("spanning-dipath criterion disagrees with search" in w for w in failures)
 
 
-def test_the_walker_yields_one_range_and_its_columns_a_block():
-    # A*(5) has blocks of 2^block_width indices; this range is blocks 3 and 4
+def test_the_walker_names_one_flipped_lane_in_a_range_of_two_blocks(monkeypatch):
+    # A*(5) has blocks of 2^block_width indices; this range is blocks 3 and 4, and k is in
+    # block 4 but is none of its cross-checked indices
     level = Level(5)
     size = 1 << block_width(level)
     start, stop = 3 * size, 5 * size
-    failures = []
-    blocks = list(verify._iter_lanes(
-        level, start, stop, verify.lane_verdicts,
-        lambda x: (connectivity.is_connected(x), connectivity.is_unilateral(x)),
-        "block kernel disagrees with the walk-count tables", failures,
-    ))
-    assert not failures
-    assert [(r.start, r.stop) for r, _, _ in blocks] == [(start, 4 * size), (4 * size, stop)]
-    for indices, *columns in blocks:
-        lanes = verify.lane_verdicts(level, indices.start, block_width(level))
-        for column, v in zip(columns, lanes):
-            assert list(column) == [v >> t & 1 for t in range(size)]
+    k = 4 * size + 777
+    text = "connectedness criterion disagrees with search"
+
+    def walk():
+        return verify._walk(
+            level, start, stop, verify._main_lanes,
+            lambda x: (connectivity.is_connected(x), connectivity.is_unilateral(x)),
+            ("block kernel disagrees with the walk-count tables",) * 2,
+            texts=(text, "unilaterality criterion disagrees with closure"),
+        )
+
+    assert walk() == (2 * size, [], [])
+    kernel = verify.lane_verdicts
+
+    def flipped(level, base, width):
+        connected, unilateral = kernel(level, base, width)
+        return connected ^ (1 << k - base if base <= k < base + size else 0), unilateral
+
+    monkeypatch.setattr(verify, "lane_verdicts", flipped)
+    assert walk() == (2 * size, [f"{text} on {monomial_from_index(level, k)}"], [])
 
 
 @pytest.mark.parametrize("check", ["main", "tree", "dipath", "dirac", "paper-hamilton",
@@ -151,7 +164,8 @@ def test_a_sweep_reads_the_vertex_count_once_not_once_a_graph(monkeypatch):
     counted = property(lambda level: reads.append(1) or vertex_count(level))
     monkeypatch.setattr(algebra.Level, "vertex_count", counted)
     level = Level(4)
-    graphs = list(verify._iter_graphs(level, range(monomial_count(level))))
+    graph = verify._index_graphs(level)
+    graphs = [graph(k) for k in range(monomial_count(level))]
     assert len(graphs) == 1 << 15
     # index_rows reads it once an index bit; the graphs share one read
     assert len(reads) <= sum(level.widths) + 1
@@ -160,9 +174,9 @@ def test_a_sweep_reads_the_vertex_count_once_not_once_a_graph(monkeypatch):
 def test_sweep_graphs_are_the_graphs_of_the_decoded_monomials():
     for n in range(5):
         level = Level(n)
-        swept = verify._iter_graphs(level, range(monomial_count(level)))
-        for k, g in swept:
-            assert g == to_graph(monomial_from_index(level, k)), (n, k)
+        graph = verify._index_graphs(level)
+        for k in range(monomial_count(level)):
+            assert graph(k) == to_graph(monomial_from_index(level, k)), (n, k)
 
 
 def test_sweep_graphs_at_sparse_indices_are_the_graphs_of_the_decoded_monomials():
@@ -170,21 +184,21 @@ def test_sweep_graphs_at_sparse_indices_are_the_graphs_of_the_decoded_monomials(
     level = Level(5)
     boundary = 63 << block_width(level)  # the first index of block 63
     sample = sorted(random.Random(5).sample(range(monomial_count(level)), 400))
-    failures = []
-    lanes = verify._iter_lanes(
-        level, 62 << block_width(level), 64 << block_width(level),
-        lambda *block: (verify.degree_bound_lanes(*block, 0),),
-        lambda x: (structure.paper_hamilton_condition(x),),
-        "degree lanes disagree with the degree profiles", failures,
-    )
-    holds = [k for indices, held in lanes for k in itertools.compress(indices, held)]
-    assert not failures
+    width = block_width(level)
+    holds = [
+        k
+        for base in range(62 << width, 64 << width, 1 << width)
+        for lane in [verify.degree_bound_lanes(level, base, width, 0)]
+        for k in range(base, base + (1 << width))
+        if lane >> k - base & 1
+    ]
     for indices in (sample, holds):
         assert len({k >> 8 for k in indices}) > 2
         assert any(b - a > 1 for a, b in zip(indices, indices[1:]))
         assert indices[0] < boundary <= indices[-1]
-        for k, g in verify._iter_graphs(level, indices):
-            assert g == to_graph(monomial_from_index(level, k)), k
+        graph = verify._index_graphs(level)
+        for k in indices:
+            assert graph(k) == to_graph(monomial_from_index(level, k)), k
 
 
 def test_graph_sweeps_build_monomials_only_for_the_cross_checks(monkeypatch):
@@ -283,11 +297,23 @@ def test_verdict_sweeps_are_the_same_over_any_split(check):
 
 def test_the_corollary_sweep_builds_no_graph(monkeypatch):
     # its antipode criterion reads the monomial, and its walk criterion the lanes
-    def refused(level, indices):
+    def refused(level):
         raise AssertionError("the corollary-unilateral sweep built a graph")
 
-    monkeypatch.setattr(verify, "_iter_graphs", refused)
+    monkeypatch.setattr(verify, "_index_graphs", refused)
     assert verify.run_check("corollary-unilateral", 3).ok
+
+
+def test_a_fault_in_the_per_monomial_antipode_test_is_named_by_its_own_text(monkeypatch):
+    # index 511 is the middle of A*(3)'s one block, so its route asks the antipode test there
+    x = monomial_from_index(L3, 511)
+    test = verify.unilateral_via_antipode
+    monkeypatch.setattr(
+        verify, "unilateral_via_antipode", lambda y, *args: test(y, *args) ^ (y == x)
+    )
+    assert verify.run_check("corollary-unilateral", 3).failures == [
+        f"antipode lane disagrees with the per-monomial antipode test on {x}"
+    ]
 
 
 def test_the_corollary_sweep_builds_the_antipode_slots_once_a_call(monkeypatch):
@@ -428,16 +454,14 @@ def test_a_cleared_spine_lane_meets_the_cross_check(monkeypatch):
 
 
 def test_the_dipath_sweep_builds_its_graph_table_once_a_call_not_once_a_block(monkeypatch):
-    # one table for the cross-checked graphs, one for the spine-lane indices
-    iter_graphs = verify._iter_graphs
+    # one table serves the cross-checked graphs and the spine-lane indices
+    index_rows = verify.index_rows
     calls = []
-    monkeypatch.setattr(
-        verify, "_iter_graphs", lambda *args: calls.append(args) or iter_graphs(*args)
-    )
+    monkeypatch.setattr(verify, "index_rows", lambda level: calls.append(level) or index_rows(level))
     monkeypatch.setenv("STEENGRAPH_MAX_N", "5")
     level = Level(5)
     assert verify._sweep_dipath(level, 0, 8 << 15) == (8 << 15, [], [])
-    assert len(calls) <= 2
+    assert calls == [level]
 
 
 def test_the_per_graph_oracles_search_the_three_cross_checked_indices_a_block(monkeypatch):
