@@ -19,9 +19,11 @@ Two sufficient conditions for a Hamilton cycle are exposed side by
 side.  `paper_hamilton_condition` bounds every vertex degree below by
 n/2; `dirac_condition` uses (n+2)/2, i.e. half the number of vertices,
 which is the classical bound.  They differ, and the exhaustive
-verifier reports which one is actually sound on these graphs; the
-brute-force searchers here are the arbiters.  Both comparisons are
-done in integers (2*degree against n, resp. n+2).
+verifier reports which one is actually sound on these graphs.  Both
+comparisons are done in integers (2*degree against n, resp. n+2).  Two
+routes that share no code are the arbiters: oracle_hamilton_cycle
+searches one graph by backtracking, and oracle_cycle_lanes decides a
+block of graphs at once.
 
 Exhaustive sweeps decide both bounds for a block of 2^width monomials at
 once with degree_bound_lanes.  It reads the index bits, through the
@@ -285,6 +287,29 @@ def oracle_hamilton_cycle(g: WoodGraph) -> Optional[Tuple[int, ...]]:
         return False
 
     return tuple(seq) if extend(1) else None
+
+
+def oracle_cycle_lanes(adj: list, full: int) -> int:
+    """Lanes with a Hamilton cycle: an OR over the cycles of K_m of the AND of their edge lanes.
+
+    adj and full are as for connectivity.oracle_connected_lanes.  Each of
+    the (m-1)!/2 labelled cycles is listed once, from vertex 0 with its
+    second vertex below its last.  A path from 0 passes the AND of its edge
+    lanes to the cycles that extend it; a path whose AND is 0 stops.
+    """
+    m = len(adj)
+    cycles = 0
+    # a path from 0: its second vertex, its last vertex, the vertices it has not visited, its lanes
+    paths = [(q, q, (1 << m) - 2 & ~(1 << q), full & adj[0][q]) for q in range(1, m)]
+    while paths:
+        second, last, rest, lanes = paths.pop()
+        if rest:
+            for q in range(1, m):
+                if rest >> q & 1 and (path := lanes & adj[last][q]):
+                    paths.append((second, q, rest & ~(1 << q), path))
+        elif second < last:
+            cycles |= lanes & adj[last][0]
+    return cycles
 
 
 def dipath_criterion(level: Level, r1: int) -> bool:

@@ -11,25 +11,26 @@ the sweep answers.
 One block walker, _walk, runs every lane sweep, a block of up to 2^15
 indices at a time, and returns its result: main, tree and
 corollary-unilateral read connectivity.lane_verdicts, dirac and
-paper-hamilton structure.degree_bound_lanes.  main, tree and dipath also
-read the lanes of the block search oracles (connectivity.oracle_connected_lanes
-and oracle_unilateral_lanes, structure.oracle_tree_lanes and
-oracle_dipath_lanes), and corollary-unilateral the lane of its antipode
-test: some term of each hopf.antipode_slots slot, a directed path,
-divides the monomial.  All of them run on graphs.oracle_edge_lanes, the
-oracles' own edge rule.  For each block the walker cross-checks the first,
-middle and last index against the per-monomial criteria, each verdict
-under its own text, where a sweep has them (dipath, whose criterion is
-asked once for each value of r_1, has none), and against the per-graph
-oracles; compares each criterion lane with its oracle lane in one bytes
-compare and names each index where they differ; then runs a sweep's search
-on every index where its lane is set: dipath the spine search on the spine
-lane, the degree sweeps the Hamilton cycle search where the bound holds.
-One graph table a call, over graphs.index_rows, serves the cross-checks and
-the search; corollary-unilateral builds none.  A sweep decodes a Monomial
-only for a per-monomial criterion, for the text of a failure or a finding,
-or for the integer-exponent reading of corollary-unilateral, which is
-asked of every monomial at n <= 2 only.
+paper-hamilton structure.degree_bound_lanes.  Their oracle lanes are the
+block search oracles (connectivity.oracle_connected_lanes and
+oracle_unilateral_lanes, structure.oracle_tree_lanes, oracle_dipath_lanes
+and oracle_cycle_lanes), and for corollary-unilateral its antipode test:
+some term of each hopf.antipode_slots slot, a directed path, divides the
+monomial.  All of them run on graphs.oracle_edge_lanes, the oracles' own
+edge rule.  For each block the walker compares each criterion lane with
+its oracle lane as ints, for equality, or for implication in the degree
+sweeps, and names each index where they differ.  It cross-checks the
+first, middle and last index against the per-monomial criteria, each
+verdict under its own text, where a sweep has them (dipath, whose
+criterion is asked once for each value of r_1, has none), and these and
+each named index against the per-graph oracles: a named index gets the
+sweep's text only where the per-graph oracle confirms its oracle lane,
+so each failure or finding rests on two routes.  One graph table a call,
+over graphs.index_rows, serves the per-graph oracles; corollary-unilateral
+builds none.  A sweep decodes a Monomial only for a per-monomial
+criterion, for the text of a failure or a finding, or for the
+integer-exponent reading of corollary-unilateral, which is asked of
+every monomial at n <= 2 only.
 
 Checks are capped by default at the largest n where the sweep is
 desk-scale (seconds); setting STEENGRAPH_MAX_N overrides the caps.
@@ -44,7 +45,6 @@ so output, failures included, is identical for any worker count.
 import os
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from itertools import compress
 from math import prod
 from operator import and_, or_
 from typing import Callable, List, Optional
@@ -88,6 +88,7 @@ from .structure import (
     dirac_condition,
     is_tree,
     oracle_dipath_lanes,
+    oracle_cycle_lanes,
     oracle_hamilton_cycle,
     oracle_hamilton_directed_path,
     oracle_is_tree,
@@ -127,85 +128,64 @@ class CapExceeded(ValueError):
 
 
 def _index_graphs(level: Level) -> Callable:
-    """graph(k), the graph of index k: the OR of index_rows over the set bits of k.
-
-    A 256-entry table holds that OR for each low byte; the bits above it hold
-    distinct edges, whose rows are disjoint, summed again when k >> 8 changes.
-    """
-    rows = index_rows(level)
-    low = [0]
-    for r in rows[:8]:
-        low += [x | r for x in low]
-    above, high = 0, 0
-    new, m = WoodGraph._unchecked, level.vertex_count
-
-    def graph(k: int) -> WoodGraph:
-        nonlocal above, high
-        if k >> 8 != above:
-            above = k >> 8
-            high = sum(r for b, r in enumerate(rows[8:]) if above >> b & 1)
-        return new(level, low[k & 255] | high, m)
-
-    return graph
+    """graph(k), the graph of index k: the OR of index_rows over the set bits of k."""
+    rows, new, m = index_rows(level), WoodGraph._unchecked, level.vertex_count
+    return lambda k: new(level, reduce(or_, (r for b, r in enumerate(rows) if k >> b & 1), 0), m)
 
 
-_LANE_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 _TABLES = "block kernel disagrees with the walk-count tables"
-_ORACLE_LANES = "lane oracles disagree with the per-graph search"
+_ORACLE_LANES = "lane oracles disagree with the per-graph search on {}"
 
 
 def _walk(
-    level: Level, start: int, stop: int, kernel: Callable,
-    route: Optional[Callable] = None, whats: tuple = (),
-    oracle: Optional[Callable] = None, texts: tuple = (), search: Optional[tuple] = None,
+    level: Level, start: int, stop: int, kernel: Callable, route: Optional[Callable] = None,
+    whats: tuple = (), oracle: Optional[Callable] = None, texts: tuple = (),
+    implies: bool = False, reported: bool = False,
 ) -> tuple:
     """(cases, failures, findings) of start..stop, whole blocks of 1 << block_width(level).
 
     kernel(level, base, width) gives lane ints for a block, bit t for index
-    base + t; a range off block boundaries raises ValueError.  For each block:
-    route(x) is cross-checked on its first, middle and last index against the
-    first lanes, each verdict naming f"{what} on {x}" under its text in whats
-    (each text once an index), and oracle(g) against the last len(texts) lanes,
-    naming f"{_ORACLE_LANES} on {x}"; then the last 2 * len(texts) lanes,
-    criterion lanes and then their oracle lanes, are compared, each differing
-    index naming f"{text} on {x}"; then, for search = (lane, test, reported),
-    test(k, g) runs on each index k where that lane is set, and a text it
-    returns is a finding if reported, else a failure.  All is in index order;
-    one _index_graphs a call gives every g, and x is decoded only for route or
-    a text.
+    base + t; a range off block boundaries raises ValueError.  Its last
+    2 * len(texts) lanes, criterion lanes and then their oracle lanes, are
+    compared as ints, c ^ o, or c & ~o if implies, naming each index where
+    that is set.  The walker visits each named index and the block's first,
+    middle and last, in index order.  Those three are cross-checked: route(x)
+    against the first lanes, each verdict naming f"{what} on {x}" under its
+    text in whats (each text once an index).  At each visited index, oracle(g)
+    names _ORACLE_LANES.format(x) once where it differs from the oracle
+    lanes, and each text whose oracle lane it confirms names text.format(x),
+    a finding if reported, else a failure.  One _index_graphs a call gives
+    every g, and x is decoded only for route or a text.
     """
     width = block_width(level)
     size = 1 << width
     if start % size or stop % size:
         raise ValueError(f"range {start}..{stop} is not whole blocks of {size} indices")
-    offsets = tuple(dict.fromkeys((0, (size - 1) // 2, size - 1))) if route or oracle else ()
-    graph = _index_graphs(level) if oracle or search else None
+    offsets = {0, (size - 1) // 2, size - 1} if route or oracle else set()
+    graph = _index_graphs(level) if oracle else None
     failures, findings = [], []
     for base in range(start, stop, size):
         lanes = kernel(level, base, width)
         split = len(lanes) - len(texts)
-        for t in offsets:
-            bits = tuple(v >> t & 1 for v in lanes)
-            x = monomial_from_index(level, base + t) if route else None
-            if route:
-                differ = (w for w, v, b in zip(whats, route(x), bits) if v != b)
-                failures += [f"{what} on {x}" for what in dict.fromkeys(differ)]
-            if oracle and oracle(graph(base + t)) != bits[split:]:
-                failures.append(f"{_ORACLE_LANES} on {x or monomial_from_index(level, base + t)}")
-        # byte t is bit t of the lane int: one pass over the int, not a shift of it per lane
-        columns = [format(v, f"0{size}b")[::-1].encode().translate(_LANE_BYTES) for v in lanes]
-        criteria, searched = columns[split - len(texts):split], columns[split:]
-        if criteria != searched:
-            for t in range(size):
-                for text, c, s in zip(texts, criteria, searched):
-                    if c[t] != s[t]:
-                        failures.append(f"{text} on {monomial_from_index(level, base + t)}")
-        if search:
-            lane, test, reported = search
-            for k in compress(range(base, base + size), columns[lane]):
-                text = test(k, graph(k))
-                if text:
-                    (findings if reported else failures).append(text)
+        criteria, oracles = lanes[split - len(texts):split], lanes[split:]
+        differ = [c & ~o if implies else c ^ o for c, o in zip(criteria, oracles)]
+        rest, visits = reduce(or_, differ, 0), set(offsets)
+        while rest:
+            low = rest & -rest
+            visits.add(low.bit_length() - 1)
+            rest ^= low
+        for t in sorted(visits):
+            k, lane = base + t, tuple(o >> t & 1 for o in oracles)
+            x = monomial_from_index(level, k) if route and t in offsets else None
+            if x:
+                verdicts = (w for w, v, c in zip(whats, route(x), lanes) if v != c >> t & 1)
+                failures += [f"{what} on {x}" for what in dict.fromkeys(verdicts)]
+            found = oracle(graph(k)) if oracle else lane
+            named = [s for s, d, f, b in zip(texts, differ, found, lane) if d >> t & 1 and f == b]
+            if found != lane or named:
+                x = x or monomial_from_index(level, k)
+                failures += [_ORACLE_LANES.format(x)] * (found != lane)
+                (findings if reported else failures).extend(s.format(x) for s in named)
     return stop - start, failures, findings
 
 
@@ -228,8 +208,8 @@ def _sweep_main(level: Level, start: int, stop: int) -> tuple:
         level, start, stop, _main_lanes, _walk_criteria, (_TABLES, _TABLES),
         oracle=lambda g: (oracle_is_connected(g), oracle_is_unilateral(g)),
         texts=(
-            "connectedness criterion disagrees with search",
-            "unilaterality criterion disagrees with closure",
+            "connectedness criterion disagrees with search on {}",
+            "unilaterality criterion disagrees with closure on {}",
         ),
     )
 
@@ -253,12 +233,11 @@ def _sweep_tree(level: Level, start: int, stop: int) -> tuple:
     return _walk(
         level, start, stop, kernel, lambda x: (*_walk_criteria(x), is_tree(x)), (_TABLES,) * 3,
         oracle=lambda g: (oracle_is_tree(g),),
-        texts=("tree criterion disagrees with search",),
+        texts=("tree criterion disagrees with search on {}",),
     )
 
 
 def _sweep_dipath(level: Level, start: int, stop: int) -> tuple:
-    spine = tuple(range(level.vertex_count))
     top = level.index_packing.offsets[0]  # r_1 is the highest field, so it needs no mask
 
     def kernel(level: Level, base: int, width: int) -> tuple:
@@ -271,39 +250,30 @@ def _sweep_dipath(level: Level, start: int, stop: int) -> tuple:
                 criterion |= ((1 << hi - lo) - 1) << lo - base
         return criterion, oracle_dipath_lanes(*oracle_edge_lanes(level, base, width))
 
-    def witness(k: int, g: WoodGraph) -> Optional[str]:
-        path = oracle_hamilton_directed_path(g)
-        if path != spine:
-            x = monomial_from_index(level, k)
-            if path is None:
-                return f"{_ORACLE_LANES} on {x}"
-            return f"dipath witness for {x} is {path}, not the full spine"
-
     return _walk(
         level, start, stop, kernel,
         oracle=lambda g: (oracle_hamilton_directed_path(g) is not None,),
-        texts=("spanning-dipath criterion disagrees with search",),
-        search=(1, witness, False),
+        texts=("spanning-dipath criterion disagrees with search on {}",),
     )
 
 
 def _sweep_degree_bound(level: Level, start: int, stop: int, sound: bool) -> tuple:
-    """Hamilton cycle search where a degree bound holds: (n+2)/2 is sound, n/2 is reported."""
+    """Where a degree bound holds, a Hamilton cycle: (n+2)/2 is sound, n/2 is reported."""
     condition, bound, extra = (
         (dirac_condition, "(n+2)/2", 2) if sound else (paper_hamilton_condition, "n/2", 0)
     )
 
-    def cycle(k: int, g: WoodGraph) -> Optional[str]:
-        if oracle_hamilton_cycle(g) is None:
-            x = monomial_from_index(level, k)
-            return f"degree bound {bound} holds but no Hamilton cycle: {x}"
+    def kernel(level: Level, base: int, width: int) -> tuple:
+        adj, full = oracle_edge_lanes(level, base, width)
+        return degree_bound_lanes(level, base, width, extra), oracle_cycle_lanes(adj, full)
 
-    # a miss of the sound bound is a failure, in index order with the lane cross-checks
+    # a miss of the sound bound is a failure, in index order with the cross-checks
     return _walk(
-        level, start, stop,
-        lambda *block: (degree_bound_lanes(*block, extra),),
+        level, start, stop, kernel,
         lambda x: (condition(x),), ("degree lanes disagree with the degree profiles",),
-        search=(0, cycle, not sound),
+        oracle=lambda g: (oracle_hamilton_cycle(g) is not None,),
+        texts=(f"degree bound {bound} holds but no Hamilton cycle: {{}}",),
+        implies=True, reported=not sound,
     )
 
 
@@ -328,7 +298,7 @@ def _sweep_corollary(level: Level, start: int, stop: int) -> tuple:
         level, start, stop, kernel,
         lambda x: (*_walk_criteria(x), unilateral_via_antipode(x, True, slots)),
         (_TABLES, _TABLES, "antipode lane disagrees with the per-monomial antipode test"),
-        texts=("antipode divisibility test disagrees with walks",),
+        texts=("antipode divisibility test disagrees with walks on {}",),
     )
     findings = [] if level.n > INTEGER_READING_MAX_N else [
         f"integer-exponent reading disagrees with walks on {x}"

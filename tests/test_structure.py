@@ -29,6 +29,7 @@ from steengraph.structure import (
     has_hamilton_directed_path,
     is_hamilton_cycle,
     is_tree,
+    oracle_cycle_lanes,
     oracle_hamilton_cycle,
     oracle_hamilton_directed_path,
     oracle_dipath_lanes,
@@ -279,6 +280,37 @@ class TestLaneOracles:
             assert len(counts) == width + 1
             for c, lane in enumerate(counts):
                 assert lane == sum(1 << t for t in range(1 << width) if t.bit_count() == c)
+
+
+class TestCycleLanes:
+    """The cycle lanes against the backtracking search, which shares no code with them."""
+
+    def test_every_lane_matches_the_search(self):
+        for n in range(5):
+            level = Level(n)
+            width = block_width(level)
+            for base in range(0, monomial_count(level), 1 << width):
+                lanes = oracle_cycle_lanes(*oracle_edge_lanes(level, base, width))
+                assert lanes >> (1 << width) == 0
+                for t in range(1 << width):
+                    g = to_graph(monomial_from_index(level, base + t))
+                    assert lanes >> t & 1 == (oracle_hamilton_cycle(g) is not None), (n, t)
+
+    @staticmethod
+    def hamiltonian_count(level):
+        width = block_width(level)
+        return sum(
+            oracle_cycle_lanes(*oracle_edge_lanes(level, base, width)).bit_count()
+            for base in range(0, monomial_count(level), 1 << width)
+        )
+
+    def test_whole_level_counts(self):
+        # the labelled Hamiltonian graphs on n+2 vertices
+        assert [self.hamiltonian_count(Level(n)) for n in range(5)] == [0, 1, 10, 218, 10078]
+
+    def test_whole_level_count_at_n5(self, monkeypatch):
+        monkeypatch.setenv("STEENGRAPH_MAX_N", "5")
+        assert self.hamiltonian_count(Level(5)) == 896756
 
 
 class TestHamiltonCycle:

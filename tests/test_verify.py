@@ -79,21 +79,6 @@ def test_a_flipped_dipath_verdict_is_one_named_discrepancy(monkeypatch):
     ]
 
 
-def test_a_witness_off_the_spine_is_named(monkeypatch):
-    oracle = verify.oracle_hamilton_directed_path
-
-    def reversed_spine(g):
-        witness = oracle(g)
-        return None if witness is None else witness[::-1]
-
-    monkeypatch.setattr(verify, "oracle_hamilton_directed_path", reversed_spine)
-    # at n=2 the dipaths are the 8 monomials with r_1 = 7, indices 56..63
-    assert verify.run_check("dipath", 2).failures == [
-        f"dipath witness for {monomial_from_index(Level(2), k)} is (3, 2, 1, 0), not the full spine"
-        for k in range(56, 64)
-    ]
-
-
 def test_a_dropped_edge_in_the_oracle_rows_fails_main(monkeypatch):
     # without edge (0, 1), the oracles see xi1^1 as no edge at all
     exponent_rows = graphs.exponent_rows
@@ -134,7 +119,7 @@ def test_the_walker_names_one_flipped_lane_in_a_range_of_two_blocks(monkeypatch)
             level, start, stop, verify._main_lanes,
             lambda x: (connectivity.is_connected(x), connectivity.is_unilateral(x)),
             ("block kernel disagrees with the walk-count tables",) * 2,
-            texts=(text, "unilaterality criterion disagrees with closure"),
+            texts=(f"{text} on {{}}", "unilaterality criterion disagrees with closure on {}"),
         )
 
     assert walk() == (2 * size, [], [])
@@ -237,24 +222,54 @@ def test_a_flipped_degree_lane_is_a_failure(monkeypatch, check):
     assert f"degree lanes disagree with the degree profiles on {x}" in failures
 
 
+def test_a_counterexample_the_search_refutes_is_a_lane_oracle_failure(monkeypatch):
+    # index 123 is the first n/2 counterexample of A*(3); a search that finds a cycle there
+    # contradicts its cycle lane, so the finding is not reported
+    x = monomial_from_index(L3, 123)
+    assert str(x) == "xi1^1*xi2^7*xi3^1*xi4^1"
+    search = verify.oracle_hamilton_cycle
+    monkeypatch.setattr(
+        verify,
+        "oracle_hamilton_cycle",
+        lambda g: (0, 1, 2, 3, 4) if g == to_graph(x) else search(g),
+    )
+    result = verify.run_check("paper-hamilton", 3)
+    assert result.failures == [f"lane oracles disagree with the per-graph search on {x}"]
+    assert len(result.findings) == 34
+
+
+def test_a_cleared_cycle_lane_is_a_lane_oracle_failure_not_a_finding(monkeypatch):
+    # at index 62 the n/2 bound holds and the graph has a Hamilton cycle; 62 is no
+    # cross-checked index of A*(3)'s one block
+    x = monomial_from_index(L3, 62)
+    assert str(x) == "xi2^7*xi3^3"
+    findings = verify.run_check("paper-hamilton", 3).findings
+    assert len(findings) == 35
+    lanes = verify.oracle_cycle_lanes
+    monkeypatch.setattr(verify, "oracle_cycle_lanes", lambda adj, full: lanes(adj, full) & ~(1 << 62))
+    result = verify.run_check("paper-hamilton", 3)
+    assert result.failures == [f"lane oracles disagree with the per-graph search on {x}"]
+    assert result.findings == findings
+
+
 def degree_sweep_by_condition(level, start, stop, sound):
     """The per-monomial route: decode each index, test its condition, search where it holds.
 
-    Returns the sweep's (cases, failures, findings) and the graphs searched, in index order.
+    Returns the sweep's (cases, failures, findings) and the indices of its misses.
     """
     if sound:
         condition, bound = structure.dirac_condition, "(n+2)/2"
     else:
         condition, bound = structure.paper_hamilton_condition, "n/2"
-    monomials = (monomial_from_index(level, k) for k in range(start, stop))
-    held = [x for x in monomials if condition(x)]
-    misses = [
-        f"degree bound {bound} holds but no Hamilton cycle: {x}"
-        for x in held
-        if structure.oracle_hamilton_cycle(to_graph(x)) is None
+    monomials = ((k, monomial_from_index(level, k)) for k in range(start, stop))
+    missed = [
+        (k, x)
+        for k, x in monomials
+        if condition(x) and structure.oracle_hamilton_cycle(to_graph(x)) is None
     ]
+    misses = [f"degree bound {bound} holds but no Hamilton cycle: {x}" for _, x in missed]
     result = (stop - start, misses, []) if sound else (stop - start, [], misses)
-    return result, [to_graph(x) for x in held]
+    return result, [k for k, _ in missed]
 
 
 @pytest.mark.parametrize("sound", [True, False])
@@ -277,10 +292,18 @@ def test_degree_sweeps_are_the_same_over_any_split(monkeypatch, n, cuts, sound):
     searched.clear()
     whole = sweep(cuts[0], cuts[-1])
     assert whole == (sum(cases), sum(failures, []), sum(findings, []))
-    reference, held = degree_sweep_by_condition(level, cuts[0], cuts[-1], sound)
+    reference, missed = degree_sweep_by_condition(level, cuts[0], cuts[-1], sound)
     assert whole == reference
-    # every index where the bound holds is searched once, in index order
-    assert searched == searched_in_parts == held
+    # the cycle lanes decide every index; the search runs once on each cross-checked index
+    # of a block and on each index the compare names, in index order
+    size = 1 << block_width(level)
+    crossed = {
+        base + t for base in range(cuts[0], cuts[-1], size) for t in (0, size // 2 - 1, size - 1)
+    }
+    visited = sorted(crossed | set(missed))
+    assert searched == searched_in_parts == [
+        to_graph(monomial_from_index(level, k)) for k in visited
+    ]
 
 
 @pytest.mark.parametrize("check", ["main", "tree", "dipath", "corollary-unilateral"])
@@ -423,9 +446,11 @@ def test_a_flipped_oracle_lane_is_named(monkeypatch, check, oracle, text, k):
     # per-graph oracles run too
     lanes = getattr(verify, oracle)
     monkeypatch.setattr(verify, oracle, lambda adj, full: lanes(adj, full) ^ 1 << k)
+    # the compare names k, and the per-graph oracle there sides with the criterion
     x = monomial_from_index(L3, k)
-    crossed = [f"lane oracles disagree with the per-graph search on {x}"] if k == 511 else []
-    assert verify.run_check(check, 3).failures == crossed + [f"{text} on {x}"]
+    assert verify.run_check(check, 3).failures == [
+        f"lane oracles disagree with the per-graph search on {x}"
+    ]
 
 
 def test_a_flipped_spine_lane_meets_the_per_graph_search(monkeypatch):
@@ -434,7 +459,6 @@ def test_a_flipped_spine_lane_meets_the_per_graph_search(monkeypatch):
     monkeypatch.setattr(verify, "oracle_dipath_lanes", lambda adj, full: lanes(adj, full) | 1 << 777)
     x = monomial_from_index(L3, 777)
     assert verify.run_check("dipath", 3).failures == [
-        f"spanning-dipath criterion disagrees with search on {x}",
         f"lane oracles disagree with the per-graph search on {x}",
     ]
 
@@ -447,14 +471,14 @@ def test_a_cleared_spine_lane_meets_the_cross_check(monkeypatch):
     )
     x = monomial_from_index(L3, 1023)
     assert str(x) == "xi1^15*xi2^7*xi3^3*xi4^1"
+    # the cross-check and the compare both meet the lane there: it is named once
     assert verify.run_check("dipath", 3).failures == [
         f"lane oracles disagree with the per-graph search on {x}",
-        f"spanning-dipath criterion disagrees with search on {x}",
     ]
 
 
 def test_the_dipath_sweep_builds_its_graph_table_once_a_call_not_once_a_block(monkeypatch):
-    # one table serves the cross-checked graphs and the spine-lane indices
+    # one table serves the cross-checked graphs and the named indices
     index_rows = verify.index_rows
     calls = []
     monkeypatch.setattr(verify, "index_rows", lambda level: calls.append(level) or index_rows(level))
