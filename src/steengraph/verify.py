@@ -9,28 +9,28 @@ because deciding whether that threshold holds is exactly the question
 the sweep answers.
 
 One block walker, _walk, runs every lane sweep, a block of up to 2^15
-indices at a time, and returns its result: main, tree and
-corollary-unilateral read connectivity.lane_verdicts, dirac and
-paper-hamilton structure.degree_bound_lanes.  Their oracle lanes are the
-block search oracles (connectivity.oracle_connected_lanes and
+indices at a time, and returns its result.  A sweep gives it a kernel of
+criterion lanes (connectivity.lane_verdicts for main, tree and
+corollary-unilateral, structure.degree_bound_lanes for dirac and
+paper-hamilton) and a function that the walker calls on the block's one
+graphs.oracle_edge_lanes, the oracles' own edge rule, for the oracle lanes:
+the block search oracles (connectivity.oracle_connected_lanes and
 oracle_unilateral_lanes, structure.oracle_tree_lanes, oracle_dipath_lanes
 and oracle_cycle_lanes), and for corollary-unilateral its antipode test:
 some term of each hopf.antipode_slots slot, a directed path, divides the
-monomial.  All of them run on graphs.oracle_edge_lanes, the oracles' own
-edge rule.  For each block the walker compares each criterion lane with
-its oracle lane as ints, for equality, or for implication in the degree
-sweeps, and names each index where they differ.  It cross-checks the
-first, middle and last index against the per-monomial criteria, each
-verdict under its own text, where a sweep has them (dipath, whose
-criterion is asked once for each value of r_1, has none), and these and
-each named index against the per-graph oracles: a named index gets the
-sweep's text only where the per-graph oracle confirms its oracle lane,
-so each failure or finding rests on two routes.  One graph table a call,
-over graphs.index_rows, serves the per-graph oracles; corollary-unilateral
-builds none.  A sweep decodes a Monomial only for a per-monomial
-criterion, for the text of a failure or a finding, or for the
-integer-exponent reading of corollary-unilateral, which is asked of
-every monomial at n <= 2 only.
+monomial.  The walker compares each oracle lane with its criterion lane as
+ints, for equality, or for implication in the degree sweeps, and names each
+index where they differ.  It cross-checks the first, middle and last index
+of a block against the per-monomial criteria where a sweep has them (not
+dipath), each verdict under its own text, and these and each named index
+against the per-graph oracles: a named index gets the sweep's text only
+where the per-graph oracle confirms its oracle lane, so it rests on two
+routes.  corollary-unilateral has no per-graph oracle and builds no graph:
+an index its compare names rests on the lanes alone, and its per-monomial
+antipode test meets only the three cross-checked indices.  A sweep decodes
+a Monomial only for a per-monomial criterion, for the text of a failure or
+a finding, or for the integer-exponent reading of corollary-unilateral,
+which is asked of every monomial at n <= 2 only.
 
 Checks are capped by default at the largest n where the sweep is
 desk-scale (seconds); setting STEENGRAPH_MAX_N overrides the caps.
@@ -138,24 +138,25 @@ _ORACLE_LANES = "lane oracles disagree with the per-graph search on {}"
 
 
 def _walk(
-    level: Level, start: int, stop: int, kernel: Callable, route: Optional[Callable] = None,
-    whats: tuple = (), oracle: Optional[Callable] = None, texts: tuple = (),
-    implies: bool = False, reported: bool = False,
+    level: Level, start: int, stop: int, kernel: Callable, lanes: Callable,
+    route: Optional[Callable] = None, whats: tuple = (), oracle: Optional[Callable] = None,
+    texts: tuple = (), implies: bool = False, reported: bool = False,
 ) -> tuple:
     """(cases, failures, findings) of start..stop, whole blocks of 1 << block_width(level).
 
-    kernel(level, base, width) gives lane ints for a block, bit t for index
-    base + t; a range off block boundaries raises ValueError.  Its last
-    2 * len(texts) lanes, criterion lanes and then their oracle lanes, are
-    compared as ints, c ^ o, or c & ~o if implies, naming each index where
-    that is set.  The walker visits each named index and the block's first,
-    middle and last, in index order.  Those three are cross-checked: route(x)
-    against the first lanes, each verdict naming f"{what} on {x}" under its
-    text in whats (each text once an index).  At each visited index, oracle(g)
-    names _ORACLE_LANES.format(x) once where it differs from the oracle
-    lanes, and each text whose oracle lane it confirms names text.format(x),
-    a finding if reported, else a failure.  One _index_graphs a call gives
-    every g, and x is decoded only for route or a text.
+    kernel(level, base, width) gives a block's criterion lane ints, bit t for
+    index base + t, and lanes(adj, full) its oracle lane ints, of the block's
+    one oracle_edge_lanes.  The last criterion lanes pair with these, in
+    order, and are compared as ints, c ^ o, or c & ~o if implies, naming each
+    index where that is set.  A range off block boundaries raises ValueError.
+    The walker visits each named index and the block's first, middle and last,
+    in index order.  Those three are cross-checked: route(x) against the
+    criterion lanes, then the oracle lanes, each verdict naming
+    f"{what} on {x}" under its text in whats (each text once an index).  At
+    each visited index, oracle(g) names _ORACLE_LANES.format(x) once where it
+    differs from the oracle lanes, and each text whose oracle lane it confirms
+    names text.format(x), a finding if reported, else a failure.  Every g is
+    of one _index_graphs a call, and x is decoded only for route or a text.
     """
     width = block_width(level)
     size = 1 << width
@@ -165,10 +166,10 @@ def _walk(
     graph = _index_graphs(level) if oracle else None
     failures, findings = [], []
     for base in range(start, stop, size):
-        lanes = kernel(level, base, width)
-        split = len(lanes) - len(texts)
-        criteria, oracles = lanes[split - len(texts):split], lanes[split:]
-        differ = [c & ~o if implies else c ^ o for c, o in zip(criteria, oracles)]
+        criteria = kernel(level, base, width)
+        oracles = lanes(*oracle_edge_lanes(level, base, width))
+        paired = zip(criteria[len(criteria) - len(oracles):], oracles)
+        differ = [c & ~o if implies else c ^ o for c, o in paired]
         rest, visits = reduce(or_, differ, 0), set(offsets)
         while rest:
             low = rest & -rest
@@ -178,7 +179,8 @@ def _walk(
             k, lane = base + t, tuple(o >> t & 1 for o in oracles)
             x = monomial_from_index(level, k) if route and t in offsets else None
             if x:
-                verdicts = (w for w, v, c in zip(whats, route(x), lanes) if v != c >> t & 1)
+                seen = zip(whats, route(x), (*criteria, *oracles))
+                verdicts = (w for w, v, c in seen if v != c >> t & 1)
                 failures += [f"{what} on {x}" for what in dict.fromkeys(verdicts)]
             found = oracle(graph(k)) if oracle else lane
             named = [s for s, d, f, b in zip(texts, differ, found, lane) if d >> t & 1 and f == b]
@@ -193,19 +195,11 @@ def _walk_criteria(x: Monomial) -> tuple:
     return is_connected(x), is_unilateral(x)
 
 
-def _main_lanes(level: Level, base: int, width: int) -> tuple:
-    """The criterion lanes of lane_verdicts, then the oracles' connected and unilateral lanes."""
-    adj, full = oracle_edge_lanes(level, base, width)
-    return (
-        *lane_verdicts(level, base, width),
-        oracle_connected_lanes(adj, full),
-        oracle_unilateral_lanes(adj, full),
-    )
-
-
 def _sweep_main(level: Level, start: int, stop: int) -> tuple:
     return _walk(
-        level, start, stop, _main_lanes, _walk_criteria, (_TABLES, _TABLES),
+        level, start, stop, lane_verdicts,
+        lambda adj, full: (oracle_connected_lanes(adj, full), oracle_unilateral_lanes(adj, full)),
+        _walk_criteria, (_TABLES, _TABLES),
         oracle=lambda g: (oracle_is_connected(g), oracle_is_unilateral(g)),
         texts=(
             "connectedness criterion disagrees with search on {}",
@@ -227,11 +221,11 @@ def _sweep_tree(level: Level, start: int, stop: int) -> tuple:
         for c, mask in enumerate(counts):
             if trees[high + c]:
                 sized |= mask
-        adj, full = oracle_edge_lanes(level, base, width)
-        return connected, unilateral, connected & sized, oracle_tree_lanes(adj, full)
+        return connected, unilateral, connected & sized
 
     return _walk(
-        level, start, stop, kernel, lambda x: (*_walk_criteria(x), is_tree(x)), (_TABLES,) * 3,
+        level, start, stop, kernel, lambda adj, full: (oracle_tree_lanes(adj, full),),
+        lambda x: (*_walk_criteria(x), is_tree(x)), (_TABLES,) * 3,
         oracle=lambda g: (oracle_is_tree(g),),
         texts=("tree criterion disagrees with search on {}",),
     )
@@ -248,10 +242,10 @@ def _sweep_dipath(level: Level, start: int, stop: int) -> tuple:
             if dipath_criterion(level, r1):
                 lo, hi = max(r1 << top, base), min(r1 + 1 << top, end)
                 criterion |= ((1 << hi - lo) - 1) << lo - base
-        return criterion, oracle_dipath_lanes(*oracle_edge_lanes(level, base, width))
+        return (criterion,)
 
     return _walk(
-        level, start, stop, kernel,
+        level, start, stop, kernel, lambda adj, full: (oracle_dipath_lanes(adj, full),),
         oracle=lambda g: (oracle_hamilton_directed_path(g) is not None,),
         texts=("spanning-dipath criterion disagrees with search on {}",),
     )
@@ -262,14 +256,11 @@ def _sweep_degree_bound(level: Level, start: int, stop: int, sound: bool) -> tup
     condition, bound, extra = (
         (dirac_condition, "(n+2)/2", 2) if sound else (paper_hamilton_condition, "n/2", 0)
     )
-
-    def kernel(level: Level, base: int, width: int) -> tuple:
-        adj, full = oracle_edge_lanes(level, base, width)
-        return degree_bound_lanes(level, base, width, extra), oracle_cycle_lanes(adj, full)
-
     # a miss of the sound bound is a failure, in index order with the cross-checks
     return _walk(
-        level, start, stop, kernel,
+        level, start, stop,
+        lambda level, base, width: (degree_bound_lanes(level, base, width, extra),),
+        lambda adj, full: (oracle_cycle_lanes(adj, full),),
         lambda x: (condition(x),), ("degree lanes disagree with the degree profiles",),
         oracle=lambda g: (oracle_hamilton_cycle(g) is not None,),
         texts=(f"degree bound {bound} holds but no Hamilton cycle: {{}}",),
@@ -286,16 +277,15 @@ def _sweep_corollary(level: Level, start: int, stop: int) -> tuple:
         for terms in slots
     ]
 
-    def kernel(level: Level, base: int, width: int) -> tuple:
+    def antipode_lane(adj: list, lane: int) -> tuple:
         # the AND over slots of the OR over terms of the AND over edges; each term is ANDed
         # onto the slots before it, so few lanes reach the long slots
-        adj, lane = oracle_edge_lanes(level, base, width)
         for terms in paths:
             lane = reduce(or_, [reduce(and_, (adj[j][i + j] for i, j in t), lane) for t in terms])
-        return (*lane_verdicts(level, base, width), lane)
+        return (lane,)
 
     cases, failures, _ = _walk(
-        level, start, stop, kernel,
+        level, start, stop, lane_verdicts, antipode_lane,
         lambda x: (*_walk_criteria(x), unilateral_via_antipode(x, True, slots)),
         (_TABLES, _TABLES, "antipode lane disagrees with the per-monomial antipode test"),
         texts=("antipode divisibility test disagrees with walks on {}",),

@@ -114,9 +114,15 @@ def test_the_walker_names_one_flipped_lane_in_a_range_of_two_blocks(monkeypatch)
     k = 4 * size + 777
     text = "connectedness criterion disagrees with search"
 
+    def lanes(adj, full):
+        return (
+            connectivity.oracle_connected_lanes(adj, full),
+            connectivity.oracle_unilateral_lanes(adj, full),
+        )
+
     def walk():
         return verify._walk(
-            level, start, stop, verify._main_lanes,
+            level, start, stop, verify.lane_verdicts, lanes,
             lambda x: (connectivity.is_connected(x), connectivity.is_unilateral(x)),
             ("block kernel disagrees with the walk-count tables",) * 2,
             texts=(f"{text} on {{}}", "unilaterality criterion disagrees with closure on {}"),
@@ -131,6 +137,57 @@ def test_the_walker_names_one_flipped_lane_in_a_range_of_two_blocks(monkeypatch)
 
     monkeypatch.setattr(verify, "lane_verdicts", flipped)
     assert walk() == (2 * size, [f"{text} on {monomial_from_index(level, k)}"], [])
+
+
+@pytest.mark.parametrize(
+    "check, k, text",
+    [
+        ("main", 32766, verify._ORACLE_LANES),
+        ("dipath", 32766, verify._ORACLE_LANES),
+        ("dirac", 32766, verify._ORACLE_LANES),
+        ("paper-hamilton", 32766, verify._ORACLE_LANES),
+        ("tree", 20000, verify._ORACLE_LANES),
+        ("corollary-unilateral", 32766, "antipode divisibility test disagrees with walks on {}"),
+    ],
+)
+def test_a_cleared_index_in_the_oracle_edge_lanes_is_one_failure(monkeypatch, check, k, text):
+    # every lane oracle of a sweep reads the walker's one oracle_edge_lanes: with each edge
+    # lane clear at k, no cross-checked index of A*(4)'s one block, the graph of k reads empty
+    level = Level(4)
+    x = monomial_from_index(level, k)
+    assert str(x) == {32766: "xi1^31*xi2^15*xi3^7*xi4^3", 20000: "xi1^19*xi2^8*xi3^4"}[k]
+    assert k != 20000 or structure.oracle_is_tree(to_graph(x))
+    edge_lanes = verify.oracle_edge_lanes
+
+    def cleared(level, base, width):
+        adj, full = edge_lanes(level, base, width)
+        return [[lane & ~(1 << k - base) for lane in row] for row in adj], full
+
+    monkeypatch.setenv("STEENGRAPH_MAX_N", "4")
+    monkeypatch.setattr(verify, "oracle_edge_lanes", cleared)
+    result = verify.run_check(check, 4)
+    # the per-graph oracles confirm the criterion; corollary-unilateral has none, so its
+    # antipode lane alone names k
+    assert result.failures == [text.format(x)]
+    assert len(result.findings) == (1990 if check == "paper-hamilton" else 0)
+
+
+@pytest.mark.parametrize(
+    "check", ["main", "tree", "dipath", "dirac", "paper-hamilton", "corollary-unilateral"]
+)
+def test_each_lane_sweep_builds_the_oracle_edge_lanes_once_a_block(monkeypatch, check):
+    calls = []
+
+    def counted(edge_lanes):
+        return lambda level, base, width: calls.append(base) or edge_lanes(level, base, width)
+
+    # a call through either name is counted
+    monkeypatch.setattr(graphs, "oracle_edge_lanes", counted(graphs.oracle_edge_lanes))
+    monkeypatch.setattr(verify, "oracle_edge_lanes", counted(verify.oracle_edge_lanes))
+    level = Level(5)
+    size = 1 << block_width(level)
+    assert verify.CHECKS[check].range_runner(level, size, 3 * size)[:2] == (2 * size, [])
+    assert calls == [size, 2 * size]
 
 
 @pytest.mark.parametrize("check", ["main", "tree", "dipath", "dirac", "paper-hamilton",
