@@ -138,8 +138,8 @@ def render_analysis_text(rep: dict) -> str:
         "degrees (in+out): "
         + " ".join(f"{d['label']}:{d['in']}+{d['out']}" for d in rep["degrees"])
     )
-    lines.append("C: " + " ".join(f"C({r['p']},{r['q']})={r['value']}" for r in rep["C"]))
-    lines.append("U: " + " ".join(f"U({r['p']},{r['q']})={r['value']}" for r in rep["U"]))
+    lines.append("C: " + " ".join(map("C({p},{q})={value}".format_map, rep["C"])))
+    lines.append("U: " + " ".join(map("U({p},{q})={value}".format_map, rep["U"])))
     for key, oracle in (("connected", "search"), ("unilateral", "closure"), ("tree", "search")):
         lines.append(f"{key}: {_yesno(rep[key])} ({oracle} oracle: {_yesno(rep['oracle_' + key])})")
     if rep["hamilton_cycle_found"]:

@@ -21,21 +21,29 @@ every edge {p, p+1} is present, i.e. when r_1 = 2^(n+1) - 1 (the
 spanning-dipath criterion of structure.py): 2^(n(n+1)/2) monomials of
 each level, one in every 2^(n+1).
 
-Both tables follow S_1 = A, S_(k+1) = A + A S_k, with row p of S_k
-packed into one int: entry (p, q) is the field of w bits at bit q*w.
-Row p of A S_k is the sum of the rows S_k[j] at the neighbours j of p,
-so one step is one big-int add per neighbour.  The neighbour lists are
-read off the factors of x: each pair (i, j) of dyadic_bits is the arrow
-j -> i+j, plus i+j -> j when undirected.  No 0/1 matrix is built;
+Both tables are packed the same way: row p of a table is one int whose
+field of w bits at bit q*w holds entry (p, q).  The undirected table
+follows S_1 = A, S_(k+1) = A + A S_k: row p of A S_k is the sum of the
+rows S_k[j] at the neighbours j of p, so one step is one big-int add per
+neighbour, and m-2 steps give S_(m-1).  The directed A is strictly upper
+triangular, so A^m = 0 and A + A^2 + ... + A^(m-1) is the one solution
+of S = A + A S.  It is solved by back-substitution from vertex m-1 down:
+row p is row p of A plus the rows of its out-neighbours, all above p, so
+it depends only on rows already final, and one sum per vertex makes the
+whole table.  This is the same power sum, so the same integers; a
+reverse sweep would count other walks in the undirected graph, which has
+arrows both ways.  The neighbour lists and the rows of A are read off
+the factors of x in one pass: each pair (i, j) of dyadic_bits is the
+arrow j -> i+j, plus i+j -> j when undirected.  No 0/1 matrix is built;
 graphs.adjacency_matrix is the tests' reference for these tables.  No
 field carries into the next: an entry counts walks of length at most
 m-1 = n+1 in a graph on m vertices, each vertex of degree at most m-1,
-so it is below m^m, and w = (m^m).bit_length().  Every partial sum of
-a row adds nonnegative fields, each at most its final entry.  Only the
-fields of the pairs p < q are unpacked, into a dict {(p, q): count}
-whose keys run in (p, q) order, the order of a report's C and U
-records.  The route is the same for both orientations, and analyze
-builds each table once and reads its verdicts off it.
+so it is below m^m, and w = (m^m).bit_length().  Every partial sum of a
+row, a Jacobi step's or the back-substitution's, adds nonnegative fields,
+each at most its final entry.  Only the fields of the pairs p < q are
+unpacked, into a dict {(p, q): count} whose keys run in (p, q) order,
+the order of a report's C and U records.  analyze builds each table once
+and reads its verdicts off it.
 
 Exhaustive sweeps decide a whole block of monomials at once with
 lane_verdicts: the same recurrence over the Boolean semiring, S_(k+1) =
@@ -55,6 +63,7 @@ those come from the oracles' own edge rule, graphs.index_rows, not from
 edge_lanes or index_bit.  Neither reads an edge count or a power sum.
 """
 
+from itertools import repeat
 from typing import Tuple
 
 from .algebra import Level, Monomial, block_lanes, index_bit
@@ -70,15 +79,21 @@ def _walk_table(x: Monomial, directed: bool) -> dict:
     m = x.level.vertex_count
     w = _field_width(m)
     neighbours = [[] for _ in range(m)]
+    ones = [0] * m  # row p of A: field q is 1 for each neighbour q of p
     for i, j in x.dyadic_bits():  # the factor xi_i^(2^j) is the edge j -> i+j
         neighbours[j].append(i + j)
+        ones[j] += 1 << (i + j) * w
         if not directed:
             neighbours[i + j].append(j)
-    ones = [sum(1 << j * w for j in nbrs) for nbrs in neighbours]
+            ones[i + j] += 1 << j * w
     s = ones
-    for _ in range(m - 2):  # S_1 = A, then m-2 more steps to S_(m-1)
-        row_of = s.__getitem__
-        s = [sum(map(row_of, nbrs), one) for nbrs, one in zip(neighbours, ones)]
+    if directed:
+        # S = A + A S, solved from vertex m-1 down: row p sums the final rows above it
+        for p in range(m - 1, -1, -1):
+            s[p] = sum(map(s.__getitem__, neighbours[p]), s[p])
+    else:
+        for _ in range(m - 2):  # S_1 = A, then m-2 more steps to S_(m-1)
+            s = list(map(sum, map(map, repeat(s.__getitem__), neighbours), ones))
     mask = (1 << w) - 1
     return {(p, q): s[p] >> q * w & mask for p in range(m) for q in range(p + 1, m)}
 

@@ -67,8 +67,13 @@ def degrees(x: Monomial, p: int) -> DegreeProfile:
 
 
 def degree_table(x: Monomial) -> list:
-    """Degree profiles of all n+2 vertices in index order."""
-    return list(_lazy_degrees(x))
+    """Degree profiles of all n+2 vertices in index order, in one pass over the factors of x."""
+    m = x.level.vertex_count
+    out, inn = [0] * m, [0] * m
+    for i, j in x.dyadic_bits():  # the factor xi_i^(2^j) is the arrow j -> i+j
+        out[j] += 1
+        inn[i + j] += 1
+    return [DegreeProfile(p, o, d, o + d) for p, (o, d) in enumerate(zip(out, inn))]
 
 
 def tree_criterion(level: Level, edge_count: int, connected: bool) -> bool:

@@ -26,8 +26,8 @@ dipath), each verdict under its own text, and these and each named index
 against the per-graph oracles: a named index gets the sweep's text only
 where the per-graph oracle confirms its oracle lane, so it rests on two
 routes.  corollary-unilateral has no per-graph oracle and builds no graph:
-an index its compare names rests on the lanes alone, and its per-monomial
-antipode test meets only the three cross-checked indices.  A sweep decodes
+its per-monomial antipode test is the second route, at the three
+cross-checked indices and at each index its compare names.  A sweep decodes
 a Monomial only for a per-monomial criterion, for the text of a failure or
 a finding, or for the integer-exponent reading of corollary-unilateral,
 which is asked of every monomial at n <= 2 only.
@@ -151,12 +151,15 @@ def _walk(
     index where that is set.  A range off block boundaries raises ValueError.
     The walker visits each named index and the block's first, middle and last,
     in index order.  Those three are cross-checked: route(x) against the
-    criterion lanes, then the oracle lanes, each verdict naming
-    f"{what} on {x}" under its text in whats (each text once an index).  At
-    each visited index, oracle(g) names _ORACLE_LANES.format(x) once where it
-    differs from the oracle lanes, and each text whose oracle lane it confirms
-    names text.format(x), a finding if reported, else a failure.  Every g is
-    of one _index_graphs a call, and x is decoded only for route or a text.
+    criterion lanes, each verdict naming f"{what} on {x}" under its text in
+    whats (each text once an index).  At each visited index, oracle(g) names
+    _ORACLE_LANES.format(x) once where it differs from the oracle lanes, and
+    each text whose oracle lane it confirms names text.format(x), a finding if
+    reported, else a failure.  Without oracle, route(x) runs at every visited
+    index, and its verdicts past the criterion lanes, if it has any, take the
+    part of oracle(g), naming f"{whats[-1]} on {x}" once where they differ.
+    Every g is of one _index_graphs a call, and x is decoded only for route
+    or a text.
     """
     width = block_width(level)
     size = 1 << width
@@ -177,16 +180,21 @@ def _walk(
             rest ^= low
         for t in sorted(visits):
             k, lane = base + t, tuple(o >> t & 1 for o in oracles)
-            x = monomial_from_index(level, k) if route and t in offsets else None
+            x = monomial_from_index(level, k) if route and (t in offsets or not oracle) else None
+            found = lane
             if x:
-                seen = zip(whats, route(x), (*criteria, *oracles))
-                verdicts = (w for w, v, c in seen if v != c >> t & 1)
-                failures += [f"{what} on {x}" for what in dict.fromkeys(verdicts)]
-            found = oracle(graph(k)) if oracle else lane
+                verdicts = route(x)
+                seen = zip(whats, verdicts, criteria) if t in offsets else ()
+                wrong = (w for w, v, c in seen if v != c >> t & 1)
+                failures += [f"{what} on {x}" for what in dict.fromkeys(wrong)]
+                found = verdicts[len(criteria):] or lane  # any verdicts past the criteria lanes
+            if oracle:
+                found = oracle(graph(k))
             named = [s for s, d, f, b in zip(texts, differ, found, lane) if d >> t & 1 and f == b]
             if found != lane or named:
                 x = x or monomial_from_index(level, k)
-                failures += [_ORACLE_LANES.format(x)] * (found != lane)
+                lost = _ORACLE_LANES.format(x) if oracle else f"{whats[-1]} on {x}"
+                failures += [lost] * (found != lane)
                 (findings if reported else failures).extend(s.format(x) for s in named)
     return stop - start, failures, findings
 

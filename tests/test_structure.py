@@ -16,6 +16,7 @@ from steengraph.algebra import (
     monomial_count,
     monomial_from_index,
     parse_monomial,
+    random_monomials,
 )
 from steengraph.connectivity import is_connected
 from steengraph.graphs import WoodGraph, adjacency_matrix, oracle_edge_lanes, to_graph
@@ -109,6 +110,13 @@ class TestDegrees:
                 for d in degree_table(x):
                     assert d.out_degree == sum(a[d.vertex])
                     assert d.in_degree == sum(a[p][d.vertex] for p in range(m))
+
+    def test_the_one_pass_table_matches_the_per_vertex_profiles(self):
+        # degree_table reads each factor once; degrees rescans the exponents for one vertex
+        sample = [x for n in range(4) for x in enumerate_monomials(Level(n))]
+        sample += [x for n in range(4, 13) for x in random_monomials(Level(n), 20, seed=n)]
+        for x in sample:
+            assert degree_table(x) == [degrees(x, p) for p in range(x.level.vertex_count)], x
 
     def test_handshake(self):
         for x in enumerate_monomials(L2):

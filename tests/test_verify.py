@@ -147,7 +147,11 @@ def test_the_walker_names_one_flipped_lane_in_a_range_of_two_blocks(monkeypatch)
         ("dirac", 32766, verify._ORACLE_LANES),
         ("paper-hamilton", 32766, verify._ORACLE_LANES),
         ("tree", 20000, verify._ORACLE_LANES),
-        ("corollary-unilateral", 32766, "antipode divisibility test disagrees with walks on {}"),
+        (
+            "corollary-unilateral",
+            32766,
+            "antipode lane disagrees with the per-monomial antipode test on {}",
+        ),
     ],
 )
 def test_a_cleared_index_in_the_oracle_edge_lanes_is_one_failure(monkeypatch, check, k, text):
@@ -166,8 +170,8 @@ def test_a_cleared_index_in_the_oracle_edge_lanes_is_one_failure(monkeypatch, ch
     monkeypatch.setenv("STEENGRAPH_MAX_N", "4")
     monkeypatch.setattr(verify, "oracle_edge_lanes", cleared)
     result = verify.run_check(check, 4)
-    # the per-graph oracles confirm the criterion; corollary-unilateral has none, so its
-    # antipode lane alone names k
+    # the per-graph oracles confirm the criterion; corollary-unilateral has none, and its
+    # per-monomial antipode test, in their place, names the cleared lane
     assert result.failures == [text.format(x)]
     assert len(result.findings) == (1990 if check == "paper-hamilton" else 0)
 
@@ -393,6 +397,23 @@ def test_a_fault_in_the_per_monomial_antipode_test_is_named_by_its_own_text(monk
     )
     assert verify.run_check("corollary-unilateral", 3).failures == [
         f"antipode lane disagrees with the per-monomial antipode test on {x}"
+    ]
+
+
+def test_a_flipped_unilateral_lane_is_named_where_the_antipode_test_confirms_its_lane(monkeypatch):
+    # 32766 is none of A*(4)'s cross-checked indices, so the compare names it and the
+    # per-monomial antipode test, which agrees with the antipode lane there, names the criterion
+    monkeypatch.setenv("STEENGRAPH_MAX_N", "4")
+    k = 32766
+    kernel = verify.lane_verdicts
+
+    def flipped(level, base, width):
+        connected, unilateral = kernel(level, base, width)
+        return connected, unilateral ^ (1 << k - base if level.n == 4 else 0)
+
+    monkeypatch.setattr(verify, "lane_verdicts", flipped)
+    assert verify.run_check("corollary-unilateral", 4).failures == [
+        f"antipode divisibility test disagrees with walks on {monomial_from_index(Level(4), k)}"
     ]
 
 
