@@ -46,13 +46,20 @@ the order of a report's C and U records.  analyze builds each table once
 and reads its verdicts off it.
 
 Exhaustive sweeps decide a whole block of monomials at once with
-lane_verdicts: the same recurrence over the Boolean semiring, S_(k+1) =
-A | A S_k (positivity of a sum of nonnegative integers is the OR of
-their positivity), with each matrix entry a big int holding one bit, or
-lane, per monomial of the block.  It shares no code with the integer
-tables, which serve single monomials (analyze) and the sampled
-cross-checks of the sweeps.  edge_lanes builds the lane int of every
-edge of a block; structure.degree_bound_lanes starts from it too.
+lane_verdicts: the same power sums over the Boolean semiring (positivity
+of a sum of nonnegative integers is the OR of their positivity), with
+each matrix entry a big int holding one bit, or lane, per monomial of
+the block.  Only the entries p < q are read, so only those are computed.
+The undirected sum follows S_(k+1) = A | A S_k above the diagonal and
+mirrors each entry below it.  Its diagonal stays 0, because the diagonal
+never adds a lane to an entry off it: the term j = q of entry (p, q) is
+A[p][q] & S_k[q][q], inside A[p][q], and A[p][p] = 0.  The directed sum
+is A | A^2 | ... | A^(n+1), power by power.  Every arrow raises the
+vertex index, so a walk of k arrows spans at least k, and A^k is
+computed only at the pairs with q - p >= k.  The kernel shares no code
+with the integer tables, which serve single monomials (analyze) and the
+sampled cross-checks of the sweeps.  edge_lanes builds the lane int of
+every edge of a block; structure.degree_bound_lanes starts from it too.
 
 The oracle_* functions decide the same questions by direct graph
 search, sharing no code with the matrix route.  oracle_is_connected and
@@ -63,7 +70,9 @@ those come from the oracles' own edge rule, graphs.index_rows, not from
 edge_lanes or index_bit.  Neither reads an edge count or a power sum.
 """
 
+from functools import reduce
 from itertools import repeat
+from operator import and_, or_
 from typing import Tuple
 
 from .algebra import Level, Monomial, block_lanes, index_bit
@@ -118,19 +127,39 @@ def is_unilateral(x: Monomial) -> bool:
     return all(unilateral_numbers(x).values())
 
 
-def _boolean_power_sum(a: list, top: int) -> list:
-    # a | a^2 | ... | a^top over lane ints by S_(k+1) = a | a S_k: row p ORs in a[p][j] & S_k[j]
+def _undirected_power_sum(a: list, top: int) -> list:
+    # a | a^2 | ... | a^top over lane ints for a symmetric a with a zero diagonal, by
+    # S_(k+1) = a | a S_k above the diagonal, mirrored below it; the diagonal stays 0.
+    # Entry (p, q) of a S_k is row p of a ANDed into row q of the symmetric S_k
+    m = len(a)
     s = a
     for _ in range(top - 1):
-        s_next = []
-        for row in a:
-            acc = row
-            for r, srow in zip(row, s):
-                if r:
-                    acc = [t | r & v for t, v in zip(acc, srow)]
-            s_next.append(acc)
+        s_next = [[0] * m for _ in range(m)]
+        for p, row in enumerate(a):
+            for q in range(p + 1, m):
+                s_next[p][q] = s_next[q][p] = reduce(or_, map(and_, row, s[q]), row[q])
         s = s_next
     return s
+
+
+def _directed_power_sum(a: list, top: int) -> list:
+    # a | a^2 | ... | a^top over lane ints for a strictly upper triangular a: a^k[p][q] = 0
+    # unless q - p >= k, and a^(k+1)[p][q] is the OR over p < j <= q-k of a[p][j] & a^k[j][q]
+    m = len(a)
+    power = a
+    total = [row[:] for row in a]
+    for k in range(1, top):
+        power_next = [[0] * m for _ in range(m)]
+        for p in range(m - k - 1):
+            row = a[p]
+            for q in range(p + k + 1, m):
+                v = 0
+                for j in range(p + 1, q - k + 1):
+                    v |= row[j] & power[j][q]
+                power_next[p][q] = v
+                total[p][q] |= v
+        power = power_next
+    return total
 
 
 def _every_pair(s: list, full: int) -> int:
@@ -166,15 +195,18 @@ def lane_verdicts(level: Level, base: int, width: int) -> Tuple[int, int]:
     verdict for monomial_from_index(level, base + t), over the edge lanes
     of edge_lanes, which states the rule for base and width.  The verdicts
     are the positivity of every pair p < q in A | A^2 | ... | A^(n+1), for
-    the undirected and the directed adjacency matrix, by the recurrence
-    S_(k+1) = A | A S_k.
+    the undirected and the directed adjacency matrix, and only those
+    entries are computed.  The undirected sum follows S_(k+1) = A | A S_k
+    with its diagonal at 0, which never adds a lane to an entry off it.
+    The directed sum is taken power by power: a walk of k arrows spans at
+    least k, so A^k is computed only where q - p >= k.
     """
     up, full = edge_lanes(level, base, width)
     m = level.vertex_count
     both = [[up[p][q] | up[q][p] for q in range(m)] for p in range(m)]
     return (
-        _every_pair(_boolean_power_sum(both, m - 1), full),
-        _every_pair(_boolean_power_sum(up, m - 1), full),
+        _every_pair(_undirected_power_sum(both, m - 1), full),
+        _every_pair(_directed_power_sum(up, m - 1), full),
     )
 
 

@@ -333,6 +333,44 @@ class TestLaneVerdicts:
             lane_verdicts(L1, 8, 0)
 
 
+def dense_boolean_power_sum(a, top):
+    """a | a^2 | ... | a^top over lane ints by S_(k+1) = a | a S_k, every entry of every row."""
+    s = a
+    for _ in range(top - 1):
+        s_next = []
+        for row in a:
+            acc = row
+            for r, srow in zip(row, s):
+                if r:
+                    acc = [t | r & v for t, v in zip(acc, srow)]
+            s_next.append(acc)
+        s = s_next
+    return s
+
+
+class TestPowerSumEntries:
+    # the verdicts AND every entry p < q, so a wrong entry can hide in lanes
+    # that another pair already clears; compare the entries themselves
+    def test_every_entry_above_the_diagonal_matches_the_dense_sum(self):
+        rng = random.Random(11)
+        for n in (4, 5, 6):
+            level = Level(n)
+            m = level.vertex_count
+            blocks = monomial_count(level) >> BLOCK_BITS
+            for block in rng.sample(range(blocks), min(blocks, 3)):
+                up, _ = connectivity.edge_lanes(level, block << BLOCK_BITS, BLOCK_BITS)
+                both = [[up[p][q] | up[q][p] for q in range(m)] for p in range(m)]
+                for a, power_sum in (
+                    (both, connectivity._undirected_power_sum),
+                    (up, connectivity._directed_power_sum),
+                ):
+                    expected = dense_boolean_power_sum(a, m - 1)
+                    got = power_sum(a, m - 1)
+                    for p in range(m):
+                        for q in range(p + 1, m):
+                            assert got[p][q] == expected[p][q], (n, block, power_sum, p, q)
+
+
 class TestCensus:
     # Classical counts, independent of this package: connected labelled
     # graphs on n+2 vertices (OEIS A001187), labelled trees (Cayley,
@@ -358,6 +396,16 @@ class TestCensus:
             assert connected == self.CONNECTED[n], n
             assert unilateral == self.UNILATERAL[n] == 2 ** (n * (n + 1) // 2), n
             assert trees == self.TREES[n] == (n + 2) ** n, n
+
+    def test_criterion_counts_at_n5(self):
+        # the oracles' census of TestLaneOracles, from the criterion kernel
+        level = Level(5)
+        connected = unilateral = 0
+        for base, c, u in level_lanes(level, BLOCK_BITS):
+            connected += c.bit_count()
+            unilateral += u.bit_count()
+        assert connected == 1866256
+        assert unilateral == 32768 == 2**15
 
 
 def assert_lane_oracles_match_the_searches(level, base, width, lanes_of=range):
