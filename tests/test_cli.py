@@ -111,6 +111,21 @@ class TestAnalyze:
         assert code == 2 and out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["analyze", "[8,0]", "-n", "1"], "exponent 8 of xi1 exceeds bound 3 at n=1"),
+            (["analyze", "xi1^8", "-n", "1"], "exponent 8 of xi1 exceeds bound 3 at n=1"),
+            (["analyze", "xi2^2", "-n", "1"], "exponent 2 of xi2 exceeds bound 1 at n=1"),
+            (["dot", "xi1^99", "-n", "0"], "exponent 99 of xi1 exceeds bound 1 at n=0"),
+        ],
+    )
+    def test_an_exponent_over_its_bound_exits_two(self, capsys, argv, message):
+        # both monomial forms, analyze and dot, print the one bound message
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_non_ascii_digit_exits_two(self, capsys):
         code, out, err = run_cli(capsys, ["analyze", "[\u00b2,0,0]", "-n", "2"])
         assert code == 2 and out == ""
