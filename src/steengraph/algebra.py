@@ -27,6 +27,13 @@ monomial is either present or absent and duplicates cancel pairwise.
 The zero polynomial is the empty set.  F2Sum holds that set arithmetic
 once; Polynomial and the tensor sums of hopf.py supply only their terms.
 
+A Monomial comes through one of three doors.  The gate, Monomial(level,
+exponents), is the one place that refuses exponents outside the level.
+The quotient rule, _fitted, gives products and truncate_monomial the
+monomial or None (zero).  The packing decode, Monomial._decoded, checks
+nothing: a masked field of a packed int cannot outgrow its width (nor can
+the field ranges enumerate_monomials walks).
+
 A Level with n=None denotes the untruncated algebra F2[xi_1, xi_2, ...],
 which imposes no exponent bound.  It exists to support antipode
 recursion checks and Hopf-ideal verification, where images are computed
@@ -38,7 +45,6 @@ pure function, so everything here is safe to share across threads.
 """
 
 import itertools
-import operator
 import os
 import random
 import re
@@ -170,6 +176,9 @@ class Monomial:
     Truncated monomials store exactly n+1 exponents; untruncated ones
     store a tuple with trailing zeros stripped, so equal monomials have
     equal representations.  The all-zero vector is the unit monomial 1.
+
+    The constructor is the gate and raises ValueError outside the level;
+    _fitted and _decoded are the other two doors.  All three apply that form.
     """
 
     __slots__ = ("level", "exponents", "_hash")
@@ -178,7 +187,7 @@ class Monomial:
         exps = tuple(int(r) for r in exponents)
         i = level.first_breach(exps)
         if i is not None:
-            if not level.truncated:
+            if exps[i - 1] < 0:
                 raise ValueError("negative exponent")
             if i > len(level.widths):
                 raise ValueError(
@@ -186,7 +195,7 @@ class Monomial:
                     f"admits generators xi_1..xi_{len(level.widths)}"
                 )
             raise ValueError(
-                f"exponent {exps[i - 1]} of xi{i} outside 0..{level.exponent_bound(i)}"
+                f"exponent {exps[i - 1]} of xi{i} exceeds bound {level.exponent_bound(i)}"
                 f" at n={level.n}"
             )
         exps = _stored_form(level, exps)
@@ -198,6 +207,11 @@ class Monomial:
         x = object.__new__(cls)
         x.level, x.exponents, x._hash = level, exps, hash((level.n, exps))
         return x
+
+    @classmethod
+    def _decoded(cls, level: Level, pk: "Packing", packed: int) -> "Monomial":
+        """The monomial packed in pk at level: a masked field is within its width, so no check."""
+        return cls._unchecked(level, _stored_form(level, pk.unpack(packed)))
 
     @classmethod
     def one(cls, level: Level) -> "Monomial":
@@ -260,7 +274,7 @@ class Monomial:
         """Product in the algebra: exponentwise sum, zero if any bound is breached."""
         if not isinstance(other, Monomial):
             return NotImplemented
-        self._check_level(other)
+        _check_level(self.level, other.level)
         prod = monomial_product(self, other)
         if prod is None:
             return Polynomial.zero(self.level)
@@ -269,15 +283,11 @@ class Monomial:
     def __add__(self, other: "Monomial") -> "Polynomial":
         if not isinstance(other, Monomial):
             return NotImplemented
-        self._check_level(other)
+        _check_level(self.level, other.level)
         return Polynomial.from_terms(self.level, (self, other))
 
     def as_polynomial(self) -> "Polynomial":
         return Polynomial(self.level, (self,))
-
-    def _check_level(self, other: "Monomial"):
-        if self.level != other.level:
-            raise ValueError(f"level mismatch: {self.level!r} vs {other.level!r}")
 
     def __eq__(self, other) -> bool:
         return (
@@ -312,18 +322,22 @@ def _stored_form(level: Level, exps: tuple) -> tuple:
     return exps
 
 
+def _check_level(level: Level, other: Level) -> None:
+    if level != other:
+        raise ValueError(f"level mismatch: {level!r} vs {other!r}")
+
+
+def _fitted(level: Level, exps: tuple) -> Optional[Monomial]:
+    """The quotient rule: the monomial of exps at level, or None when it lies in the ideal."""
+    if level.first_breach(exps) is not None:
+        return None
+    return Monomial._unchecked(level, _stored_form(level, exps))
+
+
 def monomial_product(x: Monomial, y: Monomial) -> Optional[Monomial]:
     """Exponentwise sum, or None when the product lands in the ideal (a carry escapes)."""
-    a, b = x.exponents, y.exponents
-    if len(a) == len(b):
-        exps = tuple(map(operator.add, a, b))
-    else:
-        exps = tuple(map(sum, itertools.zip_longest(a, b, fillvalue=0)))
-    if x.level.first_breach(exps) is not None:
-        return None
-    if len(exps) != len(a):  # y was longer than x: only a mixed-level call needs the trim
-        exps = _stored_form(x.level, exps)
-    return Monomial._unchecked(x.level, exps)
+    pairs = itertools.zip_longest(x.exponents, y.exponents, fillvalue=0)
+    return _fitted(x.level, tuple(map(sum, pairs)))
 
 
 class F2Sum:
@@ -376,32 +390,27 @@ class F2Sum:
     def __add__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        self._check_level(other.level)
+        _check_level(self.level, other.level)
         return type(self)(self.level, self.terms ^ other.terms)
 
     def __mul__(self, other):
         """Every product of a term of self with a term of other, summed over F2."""
         if not isinstance(other, type(self)):
             return NotImplemented
-        self._check_level(other.level)
+        _check_level(self.level, other.level)
         product = self._term_product
         return self.from_terms(
             self.level,
             (p for x in self.terms for y in other.terms if (p := product(x, y)) is not None),
         )
 
-    def map_terms(self, f, level: Optional[Level] = None):
-        """Image under a termwise map f that is injective where defined; f(t) None kills t.
+    def map_terms(self, f, level: Level):
+        """Image at level under a termwise map f, injective where defined; f(t) None kills t.
 
         Injective means surviving images never collide, so nothing cancels.
         """
         images = (f(t) for t in self.terms)
-        level = self.level if level is None else level
         return type(self)(level, (m for m in images if m is not None))
-
-    def _check_level(self, level: Level):
-        if self.level != level:
-            raise ValueError(f"level mismatch: {self.level!r} vs {level!r}")
 
     def __eq__(self, other) -> bool:
         return (
@@ -479,7 +488,7 @@ def parse_monomial(text: str, level: Level) -> Monomial:
                 f"exponent list has {len(exps)} entries,"
                 f" expected {len(level.widths)} at n={level.n}"
             )
-        return _monomial_with_bounds_check(level, exps)
+        return _gated(level, exps)
 
     tokens = [t for t in re.split(r"[\s*]+", text) if t]
     if not tokens:
@@ -500,17 +509,15 @@ def parse_monomial(text: str, level: Level) -> Monomial:
         exps[i] = exps.get(i, 0) + e
     width = max(exps) if exps else 0
     vec = [exps.get(i, 0) for i in range(1, width + 1)]
-    return _monomial_with_bounds_check(level, vec)
+    return _gated(level, vec)
 
 
-def _monomial_with_bounds_check(level: Level, exps: list) -> Monomial:
-    i = level.first_breach(exps)
-    if i is not None:
-        raise ParseError(
-            f"exponent {exps[i - 1]} of xi{i} exceeds bound {level.exponent_bound(i)}"
-            f" at n={level.n}"
-        )
-    return Monomial(level, exps)
+def _gated(level: Level, exps: list) -> Monomial:
+    """Monomial(level, exps), its refusal raised as a ParseError with the same text."""
+    try:
+        return Monomial(level, exps)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def monomial_count(level: Level) -> int:
@@ -629,8 +636,7 @@ def monomial_from_index(level: Level, index: int) -> Monomial:
     """
     if not 0 <= index < monomial_count(level):
         raise ValueError(f"index {index} out of range 0..{monomial_count(level) - 1}")
-    # a masked field is within its width, so the exponents need no check
-    return Monomial._unchecked(level, level.index_packing.unpack(index))
+    return Monomial._decoded(level, level.index_packing, index)
 
 
 def random_monomials(level: Level, count: int, seed: int) -> list:
@@ -651,9 +657,7 @@ def truncate_monomial(x: Monomial, level: Level) -> Optional[Monomial]:
     or a generator beyond xi_(n+1) appears.
     """
     level._require_truncated()
-    if level.first_breach(x.exponents) is not None:
-        return None
-    return Monomial._unchecked(level, _stored_form(level, x.exponents))
+    return _fitted(level, x.exponents)
 
 
 def truncate_polynomial(p: Polynomial, level: Level) -> Polynomial:

@@ -54,7 +54,6 @@ from .algebra import (
     Monomial,
     Packing,
     Polynomial,
-    _stored_form,
     monomial_product,
     packing,
     truncate_monomial,
@@ -208,10 +207,6 @@ def _expansions_for(x: Monomial, pair: Optional[tuple]) -> tuple:
     return pair
 
 
-def _unpacked(level: Level, pk: Packing, packed: int) -> Monomial:
-    return Monomial._unchecked(level, _stored_form(level, pk.unpack(packed)))
-
-
 def coproduct_generator(i: int, j: int, level: Level) -> TensorPolynomial:
     """Coproduct of xi_i^(2^j): ends plus all splittings through intermediate vertices.
 
@@ -229,7 +224,7 @@ def coproduct(x: Monomial) -> TensorPolynomial:
     return TensorPolynomial(
         x.level,
         (
-            (_unpacked(x.level, pk, t >> pk.size), _unpacked(x.level, pk, t & low))
+            (Monomial._decoded(x.level, pk, t >> pk.size), Monomial._decoded(x.level, pk, t & low))
             for t in _coproducts(pk)[pk.pack(x.exponents)]
         ),
     )
@@ -252,7 +247,7 @@ def antipode(x: Monomial) -> Polynomial:
     pk = _packing_of(x)
     return Polynomial(
         x.level,
-        (_unpacked(x.level, pk, t) for t in _antipodes(pk)[pk.pack(x.exponents)]),
+        (Monomial._decoded(x.level, pk, t) for t in _antipodes(pk)[pk.pack(x.exponents)]),
     )
 
 
@@ -273,7 +268,7 @@ def antipode_recursion_residual(i: int) -> Polynomial:
     for k in range(1, i):
         left = pk.bit(i - k, k)
         acc ^= {left + t for t in chi[pk.bit(k, 0)]}
-    return Polynomial(UNTRUNCATED, (_unpacked(UNTRUNCATED, pk, t) for t in acc))
+    return Polynomial(UNTRUNCATED, (Monomial._decoded(UNTRUNCATED, pk, t) for t in acc))
 
 
 def verify_antipode_recursion(i_max: int) -> bool:

@@ -150,9 +150,9 @@ def _walk(
     order, and are compared as ints, c ^ o, or c & ~o if implies, naming each
     index where that is set.  A range off block boundaries raises ValueError.
     The walker visits each named index and the block's first, middle and last,
-    in index order.  Those three are cross-checked: route(x) against the
-    criterion lanes, each verdict naming f"{what} on {x}" under its text in
-    whats (each text once an index).  At each visited index, oracle(g) names
+    in index order; every block cross-checks those three: route(x) against
+    the criterion lanes, each verdict naming f"{what} on {x}" under its text
+    in whats (each text once an index).  At each visited index, oracle(g) names
     _ORACLE_LANES.format(x) once where it differs from the oracle lanes, and
     each text whose oracle lane it confirms names text.format(x), a finding if
     reported, else a failure.  Without oracle, route(x) runs at every visited
@@ -165,7 +165,7 @@ def _walk(
     size = 1 << width
     if start % size or stop % size:
         raise ValueError(f"range {start}..{stop} is not whole blocks of {size} indices")
-    offsets = {0, (size - 1) // 2, size - 1} if route or oracle else set()
+    offsets = {0, (size - 1) // 2, size - 1}
     graph = _index_graphs(level) if oracle else None
     failures, findings = [], []
     for base in range(start, stop, size):

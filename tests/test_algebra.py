@@ -362,6 +362,14 @@ def within_level(level, exps):
     return True
 
 
+def gate(level, exps):
+    """Monomial(level, exps), or None where the constructor refuses exps."""
+    try:
+        return Monomial(level, exps)
+    except ValueError:
+        return None
+
+
 def reference_sum(a, b):
     width = max(len(a), len(b))
     a, b = list(a) + [0] * (width - len(a)), list(b) + [0] * (width - len(b))
@@ -453,6 +461,39 @@ class TestBoundRule:
             assert image == Monomial(target, a)
         else:
             assert image is None
+
+    @pytest.mark.parametrize("level", [L0, L1, L2, UNTRUNCATED], ids=repr)
+    def test_every_product_is_the_gates_monomial_or_none(self, level):
+        # every pair at n <= 2; untruncated, the pairs of unequal length (after the strip)
+        if level.truncated:
+            xs = list(enumerate_monomials(level))
+        else:
+            xs = [Monomial(level, exps) for exps in itertools.product(range(3), repeat=3)]
+        for x, y in itertools.product(xs, xs):
+            if level.truncated or len(x.exponents) != len(y.exponents):
+                expected = gate(level, reference_sum(x.exponents, y.exponents))
+                assert monomial_product(x, y) == expected
+
+    @pytest.mark.parametrize("n", range(3))
+    def test_truncation_is_the_gates_monomial_or_none(self, n):
+        # untruncated x with up to n+3 exponents, each at 0, 1, 2 or either side of a bound
+        level = Level(n)
+        values = sorted({0, 1, 2} | {(1 << w) - 1 for w in level.widths} | {1 << level.widths[0]})
+        for exps in itertools.product(values, repeat=n + 3):
+            assert truncate_monomial(Monomial(UNTRUNCATED, exps), level) == gate(level, exps)
+
+    @pytest.mark.parametrize(
+        "level, pk",
+        [(Level(n), Level(n).index_packing) for n in range(4)]
+        + [(Level(n), Level(n).guarded_packing) for n in range(4)]
+        + [(UNTRUNCATED, packing((3,) * 3))],
+    )
+    def test_decode_is_the_gates_monomial(self, level, pk):
+        # every packed value, guard bits included; the untruncated box strips trailing zeros
+        for packed in range(1 << pk.size):
+            x = Monomial._decoded(level, pk, packed)
+            assert x == Monomial(level, pk.unpack(packed))
+            assert level.truncated or x.exponents[-1:] != (0,)
 
     @given(
         st.sampled_from(BOUND_LEVELS[:4] + [UNTRUNCATED]).flatmap(
