@@ -21,20 +21,23 @@ every edge {p, p+1} is present, i.e. when r_1 = 2^(n+1) - 1 (the
 spanning-dipath criterion of structure.py): 2^(n(n+1)/2) monomials of
 each level, one in every 2^(n+1).
 
+Each orientation has one recurrence, used in both representations
+below, the packed integer tables and the Boolean lane kernel.  The
+undirected sum is m-2 steps of S <- A + A S from S = A.  The directed
+sum is the one solution of S = A + A S, solved from the last row up:
+A is strictly upper triangular, so A^m = 0 and the solution is
+A + A^2 + ... + A^(m-1), and row p of A S reads only the rows above p.
+A reverse sweep would count other walks in the undirected graph, which
+has arrows both ways.
+
 Both tables are packed the same way: row p of a table is one int whose
-field of w bits at bit q*w holds entry (p, q).  The undirected table
-follows S_1 = A, S_(k+1) = A + A S_k: row p of A S_k is the sum of the
-rows S_k[j] at the neighbours j of p, so one step is one big-int add per
-neighbour, and m-2 steps give S_(m-1).  The directed A is strictly upper
-triangular, so A^m = 0 and A + A^2 + ... + A^(m-1) is the one solution
-of S = A + A S.  It is solved by back-substitution from vertex m-1 down:
-row p is row p of A plus the rows of its out-neighbours, all above p, so
-it depends only on rows already final, and one sum per vertex makes the
-whole table.  This is the same power sum, so the same integers; a
-reverse sweep would count other walks in the undirected graph, which has
-arrows both ways.  The neighbour lists and the rows of A are read off
-the factors of x in one pass: each pair (i, j) of dyadic_bits is the
-arrow j -> i+j, plus i+j -> j when undirected.  No 0/1 matrix is built;
+field of w bits at bit q*w holds entry (p, q).  Row p of A S is the sum
+of the rows S[j] at the neighbours j of p, so an undirected step is one
+big-int add per neighbour, and the directed row p is row p of A plus
+the final rows of its out-neighbours, one sum per vertex.  The
+neighbour lists and the rows of A are read off the factors of x in one
+pass: each pair (i, j) of dyadic_bits is the arrow j -> i+j, plus
+i+j -> j when undirected.  No 0/1 matrix is built;
 graphs.adjacency_matrix is the tests' reference for these tables.  No
 field carries into the next: an entry counts walks of length at most
 m-1 = n+1 in a graph on m vertices, each vertex of degree at most m-1,
@@ -50,16 +53,17 @@ lane_verdicts: the same power sums over the Boolean semiring (positivity
 of a sum of nonnegative integers is the OR of their positivity), with
 each matrix entry a big int holding one bit, or lane, per monomial of
 the block.  Only the entries p < q are read, so only those are computed.
-The undirected sum follows S_(k+1) = A | A S_k above the diagonal and
-mirrors each entry below it.  Its diagonal stays 0, because the diagonal
-never adds a lane to an entry off it: the term j = q of entry (p, q) is
-A[p][q] & S_k[q][q], inside A[p][q], and A[p][p] = 0.  The directed sum
-is A | A^2 | ... | A^(n+1), power by power.  Every arrow raises the
-vertex index, so a walk of k arrows spans at least k, and A^k is
-computed only at the pairs with q - p >= k.  The kernel shares no code
-with the integer tables, which serve single monomials (analyze) and the
-sampled cross-checks of the sweeps.  edge_lanes builds the lane int of
-every edge of a block; structure.degree_bound_lanes starts from it too.
+The undirected steps S <- A | A S run above the diagonal and mirror each
+entry below it.  Their diagonal stays 0, because the diagonal never adds
+a lane to an entry off it: the term j = q of entry (p, q) is
+A[p][q] & S[q][q], inside A[p][q], and A[p][p] = 0.  The directed
+S = A | A S is solved one entry at a time, from row m-3 up: entry (p, q)
+is A[p][q] | the OR over p < j < q of A[p][j] & S[j][q], and rows m-2
+and m-1, like every entry (p, p+1), are those of A.  The kernel shares
+no code with the integer tables, which serve single monomials (analyze)
+and the sampled cross-checks of the sweeps.  edge_lanes builds the lane
+int of every edge of a block; structure.degree_bound_lanes starts from
+it too.
 
 The oracle_* functions decide the same questions by direct graph
 search, sharing no code with the matrix route.  oracle_is_connected and
@@ -72,7 +76,7 @@ edge_lanes or index_bit.  Neither reads an edge count or a power sum.
 
 from functools import reduce
 from itertools import repeat
-from operator import and_, or_
+from operator import and_, itemgetter, or_
 from typing import Tuple
 
 from .algebra import Level, Monomial, block_lanes, index_bit
@@ -127,13 +131,13 @@ def is_unilateral(x: Monomial) -> bool:
     return all(unilateral_numbers(x).values())
 
 
-def _undirected_power_sum(a: list, top: int) -> list:
-    # a | a^2 | ... | a^top over lane ints for a symmetric a with a zero diagonal, by
-    # S_(k+1) = a | a S_k above the diagonal, mirrored below it; the diagonal stays 0.
-    # Entry (p, q) of a S_k is row p of a ANDed into row q of the symmetric S_k
+def _undirected_power_sum(a: list) -> list:
+    # a | a^2 | ... | a^(m-1) over lane ints for a symmetric a with a zero diagonal: m-2 steps
+    # of S <- a | a S above the diagonal, mirrored below it; the diagonal stays 0.
+    # Entry (p, q) of a S is row p of a ANDed into row q of the symmetric S
     m = len(a)
     s = a
-    for _ in range(top - 1):
+    for _ in range(m - 2):
         s_next = [[0] * m for _ in range(m)]
         for p, row in enumerate(a):
             for q in range(p + 1, m):
@@ -142,24 +146,16 @@ def _undirected_power_sum(a: list, top: int) -> list:
     return s
 
 
-def _directed_power_sum(a: list, top: int) -> list:
-    # a | a^2 | ... | a^top over lane ints for a strictly upper triangular a: a^k[p][q] = 0
-    # unless q - p >= k, and a^(k+1)[p][q] is the OR over p < j <= q-k of a[p][j] & a^k[j][q]
+def _directed_power_sum(a: list) -> list:
+    # the one solution of S = a | a S over lane ints for a strictly upper triangular a, from
+    # the last row up: entry (p, q) reads rows p < j < q only; rows m-2 and m-1 are a's own
     m = len(a)
-    power = a
-    total = [row[:] for row in a]
-    for k in range(1, top):
-        power_next = [[0] * m for _ in range(m)]
-        for p in range(m - k - 1):
-            row = a[p]
-            for q in range(p + k + 1, m):
-                v = 0
-                for j in range(p + 1, q - k + 1):
-                    v |= row[j] & power[j][q]
-                power_next[p][q] = v
-                total[p][q] |= v
-        power = power_next
-    return total
+    s = [row[:] for row in a]
+    for p in range(m - 3, -1, -1):
+        row = a[p]
+        for q in range(p + 2, m):
+            s[p][q] = reduce(or_, map(and_, row[p + 1:q], map(itemgetter(q), s[p + 1:q])), row[q])
+    return s
 
 
 def _every_pair(s: list, full: int) -> int:
@@ -196,17 +192,17 @@ def lane_verdicts(level: Level, base: int, width: int) -> Tuple[int, int]:
     of edge_lanes, which states the rule for base and width.  The verdicts
     are the positivity of every pair p < q in A | A^2 | ... | A^(n+1), for
     the undirected and the directed adjacency matrix, and only those
-    entries are computed.  The undirected sum follows S_(k+1) = A | A S_k
-    with its diagonal at 0, which never adds a lane to an entry off it.
-    The directed sum is taken power by power: a walk of k arrows spans at
-    least k, so A^k is computed only where q - p >= k.
+    entries are computed.  Each orientation has the recurrence of its
+    integer table: the undirected sum is m-2 steps of S <- A | A S, with
+    its diagonal at 0, and the directed sum is S = A | A S, solved from
+    the last row up.
     """
     up, full = edge_lanes(level, base, width)
     m = level.vertex_count
     both = [[up[p][q] | up[q][p] for q in range(m)] for p in range(m)]
     return (
-        _every_pair(_undirected_power_sum(both, m - 1), full),
-        _every_pair(_directed_power_sum(up, m - 1), full),
+        _every_pair(_undirected_power_sum(both), full),
+        _every_pair(_directed_power_sum(up), full),
     )
 
 
