@@ -45,6 +45,7 @@ pure function, so everything here is safe to share across threads.
 """
 
 import itertools
+import operator
 import os
 import random
 import re
@@ -86,7 +87,7 @@ class Level:
 
     def __init__(self, n: Optional[int] = None):
         if n is not None:
-            n = int(n)
+            n = operator.index(n)  # an int or a bool; a float or a string is refused
             if n < 0:
                 raise ValueError(f"truncation parameter must be >= 0, got {n}")
             cap = max_truncation()
@@ -184,7 +185,7 @@ class Monomial:
     __slots__ = ("level", "exponents", "_hash")
 
     def __init__(self, level: Level, exponents: Iterable[int]):
-        exps = tuple(int(r) for r in exponents)
+        exps = tuple(map(operator.index, exponents))  # as Level: no float or string
         i = level.first_breach(exps)
         if i is not None:
             if exps[i - 1] < 0:

@@ -62,8 +62,9 @@ is A[p][q] | the OR over p < j < q of A[p][j] & S[j][q], and rows m-2
 and m-1, like every entry (p, p+1), are those of A.  The kernel shares
 no code with the integer tables, which serve single monomials (analyze)
 and the sampled cross-checks of the sweeps.  edge_lanes builds the lane
-int of every edge of a block; structure.degree_bound_lanes starts from
-it too.
+int of every edge of a block once, on both triangles: the undirected A.
+The directed A is its upper triangle, the only part the directed solve
+reads.  structure.degree_bound_lanes reads its rows too.
 
 The oracle_* functions decide the same questions by direct graph
 search, sharing no code with the matrix route.  oracle_is_connected and
@@ -147,8 +148,9 @@ def _undirected_power_sum(a: list) -> list:
 
 
 def _directed_power_sum(a: list) -> list:
-    # the one solution of S = a | a S over lane ints for a strictly upper triangular a, from
-    # the last row up: entry (p, q) reads rows p < j < q only; rows m-2 and m-1 are a's own
+    # the one solution of S = a | a S over lane ints for the arrows p -> q of a, from the last
+    # row up: entry (p, q) reads a[p][j] and S[j][q] for p < j < q only, so only the entries
+    # above the diagonal are read or solved; rows m-2 and m-1 are a's own
     m = len(a)
     s = [row[:] for row in a]
     for p in range(m - 3, -1, -1):
@@ -169,19 +171,19 @@ def _every_pair(s: list, full: int) -> int:
 def edge_lanes(level: Level, base: int, width: int) -> Tuple[list, int]:
     """Lane ints of the edges over the 2^width monomials with indices base, base+1, ...
 
-    Returns (up, full): up[p][q], for p < q, has bit t set exactly when
-    monomial_from_index(level, base + t) has edge (p, q); every other
-    entry is 0, and full has all 2^width lanes set.  base and width follow
-    the rule of block_lanes.  Edge (p, q) is the lane of index bit
-    index_bit(p, q).
+    Returns (adj, full): adj[p][q] has bit t set exactly when
+    monomial_from_index(level, base + t) has edge (p, q), on both
+    triangles, with a zero diagonal, and full has all 2^width lanes set.
+    base and width follow the rule of block_lanes.  Edge (p, q) is the
+    lane of index bit index_bit(p, q).
     """
     bits, full = block_lanes(level, base, width)
     m = level.vertex_count
-    up = [[0] * m for _ in range(m)]
+    adj = [[0] * m for _ in range(m)]
     for p in range(m):
         for q in range(p + 1, m):
-            up[p][q] = bits[index_bit(level, p, q)]
-    return up, full
+            adj[p][q] = adj[q][p] = bits[index_bit(level, p, q)]
+    return adj, full
 
 
 def lane_verdicts(level: Level, base: int, width: int) -> Tuple[int, int]:
@@ -192,17 +194,16 @@ def lane_verdicts(level: Level, base: int, width: int) -> Tuple[int, int]:
     of edge_lanes, which states the rule for base and width.  The verdicts
     are the positivity of every pair p < q in A | A^2 | ... | A^(n+1), for
     the undirected and the directed adjacency matrix, and only those
-    entries are computed.  Each orientation has the recurrence of its
-    integer table: the undirected sum is m-2 steps of S <- A | A S, with
-    its diagonal at 0, and the directed sum is S = A | A S, solved from
-    the last row up.
+    entries are computed.  Both sums read the one symmetric lane matrix of
+    edge_lanes, the directed sum only its upper triangle.  Each
+    orientation has the recurrence of its integer table: the undirected
+    sum is m-2 steps of S <- A | A S, with its diagonal at 0, and the
+    directed sum is S = A | A S, solved from the last row up.
     """
-    up, full = edge_lanes(level, base, width)
-    m = level.vertex_count
-    both = [[up[p][q] | up[q][p] for q in range(m)] for p in range(m)]
+    adj, full = edge_lanes(level, base, width)
     return (
-        _every_pair(_undirected_power_sum(both), full),
-        _every_pair(_directed_power_sum(up), full),
+        _every_pair(_undirected_power_sum(adj), full),
+        _every_pair(_directed_power_sum(adj), full),
     )
 
 

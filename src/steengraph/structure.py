@@ -20,10 +20,12 @@ side.  `paper_hamilton_condition` bounds every vertex degree below by
 n/2; `dirac_condition` uses (n+2)/2, i.e. half the number of vertices,
 which is the classical bound.  They differ, and the exhaustive
 verifier reports which one is actually sound on these graphs.  Both
-comparisons are done in integers (2*degree against n, resp. n+2).  Two
-routes that share no code are the arbiters: oracle_hamilton_cycle
-searches one graph by backtracking, and oracle_cycle_lanes decides a
-block of graphs at once.
+comparisons are done in integers (2*degree against n, resp. n+2), over
+degree_table, the one per-monomial degree reader: it reads every
+vertex's degrees in one pass over the factors of x, and degrees(x, p)
+is its row p.  Two routes that share no code are the arbiters:
+oracle_hamilton_cycle searches one graph by backtracking, and
+oracle_cycle_lanes decides a block of graphs at once.
 
 Exhaustive sweeps decide both bounds for a block of 2^width monomials at
 once with degree_bound_lanes.  It reads the index bits, through the
@@ -39,7 +41,7 @@ consecutive edges {p, p+1} are present, i.e. when the exponent of xi_1
 is 2^(n+1) - 1.
 """
 
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import Level, Monomial
 from .connectivity import edge_lanes, is_connected, oracle_connected_lanes, oracle_is_connected
@@ -56,14 +58,9 @@ class DegreeProfile(NamedTuple):
 
 
 def degrees(x: Monomial, p: int) -> DegreeProfile:
-    """Degree data of vertex p: arrows out go to larger vertices, arrows in come from smaller."""
+    """Degree data of vertex p, row p of degree_table: arrows out go to larger vertices."""
     x.level.check_vertex(p)
-    # edge (p, p+k) is bit p of r_k, edge (p-k, p) is bit p-k of r_k; r_k is exponents[k-1],
-    # one exponent per generator, so vertex p+k exists for k <= len(exps) - p
-    exps = x.exponents
-    out = sum(r >> p & 1 for r in exps[: len(exps) - p])
-    inn = sum(exps[k - 1] >> (p - k) & 1 for k in range(1, p + 1))
-    return DegreeProfile(p, out, inn, out + inn)
+    return degree_table(x)[p]
 
 
 def degree_table(x: Monomial) -> list:
@@ -163,10 +160,10 @@ def popcount_lanes(width: int) -> list:
 
 
 def degree_bound_holds(level: Level, profiles: Iterable[DegreeProfile], extra: int) -> bool:
-    """2*degree >= n + extra at every vertex, stopping at the first one below; never at n = 0.
+    """2*degree >= n + extra at every vertex; never at n = 0.
 
     profiles holds the degree profiles of every vertex of a monomial at
-    this level; a lazy iterable is read only up to the first vertex below.
+    this level, as degree_table gives them.
     """
     level._require_truncated()
     if level.n == 0:
@@ -183,16 +180,14 @@ def degree_bound_lanes(level: Level, base: int, width: int, extra: int) -> int:
     after an edge e, at_least[j] |= at_least[j-1] & e.  The bound holds
     where every vertex's chain reaches k; never at n = 0.
     """
-    up, full = edge_lanes(level, base, width)
+    adj, full = edge_lanes(level, base, width)
     if level.n == 0:
         return 0
     k = -(-(level.n + extra) // 2)
-    m = level.vertex_count
     holds = full
-    for p in range(m):
+    for row in adj:
         at_least = [full] + [0] * k
-        for q in range(m):
-            e = up[p][q] | up[q][p]
+        for e in row:
             if e:
                 for j in range(k, 0, -1):
                     at_least[j] |= at_least[j - 1] & e
@@ -202,19 +197,14 @@ def degree_bound_lanes(level: Level, base: int, width: int, extra: int) -> int:
     return holds
 
 
-def _lazy_degrees(x: Monomial) -> Iterator[DegreeProfile]:
-    # one profile at a time, so a bound that fails early stops the degree passes too
-    return (degrees(x, p) for p in range(x.level.vertex_count))
-
-
 def paper_hamilton_condition(x: Monomial) -> bool:
     """Every vertex degree at least n/2 (and n > 0), compared exactly as 2*degree >= n."""
-    return degree_bound_holds(x.level, _lazy_degrees(x), 0)
+    return degree_bound_holds(x.level, degree_table(x), 0)
 
 
 def dirac_condition(x: Monomial) -> bool:
     """Every vertex degree at least half the vertex count (n+2)/2, as 2*degree >= n+2."""
-    return degree_bound_holds(x.level, _lazy_degrees(x), 2)
+    return degree_bound_holds(x.level, degree_table(x), 2)
 
 
 def is_hamilton_cycle(g: WoodGraph, seq: Sequence[int]) -> bool:

@@ -52,6 +52,11 @@ class TestLevel:
         with pytest.raises(ValueError):
             Level(-1)
 
+    @pytest.mark.parametrize("n", [2.9, 3.0, "3"])
+    def test_a_non_integral_level_is_refused_not_truncated(self, n):
+        with pytest.raises(TypeError):
+            Level(n)
+
     def test_cap_and_env_override(self, monkeypatch):
         monkeypatch.delenv(ENV_MAX_N, raising=False)
         with pytest.raises(ValueError):
@@ -111,6 +116,16 @@ class TestMonomial:
             Monomial(L2, (0, 0, 2))
         with pytest.raises(ValueError):
             Monomial(L2, (0, 0, 0, 1))
+
+    def test_non_integral_exponents_are_refused_not_truncated(self):
+        for exponents in ([1.9, 2, 1], [1, "2", 1], [1.0]):
+            with pytest.raises(TypeError):
+                Monomial(L2, exponents)
+        with pytest.raises(TypeError):
+            Monomial(UNTRUNCATED, [0.5])
+        # an int and a bool are exact, as before
+        assert Monomial(L2, [1, 2, True]) == Monomial(L2, (1, 2, 1))
+        assert Level(True) == L1
 
     def test_short_vectors_pad(self):
         assert Monomial(L2, (3,)) == Monomial(L2, (3, 0, 0))

@@ -360,14 +360,16 @@ class TestPowerSumEntries:
             width = block_width(level)
             blocks = monomial_count(level) >> width
             for block in rng.sample(range(blocks), min(blocks, 3)):
-                up, _ = connectivity.edge_lanes(level, block << width, width)
-                both = [[up[p][q] | up[q][p] for q in range(m)] for p in range(m)]
-                for a, power_sum in (
-                    (both, connectivity._undirected_power_sum),
-                    (up, connectivity._directed_power_sum),
+                adj, _ = connectivity.edge_lanes(level, block << width, width)
+                up = [[e if p < q else 0 for q, e in enumerate(row)] for p, row in enumerate(adj)]
+                # each sum gets the symmetric matrix, as lane_verdicts hands it; the directed
+                # dense reference gets the arrows p -> q alone
+                for power_sum, reference in (
+                    (connectivity._undirected_power_sum, adj),
+                    (connectivity._directed_power_sum, up),
                 ):
-                    expected = dense_boolean_power_sum(a, m - 1)
-                    got = power_sum(a)
+                    expected = dense_boolean_power_sum(reference, m - 1)
+                    got = power_sum(adj)
                     for p in range(m):
                         for q in range(p + 1, m):
                             assert got[p][q] == expected[p][q], (n, block, power_sum, p, q)
@@ -464,12 +466,11 @@ class TestLaneOracles:
             raise AssertionError("the oracle edge lanes read the criterion's edge rule")
 
         expected = oracle_edge_lanes(L3, 0, 10)
-        up, _ = connectivity.edge_lanes(L3, 0, 10)
+        criterion = connectivity.edge_lanes(L3, 0, 10)
         monkeypatch.setattr(connectivity, "edge_lanes", refused)
         monkeypatch.setattr(connectivity, "index_bit", refused)
         monkeypatch.setattr(algebra, "index_bit", refused)
         assert oracle_edge_lanes(L3, 0, 10) == expected
-        # the two edge rules agree, the oracles' one on both triangles
-        adj, _ = expected
-        assert all(adj[p][q] == adj[q][p] == up[p][q] for p in range(5) for q in range(p + 1, 5))
-        assert all(adj[p][p] == 0 for p in range(5))
+        # the two edge rules agree on the whole matrix: both triangles and the zero diagonal
+        assert criterion == expected
+        assert all(expected[0][p][p] == 0 for p in range(5))

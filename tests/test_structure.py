@@ -5,7 +5,6 @@ import sys
 
 import pytest
 
-from steengraph import structure
 from steengraph.algebra import (
     BLOCK_BITS,
     Level,
@@ -79,6 +78,20 @@ def spanning_dipath_by_generic_search(g: WoodGraph):
     return None
 
 
+def degree_sample():
+    """Every monomial up to n=3, and 20 seeded random ones at each n = 4..12."""
+    sample = [x for n in range(4) for x in enumerate_monomials(Level(n))]
+    return sample + [x for n in range(4, 13) for x in random_monomials(Level(n), 20, seed=n)]
+
+
+def adjacency_profiles(x):
+    """(vertex, out, in, degree) of every vertex, from the rows and columns of adjacency_matrix."""
+    a = adjacency_matrix(x, directed=True)
+    out = [sum(row) for row in a]
+    inn = [sum(col) for col in zip(*a)]
+    return [(p, o, d, o + d) for p, (o, d) in enumerate(zip(out, inn))]
+
+
 class TestDegrees:
     def test_worked_profile(self):
         x = parse_monomial("xi1^6 xi2^6 xi3 xi4", L3)
@@ -112,11 +125,10 @@ class TestDegrees:
                     assert d.in_degree == sum(a[p][d.vertex] for p in range(m))
 
     def test_the_one_pass_table_matches_the_per_vertex_profiles(self):
-        # degree_table reads each factor once; degrees rescans the exponents for one vertex
-        sample = [x for n in range(4) for x in enumerate_monomials(Level(n))]
-        sample += [x for n in range(4, 13) for x in random_monomials(Level(n), 20, seed=n)]
-        for x in sample:
-            assert degree_table(x) == [degrees(x, p) for p in range(x.level.vertex_count)], x
+        # degree_table reads each factor once; the reference sums each vertex's adjacency
+        # row and column, up to n=12
+        for x in degree_sample():
+            assert degree_table(x) == adjacency_profiles(x), x
 
     def test_handshake(self):
         for x in enumerate_monomials(L2):
@@ -181,21 +193,16 @@ class TestHamiltonConditions:
             if dirac_condition(x):
                 assert paper_hamilton_condition(x)
 
-    @pytest.mark.parametrize("condition", [paper_hamilton_condition, dirac_condition])
-    def test_stops_at_the_first_vertex_below_the_bound(self, monkeypatch, condition):
-        seen = []
-        real = structure.degrees
-
-        def counting(x, p):
-            seen.append(p)
-            return real(x, p)
-
-        monkeypatch.setattr(structure, "degrees", counting)
-        assert not condition(Monomial.one(L3))
-        assert seen == [0]
-        seen.clear()
-        assert condition(top_class(L3))
-        assert seen == [0, 1, 2, 3, 4]
+    def test_both_conditions_match_the_adjacency_degrees(self):
+        # n > 0 and 2*deg >= n + extra at every vertex, with deg read off the directed
+        # adjacency matrix, up to n=12
+        for extra, condition in BOUNDS:
+            assert not condition(Monomial.one(L3))
+            assert condition(top_class(L3))
+            for x in degree_sample():
+                n = x.level.n
+                expected = n > 0 and all(2 * d >= n + extra for *_, d in adjacency_profiles(x))
+                assert condition(x) == expected, (extra, x)
 
 
 BOUNDS = [(2, dirac_condition), (0, paper_hamilton_condition)]
