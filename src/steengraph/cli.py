@@ -20,6 +20,7 @@ import dataclasses
 import json
 import os
 import sys
+from operator import itemgetter
 from typing import Optional
 
 from .algebra import (
@@ -32,12 +33,7 @@ from .algebra import (
     monomial_count,
     parse_monomial,
 )
-from .connectivity import (
-    connection_numbers,
-    oracle_is_connected,
-    oracle_is_unilateral,
-    unilateral_numbers,
-)
+from .connectivity import oracle_is_connected, oracle_is_unilateral, walk_records
 from .graphs import export_dot, to_graph
 from .hopf import antipode, coproduct_generator, directed_path_polynomial
 from .structure import (
@@ -54,21 +50,17 @@ from .structure import (
 from .verify import CHECK_ORDER, CapExceeded, effective_cap, run_all, run_check
 
 MAX_LISTED = 10
-
-
-def _walk_records(table: dict) -> list:
-    """A walk-count table as JSON rows [{'p': p, 'q': q, 'value': v}, ...] in its (p, q) order."""
-    return [{"p": p, "q": q, "value": v} for (p, q), v in table.items()]
+_value = itemgetter("value")  # a walk record's count
 
 
 def build_report(x: Monomial) -> dict:
     """All analysis facts for one monomial, JSON-ready, with oracle verdicts inline."""
     g = to_graph(x)
-    c = connection_numbers(x)
-    u = unilateral_numbers(x)
-    connected = all(c.values())
+    c = walk_records(x, directed=False)
+    u = walk_records(x, directed=True)
+    connected = all(map(_value, c))
     oracle_connected = oracle_is_connected(g)
-    unilateral = all(u.values())
+    unilateral = all(map(_value, u))
     oracle_unilateral = oracle_is_unilateral(g)
     tree = tree_criterion(x.level, x.edge_count, connected)
     oracle_tree = oracle_is_tree(g)
@@ -99,8 +91,8 @@ def build_report(x: Monomial) -> dict:
             }
             for d in degree_profiles
         ],
-        "C": _walk_records(c),
-        "U": _walk_records(u),
+        "C": c,
+        "U": u,
         "connected": connected,
         "oracle_connected": oracle_connected,
         "unilateral": unilateral,
@@ -131,15 +123,15 @@ def render_analysis_text(rep: dict) -> str:
         f" ({len(rep['degrees'])} vertices, {len(rep['edges'])} edges)"
     )
     if rep["edges"]:
-        lines.append("edges: " + " ".join(f"{{{a},{b}}}" for a, b in rep["edges"]))
+        lines.append("edges: " + " ".join([f"{{{a},{b}}}" for a, b in rep["edges"]]))
     else:
         lines.append("edges: none")
     lines.append(
         "degrees (in+out): "
-        + " ".join(f"{d['label']}:{d['in']}+{d['out']}" for d in rep["degrees"])
+        + " ".join([f"{d['label']}:{d['in']}+{d['out']}" for d in rep["degrees"]])
     )
-    lines.append("C: " + " ".join(map("C({p},{q})={value}".format_map, rep["C"])))
-    lines.append("U: " + " ".join(map("U({p},{q})={value}".format_map, rep["U"])))
+    lines.append("C: " + " ".join([f"C({r['p']},{r['q']})={r['value']}" for r in rep["C"]]))
+    lines.append("U: " + " ".join([f"U({r['p']},{r['q']})={r['value']}" for r in rep["U"]]))
     for key, oracle in (("connected", "search"), ("unilateral", "closure"), ("tree", "search")):
         lines.append(f"{key}: {_yesno(rep[key])} ({oracle} oracle: {_yesno(rep['oracle_' + key])})")
     if rep["hamilton_cycle_found"]:

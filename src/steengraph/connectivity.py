@@ -44,9 +44,11 @@ m-1 = n+1 in a graph on m vertices, each vertex of degree at most m-1,
 so it is below m^m, and w = (m^m).bit_length().  Every partial sum of a
 row, a Jacobi step's or the back-substitution's, adds nonnegative fields,
 each at most its final entry.  Only the fields of the pairs p < q are
-unpacked, into a dict {(p, q): count} whose keys run in (p, q) order,
-the order of a report's C and U records.  analyze builds each table once
-and reads its verdicts off it.
+unpacked, in (p, q) order.  walk_records reads them straight off the
+rows as a report's C and U records, so analyze builds each table once
+and reads its verdicts off those records; connection_numbers and
+unilateral_numbers unpack the same rows into a dict {(p, q): count} for
+the sweeps' cross-checks and the tests.
 
 Exhaustive sweeps decide a whole block of monomials at once with
 lane_verdicts: the same power sums over the Boolean semiring (positivity
@@ -54,12 +56,14 @@ of a sum of nonnegative integers is the OR of their positivity), with
 each matrix entry a big int holding one bit, or lane, per monomial of
 the block.  Only the entries p < q are read, so only those are computed.
 The undirected steps S <- A | A S run above the diagonal and mirror each
-entry below it.  Their diagonal stays 0, because the diagonal never adds
-a lane to an entry off it: the term j = q of entry (p, q) is
-A[p][q] & S[q][q], inside A[p][q], and A[p][p] = 0.  The directed
-S = A | A S is solved one entry at a time, from row m-3 up: entry (p, q)
-is A[p][q] | the OR over p < j < q of A[p][j] & S[j][q], and rows m-2
-and m-1, like every entry (p, p+1), are those of A.  The kernel shares
+entry below it.  A step only adds lanes, so an entry with every lane of
+the block set is copied into the next step, not recomputed.  Their
+diagonal stays 0, because the diagonal never adds a lane to an entry
+off it: the term j = q of entry (p, q) is A[p][q] & S[q][q], inside
+A[p][q], and A[p][p] = 0.  The directed S = A | A S is solved one entry
+at a time, from row m-3 up: entry (p, q) is A[p][q] | the OR over
+p < j < q of A[p][j] & S[j][q], and rows m-2 and m-1, like every entry
+(p, p+1), are those of A.  The kernel shares
 no code with the integer tables, which serve single monomials (analyze)
 and the sampled cross-checks of the sweeps.  edge_lanes builds the lane
 int of every edge of a block once, on both triangles: the undirected A.
@@ -89,7 +93,8 @@ def _field_width(m: int) -> int:
     return (m**m).bit_length()
 
 
-def _walk_table(x: Monomial, directed: bool) -> dict:
+def _walk_table(x: Monomial, directed: bool) -> Tuple[list, int]:
+    # (rows, w): row p holds entry (p, q) in its field of w bits at bit q*w
     m = x.level.vertex_count
     w = _field_width(m)
     neighbours = [[] for _ in range(m)]
@@ -108,18 +113,40 @@ def _walk_table(x: Monomial, directed: bool) -> dict:
     else:
         for _ in range(m - 2):  # S_1 = A, then m-2 more steps to S_(m-1)
             s = list(map(sum, map(map, repeat(s.__getitem__), neighbours), ones))
+    return s, w
+
+
+def _walk_numbers(x: Monomial, directed: bool) -> dict:
+    rows, w = _walk_table(x, directed)
     mask = (1 << w) - 1
-    return {(p, q): s[p] >> q * w & mask for p in range(m) for q in range(p + 1, m)}
+    m = len(rows)
+    return {(p, q): row >> q * w & mask for p, row in enumerate(rows) for q in range(p + 1, m)}
+
+
+def walk_records(x: Monomial, directed: bool) -> list:
+    """A walk table as report rows [{"p": p, "q": q, "value": v}, ...], p < q in (p, q) order.
+
+    directed=False gives the connection numbers, True the unilateral
+    numbers; each row is read straight off the packed table.
+    """
+    rows, w = _walk_table(x, directed)
+    mask = (1 << w) - 1
+    m = len(rows)
+    return [
+        {"p": p, "q": q, "value": row >> q * w & mask}
+        for p, row in enumerate(rows)
+        for q in range(p + 1, m)
+    ]
 
 
 def connection_numbers(x: Monomial) -> dict:
     """{(p, q): walks of length <= n+1 from p to q} in the graph of x, for p < q in (p, q) order."""
-    return _walk_table(x, directed=False)
+    return _walk_numbers(x, directed=False)
 
 
 def unilateral_numbers(x: Monomial) -> dict:
     """{(p, q): directed paths from p to q} in the digraph of x, for p < q in (p, q) order."""
-    return _walk_table(x, directed=True)
+    return _walk_numbers(x, directed=True)
 
 
 def is_connected(x: Monomial) -> bool:
@@ -132,17 +159,21 @@ def is_unilateral(x: Monomial) -> bool:
     return all(unilateral_numbers(x).values())
 
 
-def _undirected_power_sum(a: list) -> list:
+def _undirected_power_sum(a: list, full: int) -> list:
     # a | a^2 | ... | a^(m-1) over lane ints for a symmetric a with a zero diagonal: m-2 steps
     # of S <- a | a S above the diagonal, mirrored below it; the diagonal stays 0.
-    # Entry (p, q) of a S is row p of a ANDed into row q of the symmetric S
+    # Entry (p, q) of a S is row p of a ANDed into row q of the symmetric S.  Each step only
+    # adds lanes, so an entry that has every lane of full set is copied, not recomputed
     m = len(a)
     s = a
     for _ in range(m - 2):
         s_next = [[0] * m for _ in range(m)]
         for p, row in enumerate(a):
             for q in range(p + 1, m):
-                s_next[p][q] = s_next[q][p] = reduce(or_, map(and_, row, s[q]), row[q])
+                v = s[p][q]
+                if v != full:
+                    v = reduce(or_, map(and_, row, s[q]), row[q])
+                s_next[p][q] = s_next[q][p] = v
         s = s_next
     return s
 
@@ -202,7 +233,7 @@ def lane_verdicts(level: Level, base: int, width: int) -> Tuple[int, int]:
     """
     adj, full = edge_lanes(level, base, width)
     return (
-        _every_pair(_undirected_power_sum(adj), full),
+        _every_pair(_undirected_power_sum(adj, full), full),
         _every_pair(_directed_power_sum(adj), full),
     )
 

@@ -77,8 +77,15 @@ class WoodGraph:
         return 0 <= p < m and 0 <= q < m and bool(self.rows >> (p * m + q) & 1)
 
     def sorted_edges(self) -> list:
-        m = self.vertex_count
-        return [(p, q) for p in range(m) for q in range(p + 1, m) if self.rows >> (p * m + q) & 1]
+        m, rows = self.vertex_count, self.rows
+        edges = []
+        for p in range(m - 1):
+            upper = rows >> (p * m + p + 1) & (1 << (m - p - 1)) - 1  # bit t: edge (p, p+1+t)
+            while upper:
+                low = upper & -upper
+                edges.append((p, p + low.bit_length()))
+                upper ^= low
+        return edges
 
     def __eq__(self, other) -> bool:
         return (

@@ -1,5 +1,6 @@
 """Walk counts vs literal enumeration, criteria vs search oracles."""
 
+import functools
 import itertools
 import random
 
@@ -30,6 +31,7 @@ from steengraph.connectivity import (
     oracle_is_unilateral,
     oracle_unilateral_lanes,
     unilateral_numbers,
+    walk_records,
 )
 from steengraph.graphs import WoodGraph, adjacency_matrix, oracle_edge_lanes, to_graph
 
@@ -121,6 +123,16 @@ class TestWalkCountTable:
             for x in (top_class(level), Monomial.one(level)):
                 for table in (connection_numbers, unilateral_numbers):
                     assert list(table(x)) == pairs, (n, x, table.__name__)
+
+    def test_report_records_list_the_tables_in_order(self):
+        # analyze reads its records straight off the packed rows; the tests and the sweeps
+        # read the dicts, so both routes must give the same entries in the same order
+        sample = [x for level in (L0, L1, L2, L3) for x in enumerate_monomials(level)]
+        sample += [x for n in range(4, 13) for x in random_monomials(Level(n), 20, seed=n)]
+        for x in sample:
+            for directed, table in ((False, connection_numbers), (True, unilateral_numbers)):
+                records = [(r["p"], r["q"], r["value"]) for r in walk_records(x, directed)]
+                assert records == [(p, q, v) for (p, q), v in table(x).items()], (x, directed)
 
 
 class TestWalkCountIdentity:
@@ -360,12 +372,13 @@ class TestPowerSumEntries:
             width = block_width(level)
             blocks = monomial_count(level) >> width
             for block in rng.sample(range(blocks), min(blocks, 3)):
-                adj, _ = connectivity.edge_lanes(level, block << width, width)
+                adj, full = connectivity.edge_lanes(level, block << width, width)
                 up = [[e if p < q else 0 for q, e in enumerate(row)] for p, row in enumerate(adj)]
-                # each sum gets the symmetric matrix, as lane_verdicts hands it; the directed
+                # each sum gets the symmetric matrix, as lane_verdicts hands it, and the
+                # undirected sum its full lanes, past which it copies an entry; the directed
                 # dense reference gets the arrows p -> q alone
                 for power_sum, reference in (
-                    (connectivity._undirected_power_sum, adj),
+                    (functools.partial(connectivity._undirected_power_sum, full=full), adj),
                     (connectivity._directed_power_sum, up),
                 ):
                     expected = dense_boolean_power_sum(reference, m - 1)

@@ -231,25 +231,29 @@ class TestPackedRows:
                 assert from_graph(g) == x
 
     def test_public_graph_api_matches_an_edge_set(self):
-        for level in (L0, L1, L2):
+        # every monomial of n <= 3 and seeded ones up to the level cap, so sorted_edges walks
+        # the neighbour masks of every vertex count m = 2..14
+        sample = [x for level in (L0, L1, L2, L3) for x in enumerate_monomials(level)]
+        sample += [x for n in range(4, 13) for x in random_monomials(Level(n), 20, seed=n)]
+        for x in sample:
+            level = x.level
             m = level.n + 2
-            for x in enumerate_monomials(level):
-                edges = sorted(dyadic_edges(x))
-                g = to_graph(x)
-                assert g.edges == frozenset(edges) and g.sorted_edges() == edges
-                assert g.edge_count == len(edges)
-                for p in range(-1, m + 1):
-                    for q in range(-1, m + 1):
-                        assert g.has_edge(p, q) == ((min(p, q), max(p, q)) in edges)
-                body = ", ".join(f"{{{1 << p},{1 << q}}}" for p, q in edges)
-                assert str(g) == (
-                    f"graph on {m} vertices with edges {body}"
-                    if edges
-                    else f"graph on {m} vertices with no edges"
-                )
-                assert repr(g) == f"WoodGraph({level!r}, {edges!r})"
-                twin = WoodGraph(level, reversed([(q, p) for p, q in edges]))
-                assert twin == g and hash(twin) == hash(g)
+            edges = sorted(dyadic_edges(x))
+            g = to_graph(x)
+            assert g.edges == frozenset(edges) and g.sorted_edges() == edges
+            assert g.edge_count == len(edges)
+            for p in range(-1, m + 1):
+                for q in range(-1, m + 1):
+                    assert g.has_edge(p, q) == ((min(p, q), max(p, q)) in edges)
+            body = ", ".join(f"{{{1 << p},{1 << q}}}" for p, q in edges)
+            assert str(g) == (
+                f"graph on {m} vertices with edges {body}"
+                if edges
+                else f"graph on {m} vertices with no edges"
+            )
+            assert repr(g) == f"WoodGraph({level!r}, {edges!r})"
+            twin = WoodGraph(level, reversed([(q, p) for p, q in edges]))
+            assert twin == g and hash(twin) == hash(g)
 
 
 class TestEdgeBitReference:
