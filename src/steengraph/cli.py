@@ -333,15 +333,15 @@ def cmd_enumerate(args) -> int:
     # a range, unlike islice, takes a stop above sys.maxsize: 2^66 names at n=10
     names = (str(x) for _, x in zip(range(listed), enumerate_monomials(level)))
     if args.json:
-        _emit_json(
-            {
-                "report": "enumerate",
-                "n": args.n,
-                "count": total,
-                "listed": listed,
-                "monomials": list(names),
-            }
-        )
+        # the bytes of json.dumps(payload, indent=2), with the names written as produced
+        payload = {"report": "enumerate", "n": args.n, "count": total, "listed": listed,
+                   "monomials": []}
+        sys.stdout.write(json.dumps(payload, indent=2)[:-3])  # up to the array's "["
+        sep = ""
+        for name in names:
+            sys.stdout.write(f"{sep}\n    {json.dumps(name)}")
+            sep = ","
+        sys.stdout.write("\n  ]\n}\n" if sep else "]\n}\n")
     else:
         for name in names:  # printed as produced, never held as a list
             sys.stdout.write(name + "\n")

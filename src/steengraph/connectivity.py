@@ -44,11 +44,11 @@ m-1 = n+1 in a graph on m vertices, each vertex of degree at most m-1,
 so it is below m^m, and w = (m^m).bit_length().  Every partial sum of a
 row, a Jacobi step's or the back-substitution's, adds nonnegative fields,
 each at most its final entry.  Only the fields of the pairs p < q are
-unpacked, in (p, q) order.  walk_records reads them straight off the
-rows as a report's C and U records, so analyze builds each table once
-and reads its verdicts off those records; connection_numbers and
-unilateral_numbers unpack the same rows into a dict {(p, q): count} for
-the sweeps' cross-checks and the tests.
+unpacked, in (p, q) order.  walk_records is the one reader of the rows:
+it gives a report's C and U records, so analyze builds each table once
+and reads its verdicts off those records.  connection_numbers and
+unilateral_numbers key the same records by (p, q), and is_connected and
+is_unilateral, the sweeps' cross-checks, read positivity off them.
 
 Exhaustive sweeps decide a whole block of monomials at once with
 lane_verdicts: the same power sums over the Boolean semiring (positivity
@@ -116,13 +116,6 @@ def _walk_table(x: Monomial, directed: bool) -> Tuple[list, int]:
     return s, w
 
 
-def _walk_numbers(x: Monomial, directed: bool) -> dict:
-    rows, w = _walk_table(x, directed)
-    mask = (1 << w) - 1
-    m = len(rows)
-    return {(p, q): row >> q * w & mask for p, row in enumerate(rows) for q in range(p + 1, m)}
-
-
 def walk_records(x: Monomial, directed: bool) -> list:
     """A walk table as report rows [{"p": p, "q": q, "value": v}, ...], p < q in (p, q) order.
 
@@ -141,22 +134,22 @@ def walk_records(x: Monomial, directed: bool) -> list:
 
 def connection_numbers(x: Monomial) -> dict:
     """{(p, q): walks of length <= n+1 from p to q} in the graph of x, for p < q in (p, q) order."""
-    return _walk_numbers(x, directed=False)
+    return {(r["p"], r["q"]): r["value"] for r in walk_records(x, directed=False)}
 
 
 def unilateral_numbers(x: Monomial) -> dict:
     """{(p, q): directed paths from p to q} in the digraph of x, for p < q in (p, q) order."""
-    return _walk_numbers(x, directed=True)
+    return {(r["p"], r["q"]): r["value"] for r in walk_records(x, directed=True)}
 
 
 def is_connected(x: Monomial) -> bool:
     """True iff every connection number is positive."""
-    return all(connection_numbers(x).values())
+    return all(r["value"] for r in walk_records(x, directed=False))
 
 
 def is_unilateral(x: Monomial) -> bool:
     """True iff every unilateral number is positive."""
-    return all(unilateral_numbers(x).values())
+    return all(r["value"] for r in walk_records(x, directed=True))
 
 
 def _undirected_power_sum(a: list, full: int) -> list:

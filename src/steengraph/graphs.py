@@ -10,12 +10,12 @@ connectedness questions depend on them.
 The directed view orients every edge toward its larger endpoint, which
 makes the directed adjacency matrix strictly upper triangular.
 
-A WoodGraph is one int of neighbour masks; sweeps OR it from index_rows,
-and the search oracles of connectivity.py and structure.py run on it.
-oracle_edge_lanes turns the same rows into one lane int per edge for a
-block of indices, one bit per monomial, and the block search oracles run
-on those.  The vertex and edge ranges are read off the level's shape,
-stated once in Level.widths.
+A WoodGraph is one int of neighbour masks, built by to_graph from the
+rows of exponent_rows, and the search oracles of connectivity.py and
+structure.py run on it.  oracle_edge_lanes turns the same rows, through
+index_rows, into one lane int per edge for a block of indices, one bit
+per monomial, and the block search oracles run on those.  The vertex and
+edge ranges are read off the level's shape, stated once in Level.widths.
 """
 
 from typing import Iterable, Tuple
@@ -51,13 +51,10 @@ class WoodGraph:
         self.level, self.rows, self.vertex_count = level, rows, m
 
     @classmethod
-    def _unchecked(cls, level: Level, rows: int, vertex_count: int) -> "WoodGraph":
-        """A graph from rows already symmetric, loop-free and within the level's vertices.
-
-        vertex_count is the level's, read once by a caller that builds many graphs.
-        """
+    def _unchecked(cls, level: Level, rows: int) -> "WoodGraph":
+        """A graph from rows already symmetric, loop-free and within the level's vertices."""
         g = object.__new__(cls)
-        g.level, g.rows, g.vertex_count = level, rows, vertex_count
+        g.level, g.rows, g.vertex_count = level, rows, level.vertex_count
         return g
 
     @property
@@ -127,8 +124,8 @@ def index_rows(level: Level) -> list:
     """Entry b is exponent_rows(level, i, 1 << j) for xi_i^(2^j), the edge of index bit b.
 
     exponent_rows is an OR over the bits of r, so an index's rows are the
-    OR of the entries of its set bits.  A sweep call builds the list and
-    keeps it no longer than the call; to_graph calls exponent_rows directly.
+    OR of the entries of its set bits.  oracle_edge_lanes builds the list
+    once a block; to_graph calls exponent_rows directly.
     """
     level._require_truncated()
     pk = level.index_packing
@@ -164,7 +161,7 @@ def to_graph(x: Monomial) -> WoodGraph:
     rows = 0
     for i, r in enumerate(x.exponents, start=1):
         rows |= exponent_rows(x.level, i, r)
-    return WoodGraph._unchecked(x.level, rows, x.level.vertex_count)
+    return WoodGraph._unchecked(x.level, rows)
 
 
 def from_graph(g: WoodGraph) -> Monomial:

@@ -255,13 +255,13 @@ def antipode_recursion_residual(i: int) -> Polynomial:
     """The untruncated sum over 0 <= k <= i of xi_(i-k)^(2^k) * antipode(xi_k).
 
     The antipode is the unique map making this vanish for every i >= 1
-    (with xi_0 = 1), so a zero residual certifies the closed form.  The
-    sum is taken on packed ints in the box of i fields of i bits: every
-    term has degree 2^i - 1, so each r_j < 2^i and no guard bit fires.
+    (with xi_0 = 1), so a zero residual certifies the closed form.  Every
+    term has the degree of xi_i, so the sum is taken on packed ints in the
+    box _packing_of(xi_i).
     """
     if i < 1:
         raise ValueError(f"recursion index must be >= 1, got {i}")
-    pk = packing((i,) * i)
+    pk = _packing_of(Monomial.generator_power(i, 0, UNTRUNCATED))
     chi = _antipodes(pk)
     # k = 0 and k = i, then each k between: a fixed factor times a duplicate-free image
     acc = {pk.bit(i, 0)} ^ set(chi[pk.bit(i, 0)])

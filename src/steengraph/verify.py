@@ -20,17 +20,16 @@ and oracle_cycle_lanes), and for corollary-unilateral its antipode test:
 some term of each hopf.antipode_slots slot, a directed path, divides the
 monomial.  The walker compares each oracle lane with its criterion lane as
 ints, for equality, or for implication in the degree sweeps, and names each
-index where they differ.  It cross-checks the first, middle and last index
-of a block against the per-monomial criteria where a sweep has them (not
-dipath), each verdict under its own text, and these and each named index
-against the per-graph oracles: a named index gets the sweep's text only
-where the per-graph oracle confirms its oracle lane, so it rests on two
-routes.  corollary-unilateral has no per-graph oracle and builds no graph:
-its per-monomial antipode test is the second route, at the three
-cross-checked indices and at each index its compare names.  A sweep decodes
-a Monomial only for a per-monomial criterion, for the text of a failure or
-a finding, or for the integer-exponent reading of corollary-unilateral,
-which is asked of every monomial at n <= 2 only.
+index where they differ.  It decodes the monomial of each named index and
+of the first, middle and last index of a block once.  At those three it
+cross-checks the per-monomial criteria where a sweep has them (not dipath),
+each verdict under its own text.  At every visited index the sweep's
+second route decides its oracle lanes again: the per-graph oracles on
+graphs.to_graph, or for corollary-unilateral, which builds no graph, the
+per-monomial antipode test.  A named index gets the sweep's text only
+where that route confirms its oracle lane, so it rests on two routes.
+Beyond the walker, only corollary-unilateral's integer-exponent reading
+decodes, every monomial at n <= 2 only.
 
 Checks are capped by default at the largest n where the sweep is
 desk-scale (seconds); setting STEENGRAPH_MAX_N overrides the caps.
@@ -68,7 +67,7 @@ from .connectivity import (
     oracle_is_unilateral,
     oracle_unilateral_lanes,
 )
-from .graphs import WoodGraph, index_rows, oracle_edge_lanes
+from .graphs import oracle_edge_lanes, to_graph
 from .hopf import (
     antipode,
     antipode_identity_holds,
@@ -127,20 +126,14 @@ class CapExceeded(ValueError):
     """Requested n is above the configured cap for the selected check."""
 
 
-def _index_graphs(level: Level) -> Callable:
-    """graph(k), the graph of index k: the OR of index_rows over the set bits of k."""
-    rows, new, m = index_rows(level), WoodGraph._unchecked, level.vertex_count
-    return lambda k: new(level, reduce(or_, (r for b, r in enumerate(rows) if k >> b & 1), 0), m)
-
-
 _TABLES = "block kernel disagrees with the walk-count tables"
 _ORACLE_LANES = "lane oracles disagree with the per-graph search on {}"
 
 
 def _walk(
     level: Level, start: int, stop: int, kernel: Callable, lanes: Callable,
-    route: Optional[Callable] = None, whats: tuple = (), oracle: Optional[Callable] = None,
-    texts: tuple = (), implies: bool = False, reported: bool = False,
+    route: Callable, whats: tuple, oracle: Callable, texts: tuple,
+    implies: bool = False, reported: bool = False, lost: str = _ORACLE_LANES,
 ) -> tuple:
     """(cases, failures, findings) of start..stop, whole blocks of 1 << block_width(level).
 
@@ -150,23 +143,18 @@ def _walk(
     order, and are compared as ints, c ^ o, or c & ~o if implies, naming each
     index where that is set.  A range off block boundaries raises ValueError.
     The walker visits each named index and the block's first, middle and last,
-    in index order; every block cross-checks those three: route(x) against
-    the criterion lanes, each verdict naming f"{what} on {x}" under its text
-    in whats (each text once an index).  At each visited index, oracle(g) names
-    _ORACLE_LANES.format(x) once where it differs from the oracle lanes, and
-    each text whose oracle lane it confirms names text.format(x), a finding if
-    reported, else a failure.  Without oracle, route(x) runs at every visited
-    index, and its verdicts past the criterion lanes, if it has any, take the
-    part of oracle(g), naming f"{whats[-1]} on {x}" once where they differ.
-    Every g is of one _index_graphs a call, and x is decoded only for route
-    or a text.
+    in index order, and decodes the monomial x of each visited index once.
+    At the three, route(x) cross-checks the criterion lanes, each verdict
+    naming f"{what} on {x}" under its text in whats (each text once an
+    index).  At every visited index, oracle(x) names lost.format(x) once
+    where it differs from the oracle lanes, and each text whose oracle lane
+    it confirms names text.format(x), a finding if reported, else a failure.
     """
     width = block_width(level)
     size = 1 << width
     if start % size or stop % size:
         raise ValueError(f"range {start}..{stop} is not whole blocks of {size} indices")
     offsets = {0, (size - 1) // 2, size - 1}
-    graph = _index_graphs(level) if oracle else None
     failures, findings = [], []
     for base in range(start, stop, size):
         criteria = kernel(level, base, width)
@@ -179,23 +167,15 @@ def _walk(
             visits.add(low.bit_length() - 1)
             rest ^= low
         for t in sorted(visits):
-            k, lane = base + t, tuple(o >> t & 1 for o in oracles)
-            x = monomial_from_index(level, k) if route and (t in offsets or not oracle) else None
-            found = lane
-            if x:
-                verdicts = route(x)
-                seen = zip(whats, verdicts, criteria) if t in offsets else ()
-                wrong = (w for w, v, c in seen if v != c >> t & 1)
+            x, lane = monomial_from_index(level, base + t), tuple(o >> t & 1 for o in oracles)
+            if t in offsets:
+                wrong = (w for w, v, c in zip(whats, route(x), criteria) if v != c >> t & 1)
                 failures += [f"{what} on {x}" for what in dict.fromkeys(wrong)]
-                found = verdicts[len(criteria):] or lane  # any verdicts past the criteria lanes
-            if oracle:
-                found = oracle(graph(k))
+            found = oracle(x)
             named = [s for s, d, f, b in zip(texts, differ, found, lane) if d >> t & 1 and f == b]
-            if found != lane or named:
-                x = x or monomial_from_index(level, k)
-                lost = _ORACLE_LANES.format(x) if oracle else f"{whats[-1]} on {x}"
-                failures += [lost] * (found != lane)
-                (findings if reported else failures).extend(s.format(x) for s in named)
+            if found != lane:
+                failures.append(lost.format(x))
+            (findings if reported else failures).extend(s.format(x) for s in named)
     return stop - start, failures, findings
 
 
@@ -208,8 +188,8 @@ def _sweep_main(level: Level, start: int, stop: int) -> tuple:
         level, start, stop, lane_verdicts,
         lambda adj, full: (oracle_connected_lanes(adj, full), oracle_unilateral_lanes(adj, full)),
         _walk_criteria, (_TABLES, _TABLES),
-        oracle=lambda g: (oracle_is_connected(g), oracle_is_unilateral(g)),
-        texts=(
+        lambda x: (oracle_is_connected(g := to_graph(x)), oracle_is_unilateral(g)),
+        (
             "connectedness criterion disagrees with search on {}",
             "unilaterality criterion disagrees with closure on {}",
         ),
@@ -234,8 +214,8 @@ def _sweep_tree(level: Level, start: int, stop: int) -> tuple:
     return _walk(
         level, start, stop, kernel, lambda adj, full: (oracle_tree_lanes(adj, full),),
         lambda x: (*_walk_criteria(x), is_tree(x)), (_TABLES,) * 3,
-        oracle=lambda g: (oracle_is_tree(g),),
-        texts=("tree criterion disagrees with search on {}",),
+        lambda x: (oracle_is_tree(to_graph(x)),),
+        ("tree criterion disagrees with search on {}",),
     )
 
 
@@ -254,8 +234,8 @@ def _sweep_dipath(level: Level, start: int, stop: int) -> tuple:
 
     return _walk(
         level, start, stop, kernel, lambda adj, full: (oracle_dipath_lanes(adj, full),),
-        oracle=lambda g: (oracle_hamilton_directed_path(g) is not None,),
-        texts=("spanning-dipath criterion disagrees with search on {}",),
+        lambda x: (), (), lambda x: (oracle_hamilton_directed_path(to_graph(x)) is not None,),
+        ("spanning-dipath criterion disagrees with search on {}",),
     )
 
 
@@ -270,8 +250,8 @@ def _sweep_degree_bound(level: Level, start: int, stop: int, sound: bool) -> tup
         lambda level, base, width: (degree_bound_lanes(level, base, width, extra),),
         lambda adj, full: (oracle_cycle_lanes(adj, full),),
         lambda x: (condition(x),), ("degree lanes disagree with the degree profiles",),
-        oracle=lambda g: (oracle_hamilton_cycle(g) is not None,),
-        texts=(f"degree bound {bound} holds but no Hamilton cycle: {{}}",),
+        lambda x: (oracle_hamilton_cycle(to_graph(x)) is not None,),
+        (f"degree bound {bound} holds but no Hamilton cycle: {{}}",),
         implies=True, reported=not sound,
     )
 
@@ -293,10 +273,10 @@ def _sweep_corollary(level: Level, start: int, stop: int) -> tuple:
         return (lane,)
 
     cases, failures, _ = _walk(
-        level, start, stop, lane_verdicts, antipode_lane,
-        lambda x: (*_walk_criteria(x), unilateral_via_antipode(x, True, slots)),
-        (_TABLES, _TABLES, "antipode lane disagrees with the per-monomial antipode test"),
-        texts=("antipode divisibility test disagrees with walks on {}",),
+        level, start, stop, lane_verdicts, antipode_lane, _walk_criteria, (_TABLES, _TABLES),
+        lambda x: (unilateral_via_antipode(x, True, slots),),
+        ("antipode divisibility test disagrees with walks on {}",),
+        lost="antipode lane disagrees with the per-monomial antipode test on {}",
     )
     findings = [] if level.n > INTEGER_READING_MAX_N else [
         f"integer-exponent reading disagrees with walks on {x}"

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -15,7 +16,13 @@ from jsonschema import Draft202012Validator
 
 import steengraph
 from steengraph import cli, connectivity, graphs
-from steengraph.algebra import Level, parse_monomial, random_monomials
+from steengraph.algebra import (
+    Level,
+    enumerate_monomials,
+    monomial_count,
+    parse_monomial,
+    random_monomials,
+)
 from steengraph.graphs import WoodGraph
 from steengraph.verify import run_check
 
@@ -765,6 +772,41 @@ class TestEnumerateStreams:
         with pytest.raises(RuntimeError):
             cli.main(["enumerate", "-n", "1"])
         assert capsys.readouterr().out == "1\nxi2^1\n"
+
+
+    @pytest.mark.parametrize("limit", [None, 0, 7])
+    @pytest.mark.parametrize("n", range(5))
+    def test_json_is_the_bytes_of_one_dump_of_the_report(self, capsys, n, limit):
+        # the names are written as produced, in the layout of json.dumps(payload, indent=2)
+        level = Level(n)
+        total = monomial_count(level)
+        listed = total if limit is None else min(limit, total)
+        names = [str(x) for x in itertools.islice(enumerate_monomials(level), listed)]
+        payload = {"report": "enumerate", "n": n, "count": total, "listed": listed,
+                   "monomials": names}
+        argv = ["enumerate", "-n", str(n), "--json"]
+        code, out, _ = run_cli(capsys, argv + ([] if limit is None else ["--limit", str(limit)]))
+        assert code == 0
+        assert out == json.dumps(payload, indent=2) + "\n"
+
+    def test_json_names_are_not_held_as_a_list(self, monkeypatch):
+        # the first 200,000 names of A*(12), held as a list, take about 45 MB
+        class Discard:
+            def write(self, text):
+                return len(text)
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", Discard())
+        tracemalloc.start()
+        try:
+            code = cli.main(["enumerate", "-n", "12", "--json", "--limit", "200000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2 << 20
 
 
 class TestClosedStdout:

@@ -1,6 +1,9 @@
 """Monomial/graph bijection, adjacency matrices, DOT export."""
 
+import random
 from collections import Counter
+from functools import reduce
+from operator import or_
 
 import pytest
 
@@ -9,6 +12,7 @@ from steengraph.algebra import (
     Level,
     Monomial,
     alpha,
+    block_width,
     enumerate_monomials,
     monomial_count,
     monomial_from_index,
@@ -20,8 +24,10 @@ from steengraph.graphs import (
     adjacency_matrix,
     export_dot,
     from_graph,
+    index_rows,
     to_graph,
 )
+from steengraph.structure import degree_bound_lanes
 
 L0, L1, L2, L3 = Level(0), Level(1), Level(2), Level(3)
 
@@ -254,6 +260,43 @@ class TestPackedRows:
             assert repr(g) == f"WoodGraph({level!r}, {edges!r})"
             twin = WoodGraph(level, reversed([(q, p) for p, q in edges]))
             assert twin == g and hash(twin) == hash(g)
+
+
+def index_graph_rows(rows, k):
+    """The OR of the index_rows entries over the set bits of k."""
+    return reduce(or_, (r for b, r in enumerate(rows) if k >> b & 1), 0)
+
+
+class TestIndexRows:
+    def test_every_index_is_the_graph_of_its_monomial(self):
+        for n in range(5):
+            level = Level(n)
+            rows = index_rows(level)
+            for k in range(monomial_count(level)):
+                expected = to_graph(monomial_from_index(level, k)).rows
+                assert index_graph_rows(rows, k) == expected, (n, k)
+
+    def test_sparse_indices_are_the_graphs_of_their_monomials(self):
+        # A*(5) has 21 index bits, so the bits above the low byte change from run to run
+        level = Level(5)
+        width = block_width(level)
+        boundary = 63 << width  # the first index of block 63
+        sample = sorted(random.Random(5).sample(range(monomial_count(level)), 400))
+        holds = [
+            k
+            for base in range(62 << width, 64 << width, 1 << width)
+            for lane in [degree_bound_lanes(level, base, width, 0)]
+            for k in range(base, base + (1 << width))
+            if lane >> k - base & 1
+        ]
+        rows = index_rows(level)
+        for indices in (sample, holds):
+            assert len({k >> 8 for k in indices}) > 2
+            assert any(b - a > 1 for a, b in zip(indices, indices[1:]))
+            assert indices[0] < boundary <= indices[-1]
+            for k in indices:
+                expected = to_graph(monomial_from_index(level, k)).rows
+                assert index_graph_rows(rows, k) == expected, k
 
 
 class TestEdgeBitReference:

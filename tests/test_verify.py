@@ -1,6 +1,5 @@
 """Sweep plumbing: the block lanes reach every verdict, and the cross-check watches the kernel."""
 
-import random
 from functools import partial
 
 import pytest
@@ -120,12 +119,16 @@ def test_the_walker_names_one_flipped_lane_in_a_range_of_two_blocks(monkeypatch)
             connectivity.oracle_unilateral_lanes(adj, full),
         )
 
+    def oracle(x):
+        g = to_graph(x)
+        return connectivity.oracle_is_connected(g), connectivity.oracle_is_unilateral(g)
+
     def walk():
         return verify._walk(
             level, start, stop, verify.lane_verdicts, lanes,
             lambda x: (connectivity.is_connected(x), connectivity.is_unilateral(x)),
-            ("block kernel disagrees with the walk-count tables",) * 2,
-            texts=(f"{text} on {{}}", "unilaterality criterion disagrees with closure on {}"),
+            ("block kernel disagrees with the walk-count tables",) * 2, oracle,
+            (f"{text} on {{}}", "unilaterality criterion disagrees with closure on {}"),
         )
 
     assert walk() == (2 * size, [], [])
@@ -204,49 +207,6 @@ def test_a_range_off_a_block_boundary_is_refused(check):
             sweep(start, stop)
 
 
-def test_a_sweep_reads_the_vertex_count_once_not_once_a_graph(monkeypatch):
-    vertex_count = algebra.Level.vertex_count.fget
-    reads = []
-    counted = property(lambda level: reads.append(1) or vertex_count(level))
-    monkeypatch.setattr(algebra.Level, "vertex_count", counted)
-    level = Level(4)
-    graph = verify._index_graphs(level)
-    graphs = [graph(k) for k in range(monomial_count(level))]
-    assert len(graphs) == 1 << 15
-    # index_rows reads it once an index bit; the graphs share one read
-    assert len(reads) <= sum(level.widths) + 1
-
-
-def test_sweep_graphs_are_the_graphs_of_the_decoded_monomials():
-    for n in range(5):
-        level = Level(n)
-        graph = verify._index_graphs(level)
-        for k in range(monomial_count(level)):
-            assert graph(k) == to_graph(monomial_from_index(level, k)), (n, k)
-
-
-def test_sweep_graphs_at_sparse_indices_are_the_graphs_of_the_decoded_monomials():
-    # A*(5) has 21 index bits, so the bits above the low byte change from run to run
-    level = Level(5)
-    boundary = 63 << block_width(level)  # the first index of block 63
-    sample = sorted(random.Random(5).sample(range(monomial_count(level)), 400))
-    width = block_width(level)
-    holds = [
-        k
-        for base in range(62 << width, 64 << width, 1 << width)
-        for lane in [verify.degree_bound_lanes(level, base, width, 0)]
-        for k in range(base, base + (1 << width))
-        if lane >> k - base & 1
-    ]
-    for indices in (sample, holds):
-        assert len({k >> 8 for k in indices}) > 2
-        assert any(b - a > 1 for a, b in zip(indices, indices[1:]))
-        assert indices[0] < boundary <= indices[-1]
-        graph = verify._index_graphs(level)
-        for k in indices:
-            assert graph(k) == to_graph(monomial_from_index(level, k)), k
-
-
 def test_graph_sweeps_build_monomials_only_for_the_cross_checks(monkeypatch):
     decode = verify.monomial_from_index
     calls = []
@@ -256,17 +216,46 @@ def test_graph_sweeps_build_monomials_only_for_the_cross_checks(monkeypatch):
     monkeypatch.setenv("STEENGRAPH_MAX_N", "4")
     level = Level(4)
     blocks = -(-monomial_count(level) >> block_width(level))
-    # a degree sweep also decodes the monomial of each miss, for its text: 1990 at n=4
+    # a degree sweep also decodes the monomial of each miss, for its second route and its
+    # text: 1990 at n=4
     for check, most in (
         ("main", 3 * blocks),
         ("tree", 3 * blocks),
-        ("dipath", 0),
+        ("dipath", 3 * blocks),
         ("dirac", 3 * blocks),
         ("paper-hamilton", 3 * blocks + 1990),
     ):
         calls.clear()
         assert verify.run_check(check, 4).ok
         assert len(calls) <= most, check
+
+
+@pytest.mark.parametrize(
+    "check", ["main", "tree", "dipath", "dirac", "paper-hamilton", "corollary-unilateral"]
+)
+@pytest.mark.parametrize("n, blocks", [(3, [0]), (5, [1, 2])], ids=["n3", "n5"])
+def test_a_lane_sweep_decodes_each_visited_index_once(monkeypatch, check, n, blocks):
+    # the visited indices are a block's first, middle and last, and each index its compare
+    # names: none but paper-hamilton's findings in a sweep that passes; each graph sweep
+    # builds one graph of each visited monomial, and corollary-unilateral builds none
+    decode, graph = verify.monomial_from_index, verify.to_graph
+    decoded, graphed = [], []
+    monkeypatch.setattr(
+        verify, "monomial_from_index", lambda level, k: decoded.append(k) or decode(level, k)
+    )
+    monkeypatch.setattr(verify, "to_graph", lambda x: graphed.append(x) or graph(x))
+    level = Level(n)
+    size = 1 << block_width(level)
+    start, stop = blocks[0] * size, (blocks[-1] + 1) * size
+    visited = {base + t for base in range(start, stop, size) for t in (0, size // 2 - 1, size - 1)}
+    if check == "paper-hamilton":
+        visited |= set(degree_sweep_by_condition(level, start, stop, sound=False)[1])
+    cases, failures, findings = verify.CHECKS[check].range_runner(level, start, stop)
+    assert (cases, failures) == (stop - start, [])
+    assert decoded == sorted(visited)
+    assert len(findings) == len(visited) - 3 * len(blocks)
+    monomials = [monomial_from_index(level, k) for k in decoded]
+    assert graphed == ([] if check == "corollary-unilateral" else monomials)
 
 
 @pytest.mark.parametrize("check", ["dirac", "paper-hamilton"])
@@ -381,10 +370,10 @@ def test_verdict_sweeps_are_the_same_over_any_split(check):
 
 def test_the_corollary_sweep_builds_no_graph(monkeypatch):
     # its antipode criterion reads the monomial, and its walk criterion the lanes
-    def refused(level):
+    def refused(x):
         raise AssertionError("the corollary-unilateral sweep built a graph")
 
-    monkeypatch.setattr(verify, "_index_graphs", refused)
+    monkeypatch.setattr(verify, "to_graph", refused)
     assert verify.run_check("corollary-unilateral", 3).ok
 
 
@@ -479,20 +468,6 @@ def test_the_antipode_recursion_runs_once_a_check(monkeypatch):
     assert [r.cases for r in results] == [(n + 1) * (n + 2) // 2 + 52 for n in range(4)]
 
 
-@pytest.mark.parametrize(
-    "check", ["main", "tree", "dipath", "dirac", "paper-hamilton", "corollary-unilateral"]
-)
-def test_range_sweeps_build_no_graph_through_to_graph(monkeypatch, check):
-    # every range sweep reads its graphs off the row tables
-    def refused(x):
-        raise AssertionError(f"to_graph({x}) called by the {check} sweep")
-
-    monkeypatch.setattr(graphs, "to_graph", refused)
-    monkeypatch.setattr(verify, "to_graph", refused, raising=False)
-    assert verify.CHECKS[check].range_runner is not None
-    assert verify.run_check(check, 3).ok
-
-
 def test_only_the_measured_caches_outlive_a_call():
     # A cache must pay for itself on a workload: a new one joins this list,
     # and the README's caches paragraph gives its measured reason.
@@ -553,17 +528,6 @@ def test_a_cleared_spine_lane_meets_the_cross_check(monkeypatch):
     assert verify.run_check("dipath", 3).failures == [
         f"lane oracles disagree with the per-graph search on {x}",
     ]
-
-
-def test_the_dipath_sweep_builds_its_graph_table_once_a_call_not_once_a_block(monkeypatch):
-    # one table serves the cross-checked graphs and the named indices
-    index_rows = verify.index_rows
-    calls = []
-    monkeypatch.setattr(verify, "index_rows", lambda level: calls.append(level) or index_rows(level))
-    monkeypatch.setenv("STEENGRAPH_MAX_N", "5")
-    level = Level(5)
-    assert verify._sweep_dipath(level, 0, 8 << 15) == (8 << 15, [], [])
-    assert calls == [level]
 
 
 def test_the_per_graph_oracles_search_the_three_cross_checked_indices_a_block(monkeypatch):
