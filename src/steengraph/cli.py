@@ -286,8 +286,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_hopf(args) -> int:
-    if args.n is None:
-        # untruncated, the work still grows as 2^(i-1) terms and 2^j exponents
+    if args.n is None and args.i >= 1 and args.j >= 0:
+        # untruncated, the work still grows as 2^(i-1) terms and 2^j exponents; a pair that
+        # names no generator is refused by Monomial.generator_power below
         cap = max_truncation()
         if args.i + args.j - 1 > cap:
             raise ValueError(

@@ -21,9 +21,9 @@ some term of each hopf.antipode_slots slot, a directed path, divides the
 monomial.  The walker compares each oracle lane with its criterion lane as
 ints, for equality, or for implication in the degree sweeps, and names each
 index where they differ.  It decodes the monomial of each named index and
-of the first, middle and last index of a block once.  At those three it
-cross-checks the per-monomial criteria where a sweep has them (not dipath),
-each verdict under its own text.  At every visited index the sweep's
+of the first, middle and last index of a block once.  At those three every
+sweep cross-checks its criterion lanes against the per-monomial criteria,
+naming one text where any differs.  At every visited index the sweep's
 second route decides its oracle lanes again: the per-graph oracles on
 graphs.to_graph, or for corollary-unilateral, which builds no graph, the
 per-monomial antipode test.  A named index gets the sweep's text only
@@ -33,12 +33,12 @@ decodes, every monomial at n <= 2 only.
 
 Checks are capped by default at the largest n where the sweep is
 desk-scale (seconds); setting STEENGRAPH_MAX_N overrides the caps.
-Sweeps over the monomial stream can be split across a process pool of
-at most os.cpu_count() workers, in at most 4 runs of whole blocks a
-worker; a level of one block (every level up to n=4) runs in the
-calling process.  Each block cross-checks the same three indices
-however the level is split, and results are aggregated in index order,
-so output, failures included, is identical for any worker count.
+Sweeps over the monomial stream run one list of runs of whole blocks, at
+most 4 a worker: a pool of at most os.cpu_count() processes maps them, or
+else the calling process (serially, when the pool is refused, and for a
+level of one block, every level up to n=4).  Each block cross-checks the
+same three indices however the level is split, and results are aggregated
+in index order, so output, failures included, is the same for any --jobs.
 """
 
 import os
@@ -85,6 +85,7 @@ from .structure import (
     degree_bound_lanes,
     dipath_criterion,
     dirac_condition,
+    has_hamilton_directed_path,
     is_tree,
     oracle_dipath_lanes,
     oracle_cycle_lanes,
@@ -126,13 +127,13 @@ class CapExceeded(ValueError):
     """Requested n is above the configured cap for the selected check."""
 
 
-_TABLES = "block kernel disagrees with the walk-count tables"
+_TABLES = "block kernel disagrees with the walk-count tables on {}"
 _ORACLE_LANES = "lane oracles disagree with the per-graph search on {}"
 
 
 def _walk(
     level: Level, start: int, stop: int, kernel: Callable, lanes: Callable,
-    route: Callable, whats: tuple, oracle: Callable, texts: tuple,
+    route: Callable, what: str, oracle: Callable, texts: tuple,
     implies: bool = False, reported: bool = False, lost: str = _ORACLE_LANES,
 ) -> tuple:
     """(cases, failures, findings) of start..stop, whole blocks of 1 << block_width(level).
@@ -144,11 +145,11 @@ def _walk(
     index where that is set.  A range off block boundaries raises ValueError.
     The walker visits each named index and the block's first, middle and last,
     in index order, and decodes the monomial x of each visited index once.
-    At the three, route(x) cross-checks the criterion lanes, each verdict
-    naming f"{what} on {x}" under its text in whats (each text once an
-    index).  At every visited index, oracle(x) names lost.format(x) once
-    where it differs from the oracle lanes, and each text whose oracle lane
-    it confirms names text.format(x), a finding if reported, else a failure.
+    At the three, route(x) cross-checks the criterion lanes, naming
+    what.format(x) once where any verdict differs from its lane.  At every
+    visited index, oracle(x) names lost.format(x) once where it differs from
+    the oracle lanes, and each text whose oracle lane it confirms names
+    text.format(x), a finding if reported, else a failure.
     """
     width = block_width(level)
     size = 1 << width
@@ -168,9 +169,8 @@ def _walk(
             rest ^= low
         for t in sorted(visits):
             x, lane = monomial_from_index(level, base + t), tuple(o >> t & 1 for o in oracles)
-            if t in offsets:
-                wrong = (w for w, v, c in zip(whats, route(x), criteria) if v != c >> t & 1)
-                failures += [f"{what} on {x}" for what in dict.fromkeys(wrong)]
+            if t in offsets and any(v != c >> t & 1 for v, c in zip(route(x), criteria)):
+                failures.append(what.format(x))
             found = oracle(x)
             named = [s for s, d, f, b in zip(texts, differ, found, lane) if d >> t & 1 and f == b]
             if found != lane:
@@ -187,7 +187,7 @@ def _sweep_main(level: Level, start: int, stop: int) -> tuple:
     return _walk(
         level, start, stop, lane_verdicts,
         lambda adj, full: (oracle_connected_lanes(adj, full), oracle_unilateral_lanes(adj, full)),
-        _walk_criteria, (_TABLES, _TABLES),
+        _walk_criteria, _TABLES,
         lambda x: (oracle_is_connected(g := to_graph(x)), oracle_is_unilateral(g)),
         (
             "connectedness criterion disagrees with search on {}",
@@ -213,7 +213,7 @@ def _sweep_tree(level: Level, start: int, stop: int) -> tuple:
 
     return _walk(
         level, start, stop, kernel, lambda adj, full: (oracle_tree_lanes(adj, full),),
-        lambda x: (*_walk_criteria(x), is_tree(x)), (_TABLES,) * 3,
+        lambda x: (*_walk_criteria(x), is_tree(x)), _TABLES,
         lambda x: (oracle_is_tree(to_graph(x)),),
         ("tree criterion disagrees with search on {}",),
     )
@@ -234,7 +234,9 @@ def _sweep_dipath(level: Level, start: int, stop: int) -> tuple:
 
     return _walk(
         level, start, stop, kernel, lambda adj, full: (oracle_dipath_lanes(adj, full),),
-        lambda x: (), (), lambda x: (oracle_hamilton_directed_path(to_graph(x)) is not None,),
+        lambda x: (has_hamilton_directed_path(x),),
+        "dipath lanes disagree with the exponent of xi1 on {}",
+        lambda x: (oracle_hamilton_directed_path(to_graph(x)) is not None,),
         ("spanning-dipath criterion disagrees with search on {}",),
     )
 
@@ -249,7 +251,7 @@ def _sweep_degree_bound(level: Level, start: int, stop: int, sound: bool) -> tup
         level, start, stop,
         lambda level, base, width: (degree_bound_lanes(level, base, width, extra),),
         lambda adj, full: (oracle_cycle_lanes(adj, full),),
-        lambda x: (condition(x),), ("degree lanes disagree with the degree profiles",),
+        lambda x: (condition(x),), "degree lanes disagree with the degree profiles on {}",
         lambda x: (oracle_hamilton_cycle(to_graph(x)) is not None,),
         (f"degree bound {bound} holds but no Hamilton cycle: {{}}",),
         implies=True, reported=not sound,
@@ -273,7 +275,7 @@ def _sweep_corollary(level: Level, start: int, stop: int) -> tuple:
         return (lane,)
 
     cases, failures, _ = _walk(
-        level, start, stop, lane_verdicts, antipode_lane, _walk_criteria, (_TABLES, _TABLES),
+        level, start, stop, lane_verdicts, antipode_lane, _walk_criteria, _TABLES,
         lambda x: (unilateral_via_antipode(x, True, slots),),
         ("antipode divisibility test disagrees with walks on {}",),
         lost="antipode lane disagrees with the per-monomial antipode test on {}",
@@ -440,26 +442,21 @@ def run_check(name: str, n: int, jobs: int = 1) -> SweepResult:
         cases, failures, findings = spec.whole_runner(level)
     else:
         total = monomial_count(level)
-        # runs of whole blocks, at most 4 a worker: a level of one block runs here
+        # runs of whole blocks, at most 4 a worker; the pool maps them, or else this process
         width = block_width(level)
         chunk = -(-(total >> width) // (4 * jobs)) << width
-        ranges = [(start, min(start + chunk, total)) for start in range(0, total, chunk)]
-        if jobs > 1 and len(ranges) > 1:
+        runs = [(start, min(start + chunk, total)) for start in range(0, total, chunk)]
+        parts = None
+        if jobs > 1 and len(runs) > 1:
             try:
                 with ProcessPoolExecutor(max_workers=jobs) as pool:
                     parts = list(
-                        pool.map(
-                            _run_range_worker,
-                            *zip(*((name, n, a, b) for a, b in ranges)),
-                        )
+                        pool.map(_run_range_worker, *zip(*((name, n, a, b) for a, b in runs)))
                     )
             except OSError as exc:
-                parts = [spec.range_runner(level, a, b) for a, b in ranges]
-                notes.append(
-                    f"process pool unavailable ({exc}); ran {len(ranges)} chunks serially"
-                )
-        else:
-            parts = [spec.range_runner(level, 0, total)]
+                notes.append(f"process pool unavailable ({exc}); ran {len(runs)} chunks serially")
+        if parts is None:
+            parts = [spec.range_runner(level, a, b) for a, b in runs]
         cases = sum(p[0] for p in parts)
         failures = [w for p in parts for w in p[1]]
         findings = [w for p in parts for w in p[2]]

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -454,6 +455,34 @@ class TestHopf:
         code, out, _ = run_cli(capsys, ["hopf", action, "--i", "1", "--j", "12"])
         assert code == 0 and "xi1^4096" in out
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["coproduct", "--i", "0", "--j", "100"], "generator index must be >= 1, got 0"),
+            (["coproduct", "--i", "-5", "--j", "200"], "generator index must be >= 1, got -5"),
+            (["paths", "--i", "3", "--j", "-1"], "power index must be >= 0, got -1"),
+            (
+                ["antipode", "--i", "14"],
+                "xi14^(2^0) without -n needs level 13, above the cap 12"
+                " (set STEENGRAPH_MAX_N to raise it)",
+            ),
+        ],
+    )
+    def test_untruncated_request_names_an_absent_generator_before_the_cap(
+        self, capsys, argv, message
+    ):
+        # a pair with i < 1 or j < 0 names no generator at any level: its own text, not the cap's
+        code, out, err = run_cli(capsys, ["hopf", *argv])
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_untruncated_antipode_at_the_cap_keeps_its_bytes(self, capsys):
+        # xi13 is the largest generator of A*(12); its antipode has 2^12 terms
+        code, out, err = run_cli(capsys, ["hopf", "antipode", "--i", "13"])
+        assert code == 0 and err == "" and out.count(" + ") == 4095
+        digest = "3bfdd9635b5b4b733992bd395515d777b1378ca0a14e58a4a4b91087a8009887"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestEnumerate:
     def test_limit(self, capsys):
@@ -719,6 +748,37 @@ class TestSerialFallback:
         note = "  note: process pool unavailable ([Errno 24] Too many open files); ran 8 chunks serially\n"
         head, rest = serial.split("\n", 1)
         assert fallback == head + "\n" + note + rest
+
+    def test_serial_runs_tile_the_level(self, monkeypatch):
+        from steengraph import verify
+
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", RefusingPool)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("STEENGRAPH_MAX_N", "5")
+        spec = verify.CHECKS["tree"]
+        runs, levels = [], []
+
+        def recording(level, start, stop):
+            runs.append((start, stop))
+            levels.append(level)
+            return spec.range_runner(level, start, stop)
+
+        recorded = dataclasses.replace(spec, range_runner=recording)
+        monkeypatch.setitem(verify.CHECKS, "tree", recorded)
+        block = 1 << 15
+        # serially, the 64 blocks of A*(5) are 4 runs of 16, all on the caller's level
+        serial = run_check("tree", 5)
+        assert runs == [(a, a + 16 * block) for a in range(0, 1 << 21, 16 * block)]
+        assert all(level is levels[0] for level in levels)
+        # a refused pool on 2 workers runs the 8 runs of 8 that its note counts
+        runs.clear()
+        fallback = run_check("tree", 5, jobs=2)
+        assert runs == [(a, a + 8 * block) for a in range(0, 1 << 21, 8 * block)]
+        assert fallback.notes == [
+            "process pool unavailable ([Errno 24] Too many open files); ran 8 chunks serially"
+        ]
+        assert fallback.failures == serial.failures == []
+        assert fallback.cases == serial.cases == 1 << 21
 
 
 class TestLazyPool:

@@ -32,13 +32,15 @@ def test_a_flipped_lane_is_one_named_discrepancy(monkeypatch):
 
 
 def test_cross_check_reports_a_table_mismatch(monkeypatch):
+    # one verdict flipped at index 511, then both: the index is named once either way
     sampled = monomial_from_index(L3, 511)
-    tables = verify.is_connected
-    monkeypatch.setattr(verify, "is_connected", lambda x: tables(x) ^ (x == sampled))
-    result = verify.run_check("main", 3)
-    assert result.failures == [
-        f"block kernel disagrees with the walk-count tables on {sampled}"
-    ]
+    for name in ("is_connected", "is_unilateral"):
+        tables = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda x, tables=tables: tables(x) ^ (x == sampled))
+        result = verify.run_check("main", 3)
+        assert result.failures == [
+            f"block kernel disagrees with the walk-count tables on {sampled}"
+        ]
 
 
 def test_tree_and_corollary_read_the_lanes(monkeypatch):
@@ -75,6 +77,23 @@ def test_a_flipped_dipath_verdict_is_one_named_discrepancy(monkeypatch):
     assert verify.run_check("dipath", 3).failures == [
         f"spanning-dipath criterion disagrees with search on {monomial_from_index(L3, k)}"
         for k in range(768, 832)
+    ]
+
+
+def test_a_flipped_dipath_run_at_a_cross_checked_index_is_also_a_kernel_fault(monkeypatch):
+    # r_1 = 15 is the 64 indices 960..1023, and 1023 is the last cross-checked index of A*(3):
+    # there the route reads r_1 off the monomial and names the kernel before the criterion
+    criterion = verify.dipath_criterion
+    monkeypatch.setattr(
+        verify, "dipath_criterion", lambda level, r1: criterion(level, r1) ^ (r1 == 15)
+    )
+    texts = [
+        f"spanning-dipath criterion disagrees with search on {monomial_from_index(L3, k)}"
+        for k in range(960, 1024)
+    ]
+    last = monomial_from_index(L3, 1023)
+    assert verify.run_check("dipath", 3).failures == [
+        *texts[:-1], f"dipath lanes disagree with the exponent of xi1 on {last}", texts[-1]
     ]
 
 
@@ -127,7 +146,7 @@ def test_the_walker_names_one_flipped_lane_in_a_range_of_two_blocks(monkeypatch)
         return verify._walk(
             level, start, stop, verify.lane_verdicts, lanes,
             lambda x: (connectivity.is_connected(x), connectivity.is_unilateral(x)),
-            ("block kernel disagrees with the walk-count tables",) * 2, oracle,
+            "block kernel disagrees with the walk-count tables on {}", oracle,
             (f"{text} on {{}}", "unilaterality criterion disagrees with closure on {}"),
         )
 
