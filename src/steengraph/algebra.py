@@ -44,11 +44,13 @@ All values are immutable after construction and every operation is a
 pure function, so everything here is safe to share across threads.
 """
 
+import functools
 import itertools
 import operator
 import os
 import random
 import re
+import sys
 from typing import Iterable, Iterator, NamedTuple, Optional, Tuple, Union
 
 ENV_MAX_N = "STEENGRAPH_MAX_N"
@@ -79,8 +81,8 @@ class Level:
     xi_i^(2^j) exists exactly when j < widths[i-1], and it is the edge
     (j, i+j) on the `vertex_count` vertices 0..len(widths).  Every other
     module reads the shape from these two.  `index_packing` and
-    `guarded_packing` are packing(widths, 0) and packing(widths), built once
-    here; both are None untruncated.
+    `guarded_packing` are packing(widths, 0) and packing(widths), read
+    from packing's cache; both are None untruncated.
     """
 
     __slots__ = ("n", "widths", "_vertices", "index_packing", "guarded_packing")
@@ -465,6 +467,25 @@ class ParseError(ValueError):
 
 
 _TERM_RE = re.compile(r"^xi(\d+)(?:\^(\d+))?$", re.ASCII)
+_SPLIT_RE = re.compile(r"[\s*]+")
+
+
+def _number(digits: str, what: str, *args) -> int:
+    """The value of a run of ASCII digits, refused as a ParseError past the interpreter's int limit.
+
+    what.format(*args) names the number in the error.  A limit is 0 (none) or
+    at least 640 digits, so a shorter run is converted at once.  The limit
+    counts leading zeros, so they are cut first; a longer run is refused by
+    its length, so no int() or str() of it raises the interpreter's own text.
+    """
+    if len(digits) > 640:
+        digits = digits.lstrip("0") or "0"
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # absent: no limit
+        if limit and len(digits) > limit:
+            raise ParseError(
+                f"{what.format(*args)} has {len(digits)} digits, above the limit of {limit}"
+            )
+    return int(digits)
 
 
 def parse_monomial(text: str, level: Level) -> Monomial:
@@ -480,10 +501,10 @@ def parse_monomial(text: str, level: Level) -> Monomial:
             raise ParseError(f"unterminated exponent list: {text!r}")
         items = [s.strip() for s in text[1:-1].split(",")] if text[1:-1].strip() else []
         exps = []
-        for s in items:
+        for k, s in enumerate(items, start=1):
             if not (s.isascii() and s.isdigit()):
                 raise ParseError(f"bad exponent {s!r} in {text!r}")
-            exps.append(int(s))
+            exps.append(_number(s, "exponent r_{} of the list", k))
         if level.truncated and len(exps) != len(level.widths):
             raise ParseError(
                 f"exponent list has {len(exps)} entries,"
@@ -491,7 +512,7 @@ def parse_monomial(text: str, level: Level) -> Monomial:
             )
         return _gated(level, exps)
 
-    tokens = [t for t in re.split(r"[\s*]+", text) if t]
+    tokens = [t for t in _SPLIT_RE.split(text) if t]
     if not tokens:
         raise ParseError(f"no factor in {text!r}" if text else "empty monomial text")
     if "1" in tokens:
@@ -499,14 +520,14 @@ def parse_monomial(text: str, level: Level) -> Monomial:
             raise ParseError("the unit monomial `1` must appear alone")
         return Monomial.one(level)
     exps: dict = {}
-    for token in tokens:
+    for k, token in enumerate(tokens, start=1):
         m = _TERM_RE.match(token)
         if m is None:
             raise ParseError(f"bad term {token!r} (expected xi<I> or xi<I>^<E>)")
-        i = int(m.group(1))
+        i = _number(m.group(1), "generator index of term {}", k)
         if not level.generator_valid(i):
             raise ParseError(f"generator xi{i} out of range at n={level.n}")
-        e = int(m.group(2)) if m.group(2) is not None else 1
+        e = 1 if m.group(2) is None else _number(m.group(2), "exponent of xi{} in term {}", i, k)
         exps[i] = exps.get(i, 0) + e
     width = max(exps) if exps else 0
     vec = [exps.get(i, 0) for i in range(1, width + 1)]
@@ -617,8 +638,14 @@ class Packing(NamedTuple):
         return i, position - self.offsets[i - 1]
 
 
+@functools.lru_cache(maxsize=4 * (DEFAULT_MAX_N + 1))
 def packing(widths: tuple, guards: int = 1) -> Packing:
-    """Fields of the given widths, r_1 first, `guards` bits above each (0: the index layout)."""
+    """Fields of the given widths, r_1 first, `guards` bits above each (0: the index layout).
+
+    A Packing is immutable and depends on its arguments only, so each is
+    built once a process.  The bound holds the two packings of each level
+    up to the default cap, and as many again for hopf's untruncated ones.
+    """
     offsets = []
     size = 0
     for w in reversed(widths):

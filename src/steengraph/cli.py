@@ -20,10 +20,13 @@ import dataclasses
 import json
 import os
 import sys
+from functools import lru_cache
+from itertools import combinations
 from operator import itemgetter
 from typing import Optional
 
 from .algebra import (
+    DEFAULT_MAX_N,
     ENV_MAX_N,
     UNTRUNCATED,
     Level,
@@ -116,7 +119,19 @@ def _yesno(b: bool) -> str:
     return "yes" if b else "no"
 
 
+@lru_cache(maxsize=2 * (DEFAULT_MAX_N + 1))
+def _walk_line(name: str, m: int) -> str:
+    # "C: C(0,1)={} C(0,2)={} ...": one field per pair p < q of m vertices, in the (p, q)
+    # order of connectivity.walk_records; both tables of each vertex count up to the cap kept
+    return f"{name}: " + " ".join(f"{name}({p},{q})={{}}" for p, q in combinations(range(m), 2))
+
+
 def render_analysis_text(rep: dict) -> str:
+    """The text report of build_report's dict.
+
+    The C and U lines fill the line template of the vertex count,
+    m = len(rep["degrees"]), with the counts of the records in order.
+    """
     lines = []
     lines.append(
         f"monomial {rep['monomial']} at n={rep['n']}"
@@ -130,8 +145,9 @@ def render_analysis_text(rep: dict) -> str:
         "degrees (in+out): "
         + " ".join([f"{d['label']}:{d['in']}+{d['out']}" for d in rep["degrees"]])
     )
-    lines.append("C: " + " ".join([f"C({r['p']},{r['q']})={r['value']}" for r in rep["C"]]))
-    lines.append("U: " + " ".join([f"U({r['p']},{r['q']})={r['value']}" for r in rep["U"]]))
+    m = len(rep["degrees"])
+    lines.append(_walk_line("C", m).format(*map(_value, rep["C"])))
+    lines.append(_walk_line("U", m).format(*map(_value, rep["U"])))
     for key, oracle in (("connected", "search"), ("unilateral", "closure"), ("tree", "search")):
         lines.append(f"{key}: {_yesno(rep[key])} ({oracle} oracle: {_yesno(rep['oracle_' + key])})")
     if rep["hamilton_cycle_found"]:

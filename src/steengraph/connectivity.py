@@ -44,7 +44,9 @@ m-1 = n+1 in a graph on m vertices, each vertex of degree at most m-1,
 so it is below m^m, and w = (m^m).bit_length().  Every partial sum of a
 row, a Jacobi step's or the back-substitution's, adds nonnegative fields,
 each at most its final entry.  Only the fields of the pairs p < q are
-unpacked, in (p, q) order.  walk_records is the one reader of the rows:
+unpacked, in (p, q) order, at the shifts q*w of a layout that depends on
+m alone and is built once a process for each m (_record_layout, a bounded
+cache).  walk_records is the one reader of the rows:
 it gives a report's C and U records, so analyze builds each table once
 and reads its verdicts off those records.  connection_numbers and
 unilateral_numbers key the same records by (p, q), and is_connected and
@@ -79,12 +81,12 @@ those come from the oracles' own edge rule, graphs.index_rows, not from
 edge_lanes or index_bit.  Neither reads an edge count or a power sum.
 """
 
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import repeat
 from operator import and_, itemgetter, or_
 from typing import Tuple
 
-from .algebra import Level, Monomial, block_lanes, index_bit
+from .algebra import DEFAULT_MAX_N, Level, Monomial, block_lanes, index_bit
 from .graphs import WoodGraph
 
 
@@ -116,19 +118,26 @@ def _walk_table(x: Monomial, directed: bool) -> Tuple[list, int]:
     return s, w
 
 
+@lru_cache(maxsize=DEFAULT_MAX_N + 1)
+def _record_layout(m: int) -> tuple:
+    # (p, q, q*w) for every pair p < q of m vertices in (p, q) order: where walk_records reads
+    # entry (p, q) of a packed row; one per vertex count up to the default cap is kept
+    w = _field_width(m)
+    return tuple((p, q, q * w) for p in range(m) for q in range(p + 1, m))
+
+
 def walk_records(x: Monomial, directed: bool) -> list:
     """A walk table as report rows [{"p": p, "q": q, "value": v}, ...], p < q in (p, q) order.
 
     directed=False gives the connection numbers, True the unilateral
-    numbers; each row is read straight off the packed table.
+    numbers; each row is read straight off the packed table, at the
+    shifts of the vertex count's one record layout.
     """
     rows, w = _walk_table(x, directed)
     mask = (1 << w) - 1
-    m = len(rows)
     return [
-        {"p": p, "q": q, "value": row >> q * w & mask}
-        for p, row in enumerate(rows)
-        for q in range(p + 1, m)
+        {"p": p, "q": q, "value": rows[p] >> shift & mask}
+        for p, q, shift in _record_layout(len(rows))
     ]
 
 

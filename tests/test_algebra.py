@@ -223,6 +223,18 @@ class TestParse:
         with pytest.raises(ParseError, match="bad exponent"):
             parse_monomial("[1,x,0]", L2)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "xi1^" + "0" * 5000 + "6 xi2 xi3",
+            "xi" + "0" * 5000 + "1^6 xi2 xi3",
+            "[" + "0" * 5000 + "6,1,1]",
+        ],
+    )
+    def test_leading_zeros_are_not_counted_against_the_int_limit(self, text):
+        # int() counts them, so the parser cuts them before it measures a number
+        assert parse_monomial(text, L2) == Monomial(L2, (6, 1, 1))
+
     @pytest.mark.parametrize("text", ["*", " * * ", "**"])
     def test_text_without_a_factor_rejected(self, text):
         # the unit is `1`; a separator alone names no monomial

@@ -134,6 +134,26 @@ class TestAnalyze:
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int-string limit in this Python"
+    )
+    @pytest.mark.parametrize("command", ["analyze", "dot"])
+    @pytest.mark.parametrize(
+        "text, what",
+        [
+            ("xi1^" + "9" * 5000, "exponent of xi1 in term 1"),
+            ("[" + "9" * 5000 + ",0]", "exponent r_1 of the list"),
+            ("xi" + "9" * 5000, "generator index of term 1"),
+        ],
+    )
+    def test_an_over_long_number_is_refused_by_the_parser(self, capsys, command, text, what):
+        # a number past the interpreter's int-string limit is measured, never converted, so
+        # the interpreter's own conversion text cannot reach stderr
+        code, out, err = run_cli(capsys, [command, text, "-n", "1"])
+        assert code == 2 and out == ""
+        limit = sys.get_int_max_str_digits()
+        assert err == f"error: {what} has 5000 digits, above the limit of {limit}\n"
+
     def test_non_ascii_digit_exits_two(self, capsys):
         code, out, err = run_cli(capsys, ["analyze", "[\u00b2,0,0]", "-n", "2"])
         assert code == 2 and out == ""
@@ -183,6 +203,25 @@ class TestReportBytes:
         rep = cli.build_report(parse_monomial("xi1^7", Level(2)))
         assert rep["connected"] and rep["tree"] and rep["unilateral"]
         assert sorted(calls) == [False, True]
+
+
+class TestWalkLines:
+    # render_analysis_text fills one line template a vertex count with the counts of
+    # walk_records in order; this pins that order apart from the report digests
+    @pytest.mark.parametrize("n", range(13))
+    def test_lines_spell_out_the_walk_records(self, n):
+        level = Level(n)
+        sample = enumerate_monomials(level) if n <= 2 else random_monomials(level, 20, seed=n)
+        for x in sample:
+            lines = cli.render_analysis_text(cli.build_report(x)).splitlines()
+            assert lines[3:5] == [
+                f"{name}: "
+                + " ".join(
+                    f"{name}({r['p']},{r['q']})={r['value']}"
+                    for r in connectivity.walk_records(x, directed)
+                )
+                for name, directed in (("C", False), ("U", True))
+            ]
 
 
 class TestReportAtTheLevelCap:

@@ -494,11 +494,16 @@ def test_only_the_measured_caches_outlive_a_call():
     caches = {
         id(f): f for m in modules for f in vars(m).values() if hasattr(f, "cache_info")
     }.values()
-    assert sorted(f"{f.__module__}.{f.__name__}" for f in caches) == []
-    assert all(f.cache_info().maxsize is not None for f in caches)
+    assert sorted(f"{f.__module__}.{f.__name__}" for f in caches) == [
+        "steengraph.algebra.packing",
+        "steengraph.cli._walk_line",
+        "steengraph.connectivity._record_layout",
+    ]
+    assert all(isinstance(f.cache_info().maxsize, int) for f in caches)
     assert all(r.ok for r in verify.run_all(3))
-    for x in random_monomials(Level(12), 3, seed=1):
-        cli.build_report(x)
+    for n in range(13):
+        for x in random_monomials(Level(n), 3, seed=n):
+            cli.render_analysis_text(cli.build_report(x))
     for f in caches:
         info = f.cache_info()
         assert info.currsize <= info.maxsize, f
