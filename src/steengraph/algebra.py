@@ -470,6 +470,11 @@ _TERM_RE = re.compile(r"^xi(\d+)(?:\^(\d+))?$", re.ASCII)
 _SPLIT_RE = re.compile(r"[\s*]+")
 
 
+def _digit_limit() -> int:
+    """The interpreter's limit on the digits of an int converted to or from a string, 0 for none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()  # absent: no limit
+
+
 def _number(digits: str, what: str, *args) -> int:
     """The value of a run of ASCII digits, refused as a ParseError past the interpreter's int limit.
 
@@ -480,7 +485,7 @@ def _number(digits: str, what: str, *args) -> int:
     """
     if len(digits) > 640:
         digits = digits.lstrip("0") or "0"
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # absent: no limit
+        limit = _digit_limit()
         if limit and len(digits) > limit:
             raise ParseError(
                 f"{what.format(*args)} has {len(digits)} digits, above the limit of {limit}"
@@ -493,7 +498,9 @@ def parse_monomial(text: str, level: Level) -> Monomial:
 
     `1` alone denotes the unit monomial.  The compact form `[r1,r2,...]`
     lists all n+1 exponents directly.  Repeated generators accumulate
-    their exponents.  Numbers are ASCII decimal digits only.
+    their exponents.  Numbers are ASCII decimal digits only.  A number,
+    or the sum of a repeated generator's exponents, with more digits than
+    the interpreter converts is refused as a ParseError.
     """
     text = text.strip()
     if text.startswith("["):
@@ -528,7 +535,13 @@ def parse_monomial(text: str, level: Level) -> Monomial:
         if not level.generator_valid(i):
             raise ParseError(f"generator xi{i} out of range at n={level.n}")
         e = 1 if m.group(2) is None else _number(m.group(2), "exponent of xi{} in term {}", i, k)
-        exps[i] = exps.get(i, 0) + e
+        if i in exps:
+            e += exps[i]
+            limit = _digit_limit()
+            # a sum below 8^limit has fewer digits than the limit, so 10^limit is seldom built
+            if limit and e.bit_length() > 3 * limit and e >= 10**limit:
+                raise ParseError(f"the exponents of xi{i} sum past the limit of {limit} digits")
+        exps[i] = e
     width = max(exps) if exps else 0
     vec = [exps.get(i, 0) for i in range(1, width + 1)]
     return _gated(level, vec)
@@ -581,8 +594,8 @@ def block_lanes(level: Level, base: int, width: int) -> Tuple[list, int]:
     base + t is set, and full has all 2^width lanes set.  base must be a
     multiple of 2^width, and width at most block_width(level).  For
     b < width, bits[b] is the upper run of 2^b lanes of each period of
-    2^(b+1), built by doubling the period; above that it is all ones or
-    zero for the whole block.
+    2^(b+1), built by doubling the period once a process for each width;
+    above that it is all ones or zero for the whole block.
     """
     lanes = 1 << width
     count = monomial_count(level)
@@ -592,6 +605,17 @@ def block_lanes(level: Level, base: int, width: int) -> Tuple[list, int]:
     if base % lanes or not 0 <= base < count:
         raise ValueError(f"block base {base} is not a multiple of {lanes} in 0..{count - 1}")
     full = (1 << lanes) - 1
+    bits = list(_index_lanes(width))
+    bits += [full if base >> b & 1 else 0 for b in range(width, count.bit_length() - 1)]
+    return bits, full
+
+
+@functools.lru_cache(maxsize=BLOCK_BITS + 1)
+def _index_lanes(width: int) -> tuple:
+    # the lanes of the index bits b < width, the same in every block of 2^width indices: the
+    # upper run of 2^b lanes of each period of 2^(b+1), built by doubling the period; one per
+    # block width is kept
+    lanes = 1 << width
     bits = []
     for b in range(width):
         run = 1 << b
@@ -600,8 +624,7 @@ def block_lanes(level: Level, base: int, width: int) -> Tuple[list, int]:
             lane |= lane << period
             period *= 2
         bits.append(lane)
-    bits += [full * (base >> b & 1) for b in range(width, count.bit_length() - 1)]
-    return bits, full
+    return tuple(bits)
 
 
 class Packing(NamedTuple):

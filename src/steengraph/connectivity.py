@@ -69,6 +69,8 @@ p < j < q of A[p][j] & S[j][q], and rows m-2 and m-1, like every entry
 no code with the integer tables, which serve single monomials (analyze)
 and the sampled cross-checks of the sweeps.  edge_lanes builds the lane
 int of every edge of a block once, on both triangles: the undirected A.
+The index bit of each edge depends on the level alone, so that map is
+built once a process for each level (_edge_bits, a bounded cache).
 The directed A is its upper triangle, the only part the directed solve
 reads.  structure.degree_bound_lanes reads its rows too.
 
@@ -208,15 +210,23 @@ def edge_lanes(level: Level, base: int, width: int) -> Tuple[list, int]:
     monomial_from_index(level, base + t) has edge (p, q), on both
     triangles, with a zero diagonal, and full has all 2^width lanes set.
     base and width follow the rule of block_lanes.  Edge (p, q) is the
-    lane of index bit index_bit(p, q).
+    lane of index bit index_bit(p, q), read from the level's one map of
+    those bits (_edge_bits).
     """
     bits, full = block_lanes(level, base, width)
     m = level.vertex_count
     adj = [[0] * m for _ in range(m)]
-    for p in range(m):
-        for q in range(p + 1, m):
-            adj[p][q] = adj[q][p] = bits[index_bit(level, p, q)]
+    for p, q, b in _edge_bits(level):
+        adj[p][q] = adj[q][p] = bits[b]
     return adj, full
+
+
+@lru_cache(maxsize=DEFAULT_MAX_N + 1)
+def _edge_bits(level: Level) -> tuple:
+    # (p, q, index_bit(level, p, q)) for every edge p < q of the level; one per level up to
+    # the default cap is kept
+    m = level.vertex_count
+    return tuple((p, q, index_bit(level, p, q)) for p in range(m) for q in range(p + 1, m))
 
 
 def lane_verdicts(level: Level, base: int, width: int) -> Tuple[int, int]:

@@ -14,13 +14,16 @@ A WoodGraph is one int of neighbour masks, built by to_graph from the
 rows of exponent_rows, and the search oracles of connectivity.py and
 structure.py run on it.  oracle_edge_lanes turns the same rows, through
 index_rows, into one lane int per edge for a block of indices, one bit
-per monomial, and the block search oracles run on those.  The vertex and
+per monomial, and the block search oracles run on those.  The cells of
+each index bit's rows depend on the level alone and are built once a
+process for each level (_index_cells, a bounded cache).  The vertex and
 edge ranges are read off the level's shape, stated once in Level.widths.
 """
 
+from functools import lru_cache
 from typing import Iterable, Tuple
 
-from .algebra import Level, Monomial, block_lanes
+from .algebra import DEFAULT_MAX_N, Level, Monomial, block_lanes
 
 Edge = Tuple[int, int]
 
@@ -124,13 +127,24 @@ def index_rows(level: Level) -> list:
     """Entry b is exponent_rows(level, i, 1 << j) for xi_i^(2^j), the edge of index bit b.
 
     exponent_rows is an OR over the bits of r, so an index's rows are the
-    OR of the entries of its set bits.  oracle_edge_lanes builds the list
-    once a block; to_graph calls exponent_rows directly.
+    OR of the entries of its set bits.  oracle_edge_lanes reads the list
+    once a process for each level, as the cells of each entry's rows;
+    to_graph calls exponent_rows directly.
     """
     level._require_truncated()
     pk = level.index_packing
     bits = (pk.generator_power(1 << b) for b in range(sum(level.widths)))
     return [exponent_rows(level, i, 1 << j) for i, j in bits]
+
+
+@lru_cache(maxsize=DEFAULT_MAX_N + 1)
+def _index_cells(level: Level) -> tuple:
+    # entry b: the (p, q) cells, on both triangles, of the rows of index bit b; one per level
+    # up to the default cap is kept
+    m = level.vertex_count
+    return tuple(
+        tuple(divmod(c, m) for c in range(m * m) if rows >> c & 1) for rows in index_rows(level)
+    )
 
 
 def oracle_edge_lanes(level: Level, base: int, width: int) -> Tuple[list, int]:
@@ -140,18 +154,16 @@ def oracle_edge_lanes(level: Level, base: int, width: int) -> Tuple[list, int]:
     puts edge (p, q) in the graph of index base + t, on both triangles,
     and full has all 2^width lanes set.  base and width follow the rule of
     algebra.block_lanes, which gives the lane int of each index bit;
-    each lane is ORed into the entries of the rows of its bit.  The block
-    search oracles and the antipode lane of verify.py read these lanes.
+    each lane is ORed into the cells of the rows of its bit, which are
+    read off index_rows once a process for each level.  The block search
+    oracles and the antipode lane of verify.py read these lanes.
     """
     bits, full = block_lanes(level, base, width)
     m = level.vertex_count
     adj = [[0] * m for _ in range(m)]
-    for lane, rows in zip(bits, index_rows(level)):
-        while rows:
-            low = rows & -rows
-            p, q = divmod(low.bit_length() - 1, m)
+    for lane, cells in zip(bits, _index_cells(level)):
+        for p, q in cells:
             adj[p][q] |= lane
-            rows ^= low
     return adj, full
 
 

@@ -35,7 +35,8 @@ call of `coproduct`, `antipode` or an axiom predicate builds its own
 expansions, and a caller that checks the axioms on many monomials of one
 level passes every predicate the one pair that `axiom_expansions` builds,
 dropped when that caller returns; `antipode_slots` serves
-`unilateral_via_antipode` the same way.
+`unilateral_via_antipode` the same way, and the corollary sweep of
+verify.py keeps the slots of each level it sweeps for the process.
 
 Truncation interacts with everything here through the quotient map
 (truncate_monomial / truncate_polynomial / truncate_tensor): the

@@ -41,9 +41,10 @@ consecutive edges {p, p+1} are present, i.e. when the exponent of xi_1
 is 2^(n+1) - 1.
 """
 
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
-from .algebra import Level, Monomial
+from .algebra import BLOCK_BITS, Level, Monomial
 from .connectivity import edge_lanes, is_connected, oracle_connected_lanes, oracle_is_connected
 from .graphs import WoodGraph
 
@@ -146,16 +147,18 @@ def oracle_tree_lanes(adj: list, full: int) -> int:
     return oracle_connected_lanes(adj, full) & ~cyclic
 
 
-def popcount_lanes(width: int) -> list:
+@lru_cache(maxsize=BLOCK_BITS + 1)
+def popcount_lanes(width: int) -> tuple:
     """Entry c has bit t set exactly when t has c set bits, for t < 2^width.
 
     Built by the recurrence over width: t below 2^w has the popcounts it
-    has below 2^(w-1), and t + 2^(w-1) has one more.
+    has below 2^(w-1), and t + 2^(w-1) has one more.  The table depends on
+    the width alone, so one per block width is kept.
     """
-    counts = [1]
+    counts = (1,)
     for w in range(width):
         run = 1 << w
-        counts = [low | high << run for low, high in zip(counts + [0], [0] + counts)]
+        counts = tuple(low | high << run for low, high in zip(counts + (0,), (0,) + counts))
     return counts
 
 

@@ -29,7 +29,10 @@ graphs.to_graph, or for corollary-unilateral, which builds no graph, the
 per-monomial antipode test.  A named index gets the sweep's text only
 where that route confirms its oracle lane, so it rests on two routes.
 Beyond the walker, only corollary-unilateral's integer-exponent reading
-decodes, every monomial at n <= 2 only.
+decodes, every monomial at n <= 2 only.  A block builds only its own
+lanes: every table they are read from depends on a block width or a level
+alone and is built once a process in a bounded cache, corollary-unilateral's
+antipode slots and paths (_corollary_tables) among them.
 
 Checks are capped by default at the largest n where the sweep is
 desk-scale (seconds); setting STEENGRAPH_MAX_N overrides the caps.
@@ -43,12 +46,13 @@ in index order, so output, failures included, is the same for any --jobs.
 
 import os
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 from math import prod
 from operator import and_, or_
 from typing import Callable, List, Optional
 
 from .algebra import (
+    DEFAULT_MAX_N,
     ENV_MAX_N,
     Level,
     Monomial,
@@ -258,14 +262,25 @@ def _sweep_degree_bound(level: Level, start: int, stop: int, sound: bool) -> tup
     )
 
 
-def _sweep_corollary(level: Level, start: int, stop: int) -> tuple:
+@lru_cache(maxsize=DEFAULT_MAX_N + 1)
+def _corollary_tables(level: Level) -> tuple:
+    # (slots, paths): the level's antipode_slots, and each term's directed path as the (i, j)
+    # of its dyadic bits xi_i^(2^j), the edges (j, i+j); one pair per level up to the default
+    # cap is kept
     slots = antipode_slots(level)
-    # each antipode term is a directed path: its dyadic bit xi_i^(2^j) is the edge (j, i+j)
     pk = level.guarded_packing
-    paths = [
-        [[pk.generator_power(1 << b) for b in range(t.bit_length()) if t >> b & 1] for t in terms]
+    paths = tuple(
+        tuple(
+            tuple(pk.generator_power(1 << b) for b in range(t.bit_length()) if t >> b & 1)
+            for t in terms
+        )
         for terms in slots
-    ]
+    )
+    return slots, paths
+
+
+def _sweep_corollary(level: Level, start: int, stop: int) -> tuple:
+    slots, paths = _corollary_tables(level)
 
     def antipode_lane(adj: list, lane: int) -> tuple:
         # the AND over slots of the OR over terms of the AND over edges; each term is ANDed
@@ -403,10 +418,13 @@ def effective_cap(name: str) -> int:
 
 
 def _worker_count(jobs: int) -> int:
-    """Processes for a request of `jobs` workers: below 1 is refused, the cpu count caps it."""
+    """Processes for a request of `jobs` workers: below 1 is refused, the cpu count caps it.
+
+    The cpu count is read only for a request of more than one worker.
+    """
     if jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {jobs}")
-    return min(jobs, os.cpu_count() or 1)
+    return jobs if jobs == 1 else min(jobs, os.cpu_count() or 1)
 
 
 def ProcessPoolExecutor(max_workers: int):

@@ -16,7 +16,7 @@ import pytest
 from jsonschema import Draft202012Validator
 
 import steengraph
-from steengraph import cli, connectivity, graphs
+from steengraph import cli, connectivity, graphs, verify
 from steengraph.algebra import (
     Level,
     enumerate_monomials,
@@ -153,6 +153,25 @@ class TestAnalyze:
         assert code == 2 and out == ""
         limit = sys.get_int_max_str_digits()
         assert err == f"error: {what} has 5000 digits, above the limit of {limit}\n"
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int-string limit in this Python"
+    )
+    @pytest.mark.parametrize("command", ["analyze", "dot"])
+    def test_a_repeated_generator_summed_past_the_limit_is_refused_by_the_parser(
+        self, capsys, command
+    ):
+        # each factor passes the length check, and their sum has one digit more than the limit
+        limit = sys.get_int_max_str_digits()
+        nines = "9" * limit
+        for text in (f"xi1^{nines} xi1^{nines}", f"xi2 xi1^{nines} xi1"):
+            code, out, err = run_cli(capsys, [command, text, "-n", "1"])
+            assert code == 2 and out == ""
+            assert err == f"error: the exponents of xi1 sum past the limit of {limit} digits\n"
+        # a sum just below the limit reaches the level's bound check
+        code, out, err = run_cli(capsys, [command, f"xi1^{nines[1:]}8 xi1", "-n", "1"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: exponent ") and "exceeds bound 3 at n=1" in err
 
     def test_non_ascii_digit_exits_two(self, capsys):
         code, out, err = run_cli(capsys, ["analyze", "[\u00b2,0,0]", "-n", "2"])
@@ -700,6 +719,16 @@ class TestVerifyInputs:
         assert pool.sizes == [3]
         run_cli(capsys, argv + ["--jobs", "2"])
         assert pool.sizes == [3, 2]
+
+    def test_one_job_reads_no_cpu_count(self, capsys, monkeypatch, pool):
+        def refused():
+            raise AssertionError("a serial run read the cpu count")
+
+        monkeypatch.setattr(verify.os, "cpu_count", refused)
+        for argv in (["-n", "2"], ["--theorem", "tree", "-n", "2", "--jobs", "1"]):
+            code, _, _ = run_cli(capsys, ["verify", *argv])
+            assert code == 0
+        assert pool.sizes == []
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_a_one_block_level_starts_no_pool(self, capsys, pool, n):

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from steengraph import algebra, connectivity
+from steengraph import algebra, connectivity, graphs, structure, verify
 from steengraph.algebra import (
     BLOCK_BITS,
     Level,
@@ -33,7 +33,7 @@ from steengraph.connectivity import (
     unilateral_numbers,
     walk_records,
 )
-from steengraph.graphs import WoodGraph, adjacency_matrix, oracle_edge_lanes, to_graph
+from steengraph.graphs import WoodGraph, adjacency_matrix, index_rows, oracle_edge_lanes, to_graph
 
 L0, L1, L2, L3 = Level(0), Level(1), Level(2), Level(3)
 
@@ -434,6 +434,79 @@ def assert_lane_oracles_match_the_searches(level, base, width, lanes_of=range):
         g = to_graph(monomial_from_index(level, base + t))
         lanes = (connected >> t & 1, unilateral >> t & 1)
         assert lanes == (oracle_is_connected(g), oracle_is_unilateral(g)), (level, base + t)
+
+
+def closed_form_lane(width, b):
+    # the lanes t < 2^width with bit b of t set: the run of 2^b ones above 2^b zeros,
+    # repeated in each period of 2^(b+1) lanes by a repunit in base 2^(2^(b+1))
+    run, period = 1 << b, 2 << b
+    repunit = ((1 << (1 << width)) - 1) // ((1 << period) - 1)
+    return ((1 << run) - 1 << run) * repunit
+
+
+def reference_block(level, base, width):
+    # block_lanes, edge_lanes and oracle_edge_lanes of a block with no cached table: each
+    # lane in closed form, each criterion edge at its index_bit, each oracle edge at the cells
+    # of its index_rows entry
+    full = (1 << (1 << width)) - 1
+    bits = [
+        closed_form_lane(width, b) if b < width else full * (base >> b & 1)
+        for b in range(sum(level.widths))
+    ]
+    m = level.vertex_count
+    criterion = [[0] * m for _ in range(m)]
+    for p, q in itertools.combinations(range(m), 2):
+        criterion[p][q] = criterion[q][p] = bits[algebra.index_bit(level, p, q)]
+    oracle = [[0] * m for _ in range(m)]
+    for lane, rows in zip(bits, index_rows(level)):
+        while rows:
+            low = rows & -rows
+            p, q = divmod(low.bit_length() - 1, m)
+            oracle[p][q] |= lane
+            rows ^= low
+    return (bits, full), (criterion, full), (oracle, full)
+
+
+def frozen(value):
+    return isinstance(value, int) or isinstance(value, tuple) and all(map(frozen, value))
+
+
+class TestShapeTables:
+    """The tables a block reads, built once a process, against a build with no cached table."""
+
+    def test_cached_lane_patterns_are_a_fresh_doubling_build(self):
+        for width in range(BLOCK_BITS + 1):
+            cached = algebra._index_lanes(width)
+            assert cached == algebra._index_lanes.__wrapped__(width), width
+            assert cached == tuple(closed_form_lane(width, b) for b in range(width)), width
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_seeded_blocks_match_a_build_from_the_edge_rules(self, monkeypatch, n):
+        monkeypatch.setenv("STEENGRAPH_MAX_N", str(n))
+        level = Level(n)
+        width = block_width(level)
+        rng = random.Random(n)
+        for block in rng.sample(range(monomial_count(level) >> width), 8):
+            base = block << width
+            assert (
+                block_lanes(level, base, width),
+                connectivity.edge_lanes(level, base, width),
+                oracle_edge_lanes(level, base, width),
+            ) == reference_block(level, base, width), base
+
+    def test_no_caller_can_change_a_cached_table(self):
+        # each cached table is a tuple all the way down, handed as it is to every caller
+        widths = range(BLOCK_BITS + 1)
+        tables = [algebra._index_lanes(w) for w in widths]
+        tables += [structure.popcount_lanes(w) for w in widths]
+        for n in range(5):
+            level = Level(n)
+            tables += [
+                connectivity._edge_bits(level),
+                graphs._index_cells(level),
+                verify._corollary_tables(level),
+            ]
+        assert all(map(frozen, tables))
 
 
 class TestLaneOracles:

@@ -17,6 +17,18 @@ from steengraph.graphs import to_graph
 L3 = Level(3)
 
 
+@pytest.fixture
+def cold_tables():
+    # a test that patches what a level's cached table is built from gets a table built under
+    # its patch, and leaves no patched table behind for the tests after it
+    caches = (graphs._index_cells, verify._corollary_tables)
+    for f in caches:
+        f.cache_clear()
+    yield
+    for f in caches:
+        f.cache_clear()
+
+
 def test_a_flipped_lane_is_one_named_discrepancy(monkeypatch):
     # index 777 is none of the cross-checked indices 0, 511, 1023 of the level
     kernel = verify.lane_verdicts
@@ -97,7 +109,7 @@ def test_a_flipped_dipath_run_at_a_cross_checked_index_is_also_a_kernel_fault(mo
     ]
 
 
-def test_a_dropped_edge_in_the_oracle_rows_fails_main(monkeypatch):
+def test_a_dropped_edge_in_the_oracle_rows_fails_main(monkeypatch, cold_tables):
     # without edge (0, 1), the oracles see xi1^1 as no edge at all
     exponent_rows = graphs.exponent_rows
     m = L3.n + 2
@@ -110,7 +122,7 @@ def test_a_dropped_edge_in_the_oracle_rows_fails_main(monkeypatch):
     assert all("disagrees with search" in w or "disagrees with closure" in w for w in failures)
 
 
-def test_a_dropped_edge_in_the_oracle_rows_fails_dipath(monkeypatch):
+def test_a_dropped_edge_in_the_oracle_rows_fails_dipath(monkeypatch, cold_tables):
     # without edge (0, 1), no graph has the full spine, though every r_1 = 15 asks for it
     exponent_rows = graphs.exponent_rows
     m = L3.vertex_count
@@ -425,10 +437,11 @@ def test_a_flipped_unilateral_lane_is_named_where_the_antipode_test_confirms_its
     ]
 
 
-def test_the_corollary_sweep_builds_the_antipode_slots_once_a_call(monkeypatch):
+def test_the_corollary_sweep_builds_the_antipode_slots_once_a_process(monkeypatch, cold_tables):
     slots = verify.antipode_slots
     calls = []
     monkeypatch.setattr(verify, "antipode_slots", lambda level: calls.append(level) or slots(level))
+    assert verify.run_check("corollary-unilateral", 3).ok
     assert verify.run_check("corollary-unilateral", 3).ok
     assert calls == [L3]
 
@@ -444,7 +457,7 @@ def test_the_corollary_sweep_decodes_only_its_cross_checked_monomials(monkeypatc
     assert calls == [0, 511, 1023]
 
 
-def test_a_fault_in_one_antipode_slot_is_named_in_index_order(monkeypatch):
+def test_a_fault_in_one_antipode_slot_is_named_in_index_order(monkeypatch, cold_tables):
     # slot (2, 0) loses its spine term xi1 * xi1^2, the path 0-1-2, and keeps the edge (0, 2):
     # of the 64 unilateral monomials of A*(3), which hold the spine, the 32 without (0, 2) fail
     slots = verify.antipode_slots
@@ -495,9 +508,14 @@ def test_only_the_measured_caches_outlive_a_call():
         id(f): f for m in modules for f in vars(m).values() if hasattr(f, "cache_info")
     }.values()
     assert sorted(f"{f.__module__}.{f.__name__}" for f in caches) == [
+        "steengraph.algebra._index_lanes",
         "steengraph.algebra.packing",
         "steengraph.cli._walk_line",
+        "steengraph.connectivity._edge_bits",
         "steengraph.connectivity._record_layout",
+        "steengraph.graphs._index_cells",
+        "steengraph.structure.popcount_lanes",
+        "steengraph.verify._corollary_tables",
     ]
     assert all(isinstance(f.cache_info().maxsize, int) for f in caches)
     assert all(r.ok for r in verify.run_all(3))
